@@ -55,15 +55,11 @@ def _read_presentation(inv):
     return load_presentation(text)
 
 
-def _group_json(P):
-    return presentation_to_json(P)
-
-
 def _cmd_validate(inv):
     P = _read_presentation(inv)
     rep = validate(P)
     if inv.format == "json":
-        text = dump_json({"group": _group_json(P), "valid": rep.ok,
+        text = dump_json({"group": presentation_to_json(P), "valid": rep.ok,
                           "failures": list(rep.failures)})
     else:
         lines = list(rep.failures) + ["valid" if rep.ok else "invalid"]
@@ -75,7 +71,7 @@ def _cmd_h1(inv):
     P = _read_presentation(inv)
     g = h1(P, inv.coeff_rank)
     if inv.format == "json":
-        return 0, dump_json({"group": _group_json(P), "h1": g.to_json()})
+        return 0, dump_json({"group": presentation_to_json(P), "h1": g.to_json()})
     return 0, "H^1 = %s\n" % g
 
 
@@ -83,7 +79,7 @@ def _cmd_h2(inv):
     P = _read_presentation(inv)
     rep = h2(P, inv.coeff_rank)
     if inv.format == "json":
-        text = dump_json({"group": _group_json(P), "h2": rep.to_json()})
+        text = dump_json({"group": presentation_to_json(P), "h2": rep.to_json()})
     else:
         text = ("H^2 = %s\n"
                 "coker c* = %s\n"
@@ -102,7 +98,8 @@ def _cmd_homology_rank(inv):
     P = _read_presentation(inv)
     k = second_homology_rank(P)
     if inv.format == "json":
-        return 0, dump_json({"group": _group_json(P), "second_homology_rank": k})
+        return 0, dump_json({"group": presentation_to_json(P),
+                             "second_homology_rank": k})
     return 0, "H_2 free rank = %d\n" % k
 
 
@@ -121,7 +118,7 @@ def _cmd_cocycles(inv):
     P = _read_presentation(inv)
     ws = lemmax_generators(P) + lemmay_basis(P)
     if inv.format == "json":
-        return 0, dump_json({"group": _group_json(P),
+        return 0, dump_json({"group": presentation_to_json(P),
                              "cocycles": [cocycle_to_json(w) for w in ws]})
     lines = [_describe(P, i + 1, w) for i, w in enumerate(ws)]
     if not lines:
@@ -136,7 +133,7 @@ def _cmd_verify(inv):
                               seed=inv.seed) for w in ws]
     ok = all(r.ok for r in results)
     if inv.format == "json":
-        text = dump_json({"group": _group_json(P),
+        text = dump_json({"group": presentation_to_json(P),
                           "verify": [{"cocycle": cocycle_to_json(w),
                                       "ok": r.ok, "trials": r.trials,
                                       "message": r.message}
@@ -170,7 +167,7 @@ def _cmd_extend(inv):
                 or E.multiply(xi, x) != E.identity()):
             return 1, "inverse law fails at trial %d\n" % t
     if inv.format == "json":
-        text = dump_json({"group": _group_json(P),
+        text = dump_json({"group": presentation_to_json(P),
                           "extend": {"fiber_rank": E.fiber_rank,
                                      "trials": inv.trials, "ok": True}})
     else:
@@ -185,7 +182,7 @@ def _cmd_witness(inv):
     finite = [w for w in lemmax_generators(P) if w.order]
     if not finite:
         if inv.format == "json":
-            return 0, dump_json({"group": _group_json(P), "witness": []})
+            return 0, dump_json({"group": presentation_to_json(P), "witness": []})
         return 0, "no torsion classes; nothing to search\n"
     lines, records, ok = [], [], True
     for w in finite:
@@ -202,32 +199,40 @@ def _cmd_witness(inv):
             records.append({"order": w.order, "found": True,
                             "witness": u.render()})
     if inv.format == "json":
-        text = dump_json({"group": _group_json(P), "witness": records})
+        text = dump_json({"group": presentation_to_json(P), "witness": records})
     else:
         text = "".join(line + "\n" for line in lines)
     return (0 if ok else 1), text
 
 
 def _cmd_gen(inv):
+    try:
+        P = _gen_family(inv)
+    except PresentationFormatError:
+        raise
+    except ValueError as exc:  # a family rejects its parameters
+        raise PresentationFormatError(str(exc)) from exc
+    return 0, dump_json(presentation_to_json(P))
+
+
+def _gen_family(inv):
     if inv.family == "heisenberg":
-        P = families.heisenberg()
-    elif inv.family == "abelian":
+        return families.heisenberg()
+    if inv.family == "abelian":
         if inv.n is None:
             raise PresentationFormatError("family 'abelian' needs --n")
-        P = families.abelian(inv.n)
-    elif inv.family == "paper-example":
+        return families.abelian(inv.n)
+    if inv.family == "paper-example":
         if not inv.d:
             raise PresentationFormatError("family 'paper-example' needs --d d1,d2,...")
         if inv.n is not None and inv.n != len(inv.d):
             raise PresentationFormatError("--n disagrees with the length of --d")
-        P = families.divisor_chain_group(inv.d)
-    elif inv.family == "random":
+        return families.divisor_chain_group(inv.d)
+    if inv.family == "random":
         if inv.n is None or inv.m is None:
             raise PresentationFormatError("family 'random' needs --n and --m")
-        P = families.random_presentation(inv.n, inv.m, inv.bound, inv.seed)
-    else:
-        raise PresentationFormatError("unknown family %r" % (inv.family,))
-    return 0, dump_json(presentation_to_json(P))
+        return families.random_presentation(inv.n, inv.m, inv.bound, inv.seed)
+    raise PresentationFormatError("unknown family %r" % (inv.family,))
 
 
 def _cmd_selftest(inv):
@@ -277,6 +282,17 @@ def _chain(text):
     return tuple(int(x) for x in text.split(","))
 
 
+def _int_at_least(least):
+    """argparse type for an integer flag that must be >= least."""
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d" % (least, value))
+        return value
+    parse.__name__ = "integer"  # argparse names it when int() fails
+    return parse
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="nilcoh",
@@ -285,10 +301,11 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", dest="input_path", metavar="FILE",
                         help="presentation JSON (stdin when absent)")
-    common.add_argument("--coeff-rank", dest="coeff_rank", type=int, default=1,
+    common.add_argument("--coeff-rank", dest="coeff_rank",
+                        type=_int_at_least(0), default=1,
                         help="rank r of the trivial coefficient module Z^r")
-    common.add_argument("--trials", type=int, default=1000)
-    common.add_argument("--bound", type=int, default=10)
+    common.add_argument("--trials", type=_int_at_least(1), default=1000)
+    common.add_argument("--bound", type=_int_at_least(1), default=10)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--max-weight", dest="max_weight", type=int, default=3)
     common.add_argument("--format", choices=("text", "json"), default="text")
@@ -300,8 +317,8 @@ def _build_parser():
     gen = sub.add_parser("gen", parents=[common])
     gen.add_argument("--family", required=True,
                      choices=("paper-example", "heisenberg", "abelian", "random"))
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--m", type=int)
+    gen.add_argument("--n", type=_int_at_least(0))
+    gen.add_argument("--m", type=_int_at_least(0))
     gen.add_argument("--d", type=_chain, metavar="d1,d2,...")
     return parser
 

@@ -22,31 +22,29 @@ the two summands of H^2:
 
   These realize a basis of Hom((L_1 (x) L_2)/S, Z).
 
-Integer linear combinations (``CocycleSum``) are cocycles again, and
-evaluation, rendering, verification, extension building and coboundary
-witness search all accept any of the three shapes.
+Integer linear combinations (``CocycleSum``) are cocycles again. Each of
+the three shapes is expanded into one polynomial table, monomials in
+(a, b, a', b') with integer coefficients; evaluation, rendering,
+verification, extension building and coboundary witness search all read
+that table, and no other copy of the formulas above exists.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .exactlinalg import (IntMatrix, invert_unimodular, kernel_basis,
                           smith_normal_form, solve_in_lattice)
-from .grouplaw import (GroupElement, _check_element, draw_element, identity,
-                       inverse, multiply)
+from .grouplaw import (GroupElement, _check_element, _is_int, draw_element,
+                       identity, inverse, multiply)
 from .cohomology import bracket_matrix, jacobi_s_matrix, ordered_pairs, require_valid
 
 
 class CocycleFormatError(ValueError):
     """A cocycle document does not match the expected schema."""
-
-
-def _binom2(a):
-    return a * (a - 1) // 2
 
 
 class Cocycle:
@@ -180,74 +178,7 @@ def _check_lemmay(P, w):
                          % (P.n, P.m))
 
 
-def _eval_lemmax(P, w, g, h):
-    total = 0
-    f = w.f
-    idx = 0
-    for i in range(P.n):
-        for j in range(i + 1, P.n):
-            coef = g.a[j] * h.a[i]
-            if coef and f[idx]:
-                total -= coef * f[idx]
-            idx += 1
-    return total
-
-
-def _eval_lemmay(P, w, g, h):
-    n, m = P.n, P.m
-    phi = w.phi
-    a, b, ap = g.a, g.b, h.a
-    total = 0
-    for j in range(n):
-        for i in range(j + 1, n):
-            c1 = _binom2(a[i]) * ap[j]
-            if c1:
-                total -= c1 * _phi_bracket(P, phi, i, i, j)
-            c2 = a[i] * _binom2(ap[j])
-            if c2:
-                total -= c2 * _phi_bracket(P, phi, j, i, j)
-    for k in range(n):
-        for i in range(k + 1, n):
-            for j in range(i + 1, n):
-                coef = a[i] * a[j] * ap[k]
-                if coef:
-                    total -= coef * _phi_bracket(P, phi, j, i, k)
-    for j in range(n):
-        for i in range(j + 1, n):
-            for k in range(i + 1, n):
-                coef = a[i] * ap[j] * ap[k]
-                if coef:
-                    total -= coef * _phi_bracket(P, phi, k, i, j)
-    for j in range(n):
-        for k in range(j + 1, n):
-            for i in range(k, n):
-                coef = a[i] * ap[j] * ap[k]
-                if coef:
-                    total -= coef * _phi_bracket(P, phi, k, i, j)
-    for i in range(n):
-        for l in range(m):
-            coef = ap[i] * b[l]
-            if coef:
-                total -= coef * phi[i][l]
-    return total
-
-
-def evaluate(P, w, g, h):
-    """Value of the cocycle at (g, h). Assumes P already validated."""
-    _check_element(P, g)
-    _check_element(P, h)
-    if isinstance(w, CocycleLemmaX):
-        _check_lemmax(P, w)
-        return _eval_lemmax(P, w, g, h)
-    if isinstance(w, CocycleLemmaY):
-        _check_lemmay(P, w)
-        return _eval_lemmay(P, w, g, h)
-    if isinstance(w, CocycleSum):
-        return sum(c * evaluate(P, p, g, h) for c, p in w.terms)
-    raise TypeError("not a cocycle: %r" % (w,))
-
-
-# --- rendering ---------------------------------------------------------
+# --- the polynomial table ---------------------------------------------
 #
 # A factor is (letter, primed, index, binom): a2 is ('a', 0, 1, 0), a1'
 # is ('a', 1, 0, 0), C(a1',2) is ('a', 1, 0, 1), b1 is ('b', 0, 0, 0).
@@ -321,6 +252,57 @@ def _cocycle_poly(P, w, poly, scale=1):
         raise TypeError("not a cocycle: %r" % (w,))
 
 
+def _compile(P, w):
+    """The table of w as a function (g, h) -> w(g, h).
+
+    Each factor becomes a slot in the coordinate vector that the function
+    builds: a, b, a', b', then C(x,2) of each of those in the same order.
+    Compiling costs a few evaluations, so callers that evaluate one
+    cocycle many times compile it once.
+    """
+    poly = {}
+    _cocycle_poly(P, w, poly)
+    width = P.n + P.m
+    start = {"a": 0, "b": P.n}
+    terms = [(coeff, tuple(start[letter] + primed * width + index
+                           + binom * 2 * width
+                           for (letter, primed, index, binom), power in mono
+                           for _ in range(power)))
+             for mono, coeff in poly.items()]
+
+    def value(g, h):
+        x = g.a + g.b + h.a + h.b
+        x += tuple([v * (v - 1) // 2 for v in x])
+        total = 0
+        for coeff, slots in terms:
+            for s in slots:
+                coeff *= x[s]
+            total += coeff
+        return total
+
+    return value
+
+
+def evaluate(P, w, g, h):
+    """Value of the cocycle at (g, h). Assumes P already validated."""
+    _check_element(P, g)
+    _check_element(P, h)
+    return _compile(P, w)(g, h)
+
+
+def _join_terms(terms):
+    """'3*x - y + z' from (coeff, body) pairs, '0' when there are none."""
+    pieces = []
+    for coeff, body in terms:
+        text = body if abs(coeff) == 1 else "%d*%s" % (abs(coeff), body)
+        if pieces:
+            text = ("- " if coeff < 0 else "+ ") + text
+        elif coeff < 0:
+            text = "-" + text
+        pieces.append(text)
+    return " ".join(pieces) or "0"
+
+
 def _factor_str(factor, power):
     letter, primed, index, binom = factor
     name = "%s%d%s" % (letter, index + 1, "'" if primed else "")
@@ -328,22 +310,6 @@ def _factor_str(factor, power):
     if power > 1:
         s += "^%d" % power
     return s
-
-
-def _poly_str(poly):
-    if not poly:
-        return "0"
-    pieces = []
-    for mono in sorted(poly):
-        coeff = poly[mono]
-        body = "*".join(_factor_str(f, p) for f, p in mono)
-        mag = abs(coeff)
-        text = body if mag == 1 else "%d*%s" % (mag, body)
-        if not pieces:
-            pieces.append(("-" if coeff < 0 else "") + text)
-        else:
-            pieces.append(("- " if coeff < 0 else "+ ") + text)
-    return " ".join(pieces)
 
 
 def render(P, w):
@@ -356,7 +322,8 @@ def render(P, w):
     require_valid(P)
     poly = {}
     _cocycle_poly(P, w, poly)
-    return _poly_str(poly)
+    return _join_terms((poly[mono], "*".join(_factor_str(f, p) for f, p in mono))
+                       for mono in sorted(poly))
 
 
 @dataclass(frozen=True)
@@ -377,21 +344,22 @@ def verify_cocycle(P, w, trials=1000, bound=10, seed=0):
     require_valid(P)
     if trials < 0 or bound < 1:
         raise ValueError("need trials >= 0 and bound >= 1")
+    value = _compile(P, w)
     e = identity(P)
     for t in range(trials):
         rng = random.Random("%s:%d" % (seed, t))
         g = draw_element(P, bound, rng)
         h = draw_element(P, bound, rng)
         k = draw_element(P, bound, rng)
-        lhs = evaluate(P, w, g, h) + evaluate(P, w, multiply(P, g, h), k)
-        rhs = evaluate(P, w, h, k) + evaluate(P, w, g, multiply(P, h, k))
+        lhs = value(g, h) + value(multiply(P, g, h), k)
+        rhs = value(h, k) + value(g, multiply(P, h, k))
         if lhs != rhs:
             return VerificationReport(
                 ok=False, trials=t + 1,
                 message="cocycle identity fails at trial %d: lhs %d != rhs %d"
                         % (t, lhs, rhs),
                 counterexample=(g, h, k))
-        if evaluate(P, w, g, e) or evaluate(P, w, e, g):
+        if value(g, e) or value(e, g):
             return VerificationReport(
                 ok=False, trials=t + 1,
                 message="normalization fails at trial %d" % t,
@@ -420,6 +388,11 @@ class ExtensionGroup:
 
     base: object
     fibers: tuple
+    _values: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_values",
+                           tuple(_compile(self.base, w) for w in self.fibers))
 
     @property
     def fiber_rank(self):
@@ -430,14 +403,13 @@ class ExtensionGroup:
 
     def multiply(self, e1, e2):
         g = multiply(self.base, e1.g, e2.g)
-        t = tuple(x + y + evaluate(self.base, w, e1.g, e2.g)
-                  for x, y, w in zip(e1.t, e2.t, self.fibers))
+        t = tuple(x + y + value(e1.g, e2.g)
+                  for x, y, value in zip(e1.t, e2.t, self._values))
         return ExtElement(g, t)
 
     def inverse(self, e):
         gi = inverse(self.base, e.g)
-        t = tuple(-x - evaluate(self.base, w, e.g, gi)
-                  for x, w in zip(e.t, self.fibers))
+        t = tuple(-x - value(e.g, gi) for x, value in zip(e.t, self._values))
         return ExtElement(gi, t)
 
     def random_element(self, bound, seed):
@@ -466,6 +438,19 @@ def build_extension(P, fibers, spot_trials=32, spot_bound=5, spot_seed=0):
     return ExtensionGroup(base=P, fibers=fibers)
 
 
+def _mono_val(mono, g):
+    """Value at g of the monomial with exponent vectors mono = (ea, eb)."""
+    ea, eb = mono
+    val = 1
+    for x, e in zip(g.a, ea):
+        if e:
+            val *= x ** e
+    for x, e in zip(g.b, eb):
+        if e:
+            val *= x ** e
+    return val
+
+
 @dataclass(frozen=True)
 class IntegerPolynomial:
     """Integer polynomial in the exponent coordinates of one element."""
@@ -483,38 +468,15 @@ class IntegerPolynomial:
         return not self.terms
 
     def evaluate(self, g):
-        total = 0
-        for (ea, eb), coeff in self.terms:
-            val = coeff
-            for x, e in zip(g.a, ea):
-                if e:
-                    val *= x ** e
-            for x, e in zip(g.b, eb):
-                if e:
-                    val *= x ** e
-            total += val
-        return total
+        return sum(coeff * _mono_val(mono, g) for mono, coeff in self.terms)
 
     def render(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (ea, eb), coeff in self.terms:
-            factors = []
-            for i, e in enumerate(ea):
-                if e:
-                    factors.append("a%d" % (i + 1) + ("^%d" % e if e > 1 else ""))
-            for l, e in enumerate(eb):
-                if e:
-                    factors.append("b%d" % (l + 1) + ("^%d" % e if e > 1 else ""))
-            body = "*".join(factors)
-            mag = abs(coeff)
-            text = body if mag == 1 else "%d*%s" % (mag, body)
-            if not pieces:
-                pieces.append(("-" if coeff < 0 else "") + text)
-            else:
-                pieces.append(("- " if coeff < 0 else "+ ") + text)
-        return " ".join(pieces)
+        names = (["a%d" % (i + 1) for i in range(self.n)]
+                 + ["b%d" % (l + 1) for l in range(self.m)])
+        return _join_terms(
+            (coeff, "*".join(x + ("^%d" % e if e > 1 else "")
+                             for x, e in zip(names, ea + eb) if e))
+            for (ea, eb), coeff in self.terms)
 
 
 def _weighted_monomials(n, m, max_weight):
@@ -548,18 +510,7 @@ def coboundary_witness(P, w, max_weight=3, trials=1000, seed=0):
     """
     require_valid(P)
     monos = _weighted_monomials(P.n, P.m, max_weight)
-
-    def mono_val(mono, g):
-        ea, eb = mono
-        val = 1
-        for x, e in zip(g.a, ea):
-            if e:
-                val *= x ** e
-        for x, e in zip(g.b, eb):
-            if e:
-                val *= x ** e
-        return val
-
+    value = _compile(P, w)
     for attempt, (count, tbound) in enumerate(
             ((3 * len(monos) + 16, 3), (5 * len(monos) + 32, 4))):
         rng = random.Random("%s:train:%d" % (seed, attempt))
@@ -568,9 +519,9 @@ def coboundary_witness(P, w, max_weight=3, trials=1000, seed=0):
             g = draw_element(P, tbound, rng)
             h = draw_element(P, tbound, rng)
             gh = multiply(P, g, h)
-            rows.append([mono_val(mu, g) + mono_val(mu, h) - mono_val(mu, gh)
+            rows.append([_mono_val(mu, g) + _mono_val(mu, h) - _mono_val(mu, gh)
                          for mu in monos])
-            rhs.append(evaluate(P, w, g, h))
+            rhs.append(value(g, h))
         sol = solve_in_lattice(IntMatrix.from_rows(rows, cols=len(monos)), rhs)
         if sol is None:
             # a genuine witness would satisfy any sampled system
@@ -583,7 +534,7 @@ def coboundary_witness(P, w, max_weight=3, trials=1000, seed=0):
             g = draw_element(P, 10, vr)
             h = draw_element(P, 10, vr)
             if (poly.evaluate(g) + poly.evaluate(h)
-                    - poly.evaluate(multiply(P, g, h))) != evaluate(P, w, g, h):
+                    - poly.evaluate(multiply(P, g, h))) != value(g, h):
                 valid = False
                 break
         if valid:
@@ -603,18 +554,26 @@ def cocycle_to_json(w):
     raise TypeError("not a cocycle: %r" % (w,))
 
 
+def _int_list(x):
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
 def cocycle_from_json(data):
     if not isinstance(data, dict) or "kind" not in data:
         raise CocycleFormatError("cocycle must be an object with a 'kind' field")
     kind = data["kind"]
     if kind == "lemmax":
-        if not isinstance(data.get("data"), list):
+        if not _int_list(data.get("data")):
             raise CocycleFormatError("lemmax field 'data' must be a list of integers")
-        return CocycleLemmaX(f=tuple(data["data"]), order=int(data.get("order", 0)))
+        if not _is_int(data.get("order", 0)):
+            raise CocycleFormatError("lemmax field 'order' must be an integer")
+        return CocycleLemmaX(f=tuple(data["data"]), order=data.get("order", 0))
     if kind == "lemmay":
-        if not isinstance(data.get("data"), list):
-            raise CocycleFormatError("lemmay field 'data' must be a list of rows")
-        return CocycleLemmaY(phi=tuple(tuple(row) for row in data["data"]))
+        rows = data.get("data")
+        if not isinstance(rows, list) or not all(_int_list(row) for row in rows):
+            raise CocycleFormatError("lemmay field 'data' must be a list of rows "
+                                     "of integers")
+        return CocycleLemmaY(phi=tuple(tuple(row) for row in rows))
     if kind == "sum":
         if not isinstance(data.get("data"), list):
             raise CocycleFormatError("sum field 'data' must be a list of terms")
@@ -622,6 +581,8 @@ def cocycle_from_json(data):
         for item in data["data"]:
             if not isinstance(item, dict) or "coeff" not in item or "cocycle" not in item:
                 raise CocycleFormatError("sum terms need 'coeff' and 'cocycle' fields")
-            terms.append((int(item["coeff"]), cocycle_from_json(item["cocycle"])))
+            if not _is_int(item["coeff"]):
+                raise CocycleFormatError("sum term field 'coeff' must be an integer")
+            terms.append((item["coeff"], cocycle_from_json(item["cocycle"])))
         return CocycleSum(tuple(terms))
     raise CocycleFormatError("unknown cocycle kind %r" % (kind,))

@@ -32,7 +32,7 @@ from math import comb
 from .exactlinalg import (AbelianGroupInvariants, IntMatrix,
                           smith_normal_form, subquotient_invariants,
                           quotient_invariants)
-from .grouplaw import InvalidPresentationError, _bracket_matrix, validate
+from .grouplaw import InvalidPresentationError, bracket_matrix, validate
 
 
 def ordered_pairs(n):
@@ -60,11 +60,6 @@ def require_valid(P):
     report = validate(P)
     if not report.ok:
         raise InvalidPresentationError(report)
-
-
-def bracket_matrix(P):
-    """The m x C(n,2) matrix of c: wedge^2 L_1 -> L_2 in the fixed bases."""
-    return _bracket_matrix(P)
 
 
 def jacobi_s_matrix(P):

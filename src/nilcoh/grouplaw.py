@@ -81,8 +81,11 @@ class ValidationReport:
     failures: tuple = ()
 
 
-def _bracket_matrix(P):
-    """m x C(n,2) matrix whose column at pair (i, j) is bracket(i, j)."""
+def bracket_matrix(P):
+    """The m x C(n,2) matrix of c: wedge^2 L_1 -> L_2 in the fixed bases.
+
+    The column at pair (i, j) is bracket(i, j).
+    """
     cols = []
     for i in range(P.n):
         for j in range(i + 1, P.n):
@@ -108,7 +111,7 @@ def validate(P):
             failures.append("bracket pair (%d,%d) has vector of length %d, expected m = %d"
                             % (i + 1, j + 1, len(vec), P.m))
     if not failures:
-        r = len(smith_normal_form(_bracket_matrix(P)).invariants)
+        r = len(smith_normal_form(bracket_matrix(P)).invariants)
         if r < P.m:
             failures.append("rank(c) = %d < m = %d" % (r, P.m))
     return ValidationReport(ok=not failures, failures=tuple(failures))
@@ -185,6 +188,10 @@ def presentation_to_json(P):
     return {"n": P.n, "m": P.m, "brackets": brackets}
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def presentation_from_json(data):
     """Parse a presentation document, rejecting schema violations.
 
@@ -197,7 +204,7 @@ def presentation_from_json(data):
     for field in ("n", "m"):
         if field not in data:
             raise PresentationFormatError("missing field '%s'" % field)
-        if not isinstance(data[field], int) or isinstance(data[field], bool) or data[field] < 0:
+        if not _is_int(data[field]) or data[field] < 0:
             raise PresentationFormatError("field '%s' must be a nonnegative integer" % field)
     m = data["m"]
     entries = data.get("brackets", [])
@@ -211,11 +218,11 @@ def presentation_from_json(data):
             if field not in item:
                 raise PresentationFormatError("brackets[%d] missing field '%s'" % (pos, field))
         i, j, y = item["i"], item["j"], item["y"]
-        if not isinstance(i, int) or isinstance(i, bool) or i < 1:
+        if not _is_int(i) or i < 1:
             raise PresentationFormatError("brackets[%d] field 'i' must be a positive integer" % pos)
-        if not isinstance(j, int) or isinstance(j, bool) or j <= i:
+        if not _is_int(j) or j <= i:
             raise PresentationFormatError("brackets[%d] field 'j' must be an integer > i" % pos)
-        if not isinstance(y, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in y):
+        if not isinstance(y, list) or not all(_is_int(v) for v in y):
             raise PresentationFormatError("brackets[%d] field 'y' must be a list of integers" % pos)
         if len(y) != m:
             raise PresentationFormatError("brackets[%d] field 'y' has length %d, expected m = %d"

@@ -185,6 +185,24 @@ class TestExitCodes:
         res = run_cli(["gen"])
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("args", [
+        ["h2", "--coeff-rank", "-1"],
+        ["verify", "--bound", "0"],
+        ["verify", "--trials", "-1"],
+        ["extend", "--bound", "0"],
+        ["extend", "--trials", "-1"],
+        ["gen", "--family", "random", "--n", "2", "--m", "3"],
+        ["gen", "--family", "paper-example", "--d", "0,2"],
+        ["gen", "--family", "abelian", "--n", "-1"],
+    ], ids=" ".join)
+    def test_out_of_range_flag_is_exit_2(self, args):
+        doc = json.dumps(presentation_to_json(families.heisenberg()))
+        res = run_cli(args, stdin_text=doc)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert sum("error:" in line for line in res.stderr.splitlines()) == 1
+
 
 class TestSelftest:
     def test_selftest_passes(self):

@@ -1,12 +1,13 @@
 """Cocycle construction, evaluation, rendering, extensions, witness search."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcoh import families
-from nilcoh.cohomology import h2, jacobi_s_matrix
+from nilcoh.cohomology import h2, jacobi_s_matrix, ordered_pairs
 from nilcoh.exactlinalg import IntMatrix, rank, smith_normal_form
 from nilcoh.grouplaw import GroupElement, identity, multiply, random_element
 from nilcoh.cocycles import (
@@ -54,6 +55,38 @@ def eval_rendered(P, text, g, h):
         scope["b%d" % (l + 1)] = g.b[l]
         scope["b%dp" % (l + 1)] = h.b[l]
     return eval(source, {"__builtins__": {}}, scope)
+
+
+def reference_value(P, w, g, h):
+    """The LemmaX/LemmaY formulas of the cocycles module docstring, term by term.
+
+    Independent of the polynomial table that evaluate() and render() share.
+    """
+    if isinstance(w, CocycleSum):
+        return sum(c * reference_value(P, p, g, h) for c, p in w.terms)
+    a, b, ap = g.a, g.b, h.a
+    if isinstance(w, CocycleLemmaX):
+        return -sum(a[j] * ap[i] * f
+                    for (i, j), f in zip(ordered_pairs(P.n), w.f))
+
+    def C2(x):
+        return x * (x - 1) // 2
+
+    def phi(t, p, q):  # phi(x_t (x) c(x_p ^ x_q))
+        return sum(y * c for y, c in zip(P.bracket_vector(p, q), w.phi[t]))
+
+    N = range(P.n)
+    pairs = list(product(N, repeat=2))
+    triples = list(product(N, repeat=3))
+    return -(sum(C2(a[i]) * ap[j] * phi(i, i, j) for i, j in pairs if i > j)
+             + sum(a[i] * C2(ap[j]) * phi(j, i, j) for i, j in pairs if i > j)
+             + sum(a[i] * a[j] * ap[k] * phi(j, i, k)
+                   for i, j, k in triples if k < i < j)
+             + sum(a[i] * ap[j] * ap[k] * phi(k, i, j)
+                   for i, j, k in triples if j < i < k)
+             + sum(a[i] * ap[j] * ap[k] * phi(k, i, j)
+                   for i, j, k in triples if j < k <= i)
+             + sum(ap[i] * b[l] * w.phi[i][l] for i in N for l in range(P.m)))
 
 
 class TestLemmaXGenerators:
@@ -145,6 +178,23 @@ class TestEvaluate:
                     == evaluate(HEIS, w1, g, h) + evaluate(HEIS, w2, g, h))
             assert evaluate(HEIS, 5 * w1 - w2, g, h) == (
                 5 * evaluate(HEIS, w1, g, h) - evaluate(HEIS, w2, g, h))
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.sampled_from(range(len(CORPUS) + 1)), st.integers(0, 10**6))
+    def test_matches_the_formula_reference(self, pidx, seed):
+        # arbitrary f and phi, not only cocycles: the formula is linear in
+        # them, so any table exercises every monomial of the expansion
+        P = (CORPUS + [families.random_presentation(4, 3, 3, seed=7)])[pidx]
+        rng = random.Random(seed)
+        ws = all_cocycles(P) + [
+            CocycleLemmaX(f=[rng.randint(-5, 5) for _ in ordered_pairs(P.n)]),
+            CocycleLemmaY(phi=[[rng.randint(-5, 5) for _ in range(P.m)]
+                               for _ in range(P.n)])]
+        w = sum((rng.randint(-3, 3) * v for v in ws), CocycleSum(()))
+        for _ in range(50):
+            g = random_element(P, 6, rng)
+            h = random_element(P, 6, rng)
+            assert evaluate(P, w, g, h) == reference_value(P, w, g, h)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -327,6 +377,18 @@ class TestCocycleJson:
     def test_missing_kind(self):
         with pytest.raises(CocycleFormatError):
             cocycle_from_json({"data": [1]})
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "lemmax", "data": [True, "3"], "order": "2"},
+        {"kind": "lemmax", "data": [1], "order": True},
+        {"kind": "lemmay", "data": [[1], ["0"]]},
+        {"kind": "lemmay", "data": [1, 0]},
+        {"kind": "sum", "data": [{"coeff": "2", "cocycle":
+                                  {"kind": "lemmax", "data": [1]}}]},
+    ])
+    def test_non_integer_entries(self, doc):
+        with pytest.raises(CocycleFormatError):
+            cocycle_from_json(doc)
 
     def test_bad_sum_term(self):
         with pytest.raises(CocycleFormatError, match="'coeff'"):

@@ -307,7 +307,8 @@ def _build_parser():
     common.add_argument("--trials", type=_int_at_least(1), default=1000)
     common.add_argument("--bound", type=_int_at_least(1), default=10)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--max-weight", dest="max_weight", type=int, default=3)
+    common.add_argument("--max-weight", dest="max_weight",
+                        type=_int_at_least(1), default=3)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", dest="out_path", metavar="FILE")
     sub = parser.add_subparsers(dest="command", required=True)

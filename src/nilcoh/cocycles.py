@@ -342,8 +342,8 @@ def verify_cocycle(P, w, trials=1000, bound=10, seed=0):
     is evidence, not proof; failing returns the first counterexample.
     """
     require_valid(P)
-    if trials < 0 or bound < 1:
-        raise ValueError("need trials >= 0 and bound >= 1")
+    if trials < 1 or bound < 1:
+        raise ValueError("need trials >= 1 and bound >= 1")
     value = _compile(P, w)
     e = identity(P)
     for t in range(trials):
@@ -424,10 +424,13 @@ def build_extension(P, fibers, spot_trials=32, spot_bound=5, spot_seed=0):
 
     Each fiber is spot-verified first; a fiber that fails the sampled
     cocycle identity raises ValueError rather than producing a broken
-    multiplication table. An empty fiber list gives arithmetic identical
-    to the base group.
+    multiplication table, and so does ``spot_trials < 1``, which would
+    check nothing. An empty fiber list gives arithmetic identical to the
+    base group.
     """
     require_valid(P)
+    if spot_trials < 1:
+        raise ValueError("need spot_trials >= 1")
     fibers = tuple(fibers)
     for k, w in enumerate(fibers):
         rep = verify_cocycle(P, w, trials=spot_trials, bound=spot_bound,
@@ -509,6 +512,8 @@ def coboundary_witness(P, w, max_weight=3, trials=1000, seed=0):
     ansatz space is a finding, not a proof of nontriviality.
     """
     require_valid(P)
+    if max_weight < 1 or trials < 1:
+        raise ValueError("need max_weight >= 1 and trials >= 1")
     monos = _weighted_monomials(P.n, P.m, max_weight)
     value = _compile(P, w)
     for attempt, (count, tbound) in enumerate(

@@ -29,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .exactlinalg import (AbelianGroupInvariants, IntMatrix,
-                          smith_normal_form, subquotient_invariants,
-                          quotient_invariants)
+from .exactlinalg import (AbelianGroupInvariants, IntMatrix, rank,
+                          subquotient_invariants, quotient_invariants)
 from .grouplaw import InvalidPresentationError, bracket_matrix, validate
 
 
@@ -122,14 +121,12 @@ def h2(P, r=1):
     C = bracket_matrix(P)
     S = jacobi_s_matrix(P)
     npairs = C.cols
-    snf_c = smith_normal_form(C)
-    rank_s = len(smith_normal_form(S).invariants)
 
     coker_cstar = quotient_invariants(npairs, C.transpose()).repeat(r)
-    ker_c_rank = npairs - snf_c.rank
-    hom_part_rank = r * (P.n * P.m - rank_s)
-    ext_part = AbelianGroupInvariants(
-        0, tuple(d for d in snf_c.invariants if d > 1)).repeat(r)
+    ker_c_rank = npairs - rank(C)
+    hom_part_rank = r * (P.n * P.m - rank(S))
+    # C has rank m on a valid presentation, so L_2 / im(c) is all torsion
+    ext_part = quotient_invariants(P.m, C).repeat(r)
 
     total = coker_cstar.direct_sum(AbelianGroupInvariants.free(hom_part_rank))
     alt = AbelianGroupInvariants.free(
@@ -183,6 +180,4 @@ def second_homology_rank(P):
     require_valid(P)
     C = bracket_matrix(P)
     S = jacobi_s_matrix(P)
-    rank_c = len(smith_normal_form(C).invariants)
-    rank_s = len(smith_normal_form(S).invariants)
-    return (C.cols - rank_c) + (P.n * P.m - rank_s)
+    return (C.cols - rank(C)) + (P.n * P.m - rank(S))

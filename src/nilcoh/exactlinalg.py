@@ -1,8 +1,21 @@
 """Exact linear algebra over the integers.
 
 Smith normal form with unimodular transforms, integer kernel bases,
-lattice solves, and invariant factors of subquotients of Z^k. All
-arithmetic uses Python's arbitrary-precision integers; there are no
+lattice solves, and invariant factors of subquotients of Z^k.
+
+One elimination (``_smith``) serves every caller, and it carries only the
+transforms the caller reads, since those transforms are where the
+integer entries grow:
+
+- invariants only: ``rank``, ``quotient_invariants`` (and through them
+  ``grouplaw.validate`` and the closed form in ``cohomology.h2``);
+- V only: ``kernel_basis``;
+- V plus the right-hand side in place of U: ``_solve_many`` and
+  ``solve_in_lattice``;
+- U and V: ``smith_normal_form``, for ``invert_unimodular`` and
+  ``cocycles.lemmax_generators``.
+
+All arithmetic uses Python's arbitrary-precision integers; there are no
 floats and no modular shortcuts anywhere in this module. Matrices with
 zero rows or columns are legal everywhere and denote zero maps, which
 the higher-level modules rely on for degenerate groups.
@@ -174,47 +187,63 @@ class SmithDecomposition:
         return len(self.invariants)
 
 
-def smith_normal_form(A):
-    """Smith normal form of an integer matrix, with transforms.
+def _smith(A, rows=None, track_v=False):
+    """Smith elimination of A, carrying only the transforms the caller reads.
+
+    Every row operation on A is repeated on ``rows``, a list of A.rows
+    companion rows that is modified in place (the identity gives U, the
+    rows of a right-hand side B give U @ B). Every column operation is
+    repeated on V when ``track_v`` is set. Returns (invariants, d, v):
+    the invariant factors, the reduced matrix as a list of rows, and V as
+    a list of rows or None.
 
     Pivots are chosen by least absolute value, which keeps coefficient
     growth tame on the sparse matrices the cohomology routines produce.
-    Works for any shape including empty ones.
+    The pivot sequence depends on A alone, so every combination of
+    companions yields the same d and the same V. At stage t the rows and
+    columns before t are already cleared, so operations on d touch only
+    the trailing block and, for a column operation, only the rows that
+    are nonzero in the pivot column.
     """
     m, n = A.rows, A.cols
     d = A.to_rows()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)] if track_v else None
 
     def swap_rows(r0, r1):
         d[r0], d[r1] = d[r1], d[r0]
-        u[r0], u[r1] = u[r1], u[r0]
+        if rows is not None:
+            rows[r0], rows[r1] = rows[r1], rows[r0]
 
     def swap_cols(c0, c1):
         for row in d:
             row[c0], row[c1] = row[c1], row[c0]
-        for row in v:
-            row[c0], row[c1] = row[c1], row[c0]
+        if v is not None:
+            for row in v:
+                row[c0], row[c1] = row[c1], row[c0]
 
     def negate_row(r):
         d[r] = [-x for x in d[r]]
-        u[r] = [-x for x in u[r]]
+        if rows is not None:
+            rows[r] = [-x for x in rows[r]]
 
     def row_axpy(dst, src, q):
-        # row dst -= q * row src, mirrored on U
+        # row dst -= q * row src, mirrored on the companion rows; both rows
+        # are zero before column t, the current stage
         drow, srow = d[dst], d[src]
-        for k in range(n):
+        for k in range(t, n):
             drow[k] -= q * srow[k]
-        urow, usrc = u[dst], u[src]
-        for k in range(m):
-            urow[k] -= q * usrc[k]
+        if rows is not None:
+            crow, csrc = rows[dst], rows[src]
+            for k in range(len(crow)):
+                crow[k] -= q * csrc[k]
 
-    def col_axpy(dst, src, q):
-        # col dst -= q * col src, mirrored on V
-        for row in d:
+    def col_axpy(dst, src, q, live):
+        # col dst -= q * col src, mirrored on V; live: rows of d nonzero at src
+        for row in live:
             row[dst] -= q * row[src]
-        for row in v:
-            row[dst] -= q * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] -= q * row[src]
 
     def least_nonzero(t):
         best, pos = None, None
@@ -249,10 +278,11 @@ def smith_normal_form(A):
                 x = d[i][t]
                 if x:
                     row_axpy(i, t, x // p)
+            live = [row for row in d[t:] if row[t]]
             for j in range(t + 1, n):
                 x = d[t][j]
                 if x:
-                    col_axpy(j, t, x // p)
+                    col_axpy(j, t, x // p, live)
             # leftover cross entries are remainders with |x| < p: re-pivot
             dirty = any(d[i][t] for i in range(t + 1, m)) or \
                 any(d[t][j] for j in range(t + 1, n))
@@ -276,6 +306,20 @@ def smith_normal_form(A):
         t += 1
 
     invariants = tuple(d[k][k] for k in range(lim) if d[k][k] != 0)
+    return invariants, d, v
+
+
+def smith_normal_form(A):
+    """Smith normal form of an integer matrix, with both transforms.
+
+    For callers that read U: ``lemmax_generators``, ``invert_unimodular``
+    and the SNF acceptance criterion. Callers that need less use ``rank``,
+    ``quotient_invariants`` (no transform) or ``kernel_basis`` (V only).
+    Works for any shape including empty ones.
+    """
+    m, n = A.rows, A.cols
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    invariants, d, v = _smith(A, u, track_v=True)
     return SmithDecomposition(
         U=IntMatrix.from_rows(u, cols=m),
         D=IntMatrix.from_rows(d, cols=n),
@@ -286,7 +330,7 @@ def smith_normal_form(A):
 
 def rank(A):
     """Rank of A over Q (equivalently over Z)."""
-    return smith_normal_form(A).rank
+    return len(_smith(A)[0])
 
 
 def invert_unimodular(M):
@@ -311,8 +355,9 @@ def kernel_basis(A):
     the ambient lattice because it consists of columns of a unimodular
     matrix).
     """
-    s = smith_normal_form(A)
-    return IntMatrix.from_cols([s.V.col(j) for j in range(s.rank, A.cols)],
+    invariants, _, v = _smith(A, track_v=True)
+    return IntMatrix.from_cols([[row[j] for row in v]
+                                for j in range(len(invariants), A.cols)],
                                rows=A.cols)
 
 
@@ -386,9 +431,9 @@ def quotient_invariants(ambient_rank, gens):
     if gens.rows != ambient_rank:
         raise ValueError("dimension mismatch: generators live in Z^%d, ambient rank is %d"
                          % (gens.rows, ambient_rank))
-    s = smith_normal_form(gens)
-    return AbelianGroupInvariants(ambient_rank - s.rank,
-                                  tuple(x for x in s.invariants if x > 1))
+    invariants = _smith(gens)[0]
+    return AbelianGroupInvariants(ambient_rank - len(invariants),
+                                  tuple(x for x in invariants if x > 1))
 
 
 def _solve_many(A, B):
@@ -396,22 +441,23 @@ def _solve_many(A, B):
     if A.rows != B.rows:
         raise ValueError("dimension mismatch: %d equations, rhs has %d rows"
                          % (A.rows, B.rows))
-    s = smith_normal_form(A)
-    C = s.U @ B
-    r = s.rank
+    C = B.to_rows()
+    invariants, _, v = _smith(A, C, track_v=True)
+    r = len(invariants)
+    V = IntMatrix.from_rows(v, cols=A.cols)
     cols = []
     for j in range(B.cols):
         w = [0] * A.cols
         for i in range(A.rows):
-            ci = C.entry(i, j)
+            ci = C[i][j]
             if i < r:
-                di = s.D.entry(i, i)
+                di = invariants[i]
                 if ci % di:
                     return None
                 w[i] = ci // di
             elif ci:
                 return None
-        cols.append(s.V.mul_vec(w))
+        cols.append(V.mul_vec(w))
     return IntMatrix.from_cols(cols, rows=A.cols)
 
 

@@ -194,6 +194,8 @@ class TestExitCodes:
         ["gen", "--family", "random", "--n", "2", "--m", "3"],
         ["gen", "--family", "paper-example", "--d", "0,2"],
         ["gen", "--family", "abelian", "--n", "-1"],
+        ["witness", "--max-weight", "-1"],
+        ["witness", "--max-weight", "0"],
     ], ids=" ".join)
     def test_out_of_range_flag_is_exit_2(self, args):
         doc = json.dumps(presentation_to_json(families.heisenberg()))

@@ -259,6 +259,13 @@ class TestVerifyCocycle:
         b = verify_cocycle(CHAIN, bad, trials=50, bound=5, seed="s")
         assert a == b
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_rejected(self, trials):
+        # a non-cocycle must not pass on an empty sample
+        bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
+        with pytest.raises(ValueError, match="trials >= 1"):
+            verify_cocycle(CHAIN, bad, trials=trials, bound=10, seed=0)
+
 
 class TestExtensions:
     def test_heisenberg_extension_associative(self):
@@ -307,6 +314,11 @@ class TestExtensions:
         with pytest.raises(ValueError, match="spot verification"):
             build_extension(CHAIN, [bad])
 
+    def test_no_spot_trials_is_rejected(self):
+        bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
+        with pytest.raises(ValueError, match="spot_trials >= 1"):
+            build_extension(CHAIN, [bad], spot_trials=0)
+
 
 class TestCoboundaryWitness:
     def test_zero_cocycle(self):
@@ -342,6 +354,17 @@ class TestCoboundaryWitness:
         wit = coboundary_witness(CHAIN, torsion[0], max_weight=3,
                                  trials=200, seed=0)
         assert wit is None
+
+    def test_no_validation_trials_is_rejected(self):
+        # a candidate from the sampled system must not come back unvalidated
+        with pytest.raises(ValueError, match="trials >= 1"):
+            coboundary_witness(HEIS, 0 * E11, max_weight=2, trials=0, seed=0)
+
+    @pytest.mark.parametrize("max_weight", [0, -1])
+    def test_empty_ansatz_is_rejected(self, max_weight):
+        with pytest.raises(ValueError, match="max_weight >= 1"):
+            coboundary_witness(HEIS, 0 * E11, max_weight=max_weight,
+                               trials=50, seed=0)
 
 
 class TestCountConsistency:

@@ -1,5 +1,7 @@
 """First and second cohomology, computed two independent ways."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from math import comb
@@ -174,3 +176,20 @@ class TestProperties:
         assert ordered_pairs(4)[pair_index(4, 1, 3)] == (1, 3)
         assert ordered_triples(3) == [(0, 1, 2)]
         assert tensor_index(3, 2, 2, 1) == 5
+
+
+class TestTransformFree:
+    """h2 needs invariants and ranks only, never the unimodular transforms."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_h2_never_builds_a_full_decomposition(self, monkeypatch, seed):
+        def refuse(A):
+            raise AssertionError("h2 asked for a full Smith decomposition")
+
+        for name, mod in list(sys.modules.items()):
+            if ((name == "nilcoh" or name.startswith("nilcoh."))
+                    and hasattr(mod, "smith_normal_form")):
+                monkeypatch.setattr(mod, "smith_normal_form", refuse)
+        P = families.random_presentation(8, 3, 5, seed)
+        for r in (1, 2):
+            assert h2(P, r).agree

@@ -1,11 +1,14 @@
 """Exact integer linear algebra: Smith form, kernels, quotients, lattice solve."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcoh.exactlinalg import (
+    _smith,
+    _solve_many,
     AbelianGroupInvariants,
     IntMatrix,
     invert_unimodular,
@@ -143,6 +146,117 @@ class TestKernelBasis:
         assert (a @ k).is_zero()
         # saturation: the basis spans a direct summand, so all invariants are 1
         assert all(d == 1 for d in smith_normal_form(k).invariants)
+
+
+def reference_solve(A, B):
+    """Integer solutions of A X = B read off the full decomposition (oracle).
+
+    U A V = D, so A X = B iff D (V^-1 X) = U B: divide U B by the diagonal
+    of D row by row, require zeros below the rank, and map back through V.
+    """
+    s = smith_normal_form(A)
+    UB = s.U @ B
+    cols = []
+    for j in range(B.cols):
+        y = [0] * A.cols
+        for i in range(A.rows):
+            c = UB.entry(i, j)
+            if i < s.rank:
+                if c % s.D.entry(i, i):
+                    return None
+                y[i] = c // s.D.entry(i, i)
+            elif c:
+                return None
+        cols.append(s.V.mul_vec(y))
+    return IntMatrix.from_cols(cols, rows=A.cols)
+
+
+def random_matrix(rng, rows, cols, lo=-3, hi=3):
+    return IntMatrix.from_rows(
+        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)],
+        cols=cols)
+
+
+class TestTransformTracking:
+    """_smith with any companion and V choice matches smith_normal_form."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(matrices, st.sampled_from(["none", "identity", "rhs"]),
+           st.booleans(), st.data())
+    def test_every_combination_matches_full_decomposition(
+            self, a, companion, track_v, data):
+        full = smith_normal_form(a)
+        if companion == "identity":
+            rows = IntMatrix.identity(a.rows).to_rows()
+            expect = full.U
+        elif companion == "rhs":
+            B = data.draw(st.integers(0, 3).flatmap(
+                lambda k: st.lists(
+                    st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+                    min_size=a.rows, max_size=a.rows).map(
+                        lambda r: IntMatrix.from_rows(r, cols=k))))
+            rows = B.to_rows()
+            expect = full.U @ B
+        else:
+            rows, expect = None, None
+        invariants, d, v = _smith(a, rows, track_v=track_v)
+        assert invariants == full.invariants
+        assert IntMatrix.from_rows(d, cols=a.cols) == full.D
+        if track_v:
+            assert IntMatrix.from_rows(v, cols=a.cols) == full.V
+        else:
+            assert v is None
+        if expect is not None:
+            assert IntMatrix.from_rows(rows, cols=expect.cols) == expect
+
+    @settings(deadline=None, max_examples=100)
+    @given(matrices, st.integers(0, 3), st.integers(0, 10**6))
+    def test_solve_many_matches_reference(self, a, k, seed):
+        rng = random.Random(seed)
+        X = random_matrix(rng, a.cols, k, -4, 4)
+        consistent = a @ X
+        arbitrary = random_matrix(rng, a.rows, k, -9, 9)
+        for B in (consistent, arbitrary):
+            assert _solve_many(a, B) == reference_solve(a, B)
+        assert _solve_many(a, consistent) is not None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tall_consistent_system(self, seed):
+        rng = random.Random(seed)
+        A = random_matrix(rng, 40, 8)
+        B = A @ random_matrix(rng, 8, 5, -6, 6)
+        X = _solve_many(A, B)
+        assert X == reference_solve(A, B)
+        assert A @ X == B
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tall_inconsistent_over_q(self, seed):
+        rng = random.Random(seed)
+        A = random_matrix(rng, 40, 8)
+        rows = (A @ random_matrix(rng, 8, 3, -6, 6)).to_rows()
+        rows[rng.randrange(40)][1] += 1
+        B = IntMatrix.from_rows(rows, cols=3)
+        # the nudged column leaves the rational column space of A
+        assert fraction_rank(A.hstack(IntMatrix.from_cols([B.col(1)])).to_rows()) \
+            == fraction_rank(A.to_rows()) + 1
+        assert reference_solve(A, B) is None
+        assert _solve_many(A, B) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tall_lattice_obstruction(self, seed):
+        # A = 2M with M of full column rank, b = M x with x odd somewhere:
+        # the unique rational solution x / 2 is not integral
+        rng = random.Random(seed)
+        M = random_matrix(rng, 40, 8)
+        assert fraction_rank(M.to_rows()) == 8
+        A = IntMatrix(40, 8, tuple(2 * e for e in M.entries))
+        x = [rng.randint(-5, 5) for _ in range(8)]
+        x[rng.randrange(8)] = 2 * rng.randint(-5, 5) + 1
+        B = M @ IntMatrix.from_cols([x, [2 * e for e in x]])
+        assert reference_solve(A, B) is None
+        assert _solve_many(A, B) is None
+        even = IntMatrix.from_cols([B.col(1)])
+        assert _solve_many(A, even) == IntMatrix.from_cols([x])
 
 
 class TestQuotientInvariants:

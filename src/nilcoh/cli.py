@@ -47,11 +47,16 @@ class Invocation:
 
 
 def _read_presentation(inv):
+    # bytes from both sources, so stdin decodes exactly as a file does
     if inv.input_path is not None:
-        with open(inv.input_path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(inv.input_path, "rb") as fh:
+            data = fh.read()
     else:
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PresentationFormatError("input is not UTF-8: %s" % exc) from exc
     return load_presentation(text)
 
 

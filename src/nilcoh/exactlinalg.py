@@ -11,14 +11,19 @@ integer entries grow:
   ``grouplaw.validate`` and the closed form in ``cohomology.h2``);
 - V only: ``kernel_basis``;
 - V plus the right-hand side in place of U: ``_solve_many`` and
-  ``solve_in_lattice``;
+  ``solve_in_lattice``, when the modular step below cannot answer;
 - U and V: ``smith_normal_form``, for ``invert_unimodular`` and
   ``cocycles.lemmax_generators``.
 
 All arithmetic uses Python's arbitrary-precision integers; there are no
-floats and no modular shortcuts anywhere in this module. Matrices with
-zero rows or columns are legal everywhere and denote zero maps, which
-the higher-level modules rely on for degenerate groups.
+floats. There is one modular step: before eliminating, ``_solve_many``
+reads the solution modulo the prime 2^61 - 1 when the nonzero columns of
+A are independent modulo that prime, so the solution is unique. It
+answers only with a certificate: X after checking A @ X == B exactly over
+the integers, or None when A X = B is already inconsistent modulo the
+prime. Every other system takes the Smith route. Matrices with zero rows
+or columns are legal everywhere and denote zero maps, which the
+higher-level modules rely on for degenerate groups.
 """
 
 from __future__ import annotations
@@ -436,11 +441,94 @@ def quotient_invariants(ambient_rank, gens):
                                   tuple(x for x in invariants if x > 1))
 
 
+# The prime of the one modular step in this module (``_solve_mod_p``); the
+# lift to the symmetric range recovers integer entries below 2^60 in size.
+_PRIME = (1 << 61) - 1
+_UNDECIDED = object()
+
+
+def _solve_mod_p(A, B):
+    """The unique solution of A @ X = B modulo _PRIME, kept only if it is exact.
+
+    Eliminates the nonzero columns of A, with B alongside, modulo _PRIME,
+    feeding rows in order until every nonzero column has a pivot. Then
+    the solution is unique modulo _PRIME, so each outcome is a certificate:
+
+    - the lift to the symmetric range, zero on the zero columns, satisfies
+      A @ X == B exactly: X is the unique integer solution on the nonzero
+      columns, and it is what the Smith route returns, since no column
+      operation there touches a zero column;
+    - A @ X != B modulo _PRIME: the system is inconsistent modulo _PRIME,
+      so no integer solution exists and the answer is None.
+
+    Anything else (a nonzero column without a pivot modulo _PRIME, a
+    non-integral rational solution, entries beyond _PRIME / 2) returns
+    _UNDECIDED.
+    """
+    p = _PRIME
+    a, b = A.to_rows(), B.to_rows()
+    live = [j for j in range(A.cols) if any(row[j] for row in a)]
+    width, k = len(live), B.cols
+    pivots = []  # (position in live, reduced row: live entries, then rhs)
+    for arow, brow in zip(a, b):
+        if len(pivots) == width:
+            break
+        row = [arow[j] % p for j in live] + [e % p for e in brow]
+        for c, prow in pivots:
+            f = row[c]
+            if f:
+                row = [(e - f * g) % p for e, g in zip(row, prow)]
+        lead = next((c for c in range(width) if row[c]), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            pivots.append((lead, [e * inv % p for e in row]))
+    if len(pivots) < width:
+        return _UNDECIDED
+    # each pivot row is zero at the pivots found before it: back-substitute,
+    # skipping the unknowns already known to be zero
+    y, support = [None] * width, []
+    for lead, row in reversed(pivots):
+        acc = row[width:]
+        for c in support:
+            f = row[c]
+            if f:
+                acc = [u - f * v for u, v in zip(acc, y[c])]
+        y[lead] = [u % p for u in acc]
+        if any(y[lead]):
+            support.append(lead)
+    half = p // 2
+    x = [[0] * k for _ in range(A.cols)]
+    for c in support:
+        x[live[c]] = [e - p if e > half else e for e in y[c]]
+    # A @ X against B, row by row over the nonzero rows of X
+    exact = True
+    for arow, brow in zip(a, b):
+        r = [0] * k
+        for c in support:
+            f = arow[live[c]]
+            if f:
+                r = [u + f * v for u, v in zip(r, x[live[c]])]
+        if r != brow:
+            if any((u - v) % p for u, v in zip(r, brow)):
+                return None
+            exact = False
+    return IntMatrix.from_rows(x, cols=k) if exact else _UNDECIDED
+
+
 def _solve_many(A, B):
-    """Integer solutions X of A @ X = B, or None if some column has none."""
+    """Integer solutions X of A @ X = B, or None if some column has none.
+
+    First tries ``_solve_mod_p``, which answers when the nonzero columns of
+    A are independent modulo _PRIME and its answer carries a certificate:
+    an exact check A @ X == B, or an inconsistency modulo _PRIME. Every
+    other system goes through the Smith route, which carries V and B.
+    """
     if A.rows != B.rows:
         raise ValueError("dimension mismatch: %d equations, rhs has %d rows"
                          % (A.rows, B.rows))
+    X = _solve_mod_p(A, B)
+    if X is not _UNDECIDED:
+        return X
     C = B.to_rows()
     invariants, _, v = _smith(A, C, track_v=True)
     r = len(invariants)

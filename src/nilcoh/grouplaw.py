@@ -238,6 +238,8 @@ def load_presentation(text):
     """Parse a presentation from JSON text."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad syntax, or an integer past the digit limit of int();
+        # RecursionError: nesting deeper than the decoder's stack
         raise PresentationFormatError("malformed JSON: %s" % exc) from exc
     return presentation_from_json(data)

@@ -1,12 +1,18 @@
-"""End-to-end command line tests driving the installed entry point."""
+"""Command line tests: end to end through ``python -m nilcoh``, and in
+process through ``cli.main`` where hypothesis fuzzes documents and flags."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nilcoh import families
+from nilcoh import cli, families
 from nilcoh.grouplaw import presentation_to_json
 
 
@@ -204,6 +210,101 @@ class TestExitCodes:
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
         assert sum("error:" in line for line in res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("source", ["stdin", "file"])
+    @pytest.mark.parametrize("doc", [
+        b"\xff\xfe{}",
+        b"[" * 100000 + b"]" * 100000,
+        b'{"n": ' + b"1" * 5000 + b', "m": 0}',
+    ], ids=["not-utf8", "nested-100000-deep", "5000-digit-integer"])
+    def test_undecodable_document_is_exit_2(self, doc, source, tmp_path):
+        args = [sys.executable, "-m", "nilcoh", "h2"]
+        if source == "file":
+            path = tmp_path / "doc.json"
+            path.write_bytes(doc)
+            res = subprocess.run(args + ["--input", str(path)],
+                                 capture_output=True)
+        else:
+            res = subprocess.run(args, input=doc, capture_output=True)
+        err = res.stderr.decode("utf-8")
+        assert res.returncode == 2
+        assert res.stdout == b""
+        assert "Traceback" not in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def run_in_process(args, stdin=b""):
+    """cli.main on bytes for stdin; returns (exit code, stdout, stderr).
+
+    An exception other than SystemExit escapes, as a traceback would.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    fake_stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+    with mock.patch.object(sys, "stdin", fake_stdin), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# small integers keep every document that happens to parse cheap to analyse
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6)
+    | st.floats(allow_nan=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["n", "m", "brackets", "i", "j", "y"])
+        | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+valid_documents = st.integers(0, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, comb(n, 2)),
+                        st.integers(1, 3), st.integers(0, 99))).map(
+    lambda a: json.dumps(presentation_to_json(
+        families.random_presentation(*a))).encode())
+
+documents = (st.binary(max_size=48)
+             | json_values.map(lambda v: json.dumps(v).encode())
+             | valid_documents)
+
+flags = st.lists(st.sampled_from([
+    ["--coeff-rank", "0"], ["--coeff-rank", "2"], ["--coeff-rank", "-1"],
+    ["--format", "json"], ["--format", "xml"], ["--seed", "5"],
+    ["--bound", "x"], ["--unknown"]]), max_size=2).map(
+    lambda parts: [f for part in parts for f in part])
+
+
+class TestFuzz:
+    """In-process fuzzing of the exit-code contract: 0, 1 or 2, never a traceback."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.sampled_from(["validate", "h1", "h2", "homology-rank"]),
+           documents, flags)
+    def test_documents_and_flags(self, command, doc, extra):
+        code, _, err = run_in_process([command] + extra, doc)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from(["paper-example", "heisenberg", "abelian",
+                            "random", "klein"]),
+           st.fixed_dictionaries({}, optional={
+               "--n": st.integers(-1, 5).map(str),
+               "--m": st.integers(-1, 6).map(str),
+               "--d": st.lists(st.integers(-1, 6), max_size=3).map(
+                   lambda d: ",".join(map(str, d))),
+               "--bound": st.integers(0, 3).map(str),
+               "--seed": st.integers(0, 9).map(str)}))
+    def test_gen_output_validates(self, family, options):
+        args = ["gen", "--family", family]
+        for flag, value in options.items():
+            args += [flag, value]
+        code, out, err = run_in_process(args)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            assert run_in_process(["validate"], out.encode()) == (0, "valid\n", "")
 
 
 class TestSelftest:

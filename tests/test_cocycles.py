@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import families
+from nilcoh import exactlinalg, families
 from nilcoh.cohomology import h2, jacobi_s_matrix, ordered_pairs
 from nilcoh.exactlinalg import IntMatrix, rank, smith_normal_form
 from nilcoh.grouplaw import GroupElement, identity, multiply, random_element
@@ -354,6 +354,23 @@ class TestCoboundaryWitness:
         wit = coboundary_witness(CHAIN, torsion[0], max_weight=3,
                                  trials=200, seed=0)
         assert wit is None
+
+    def test_torsion_witness_stays_off_the_smith_route(self, monkeypatch):
+        # the sampled system (286 x 90, rank 84, 6 zero columns) has one
+        # solution on its nonzero columns, read modulo a prime and checked
+        P = families.divisor_chain_group((3, 3, 6))
+        torsion = [w for w in lemmax_generators(P) if w.order]
+        assert [w.order for w in torsion] == [3]
+        inner = exactlinalg._smith
+
+        def refuse_companions(A, rows=None, track_v=False):
+            if rows is not None:
+                raise AssertionError("the witness solve ran Smith elimination")
+            return inner(A, rows, track_v)
+
+        monkeypatch.setattr(exactlinalg, "_smith", refuse_companions)
+        wit = coboundary_witness(P, 3 * torsion[0], 3, 1000, 0)
+        assert wit is not None and wit.render() == "-b1"
 
     def test_no_validation_trials_is_rejected(self):
         # a candidate from the sampled system must not come back unvalidated

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilcoh import exactlinalg
 from nilcoh.exactlinalg import (
     _smith,
     _solve_many,
@@ -257,6 +258,92 @@ class TestTransformTracking:
         assert _solve_many(A, B) is None
         even = IntMatrix.from_cols([B.col(1)])
         assert _solve_many(A, even) == IntMatrix.from_cols([x])
+
+
+P61 = (1 << 61) - 1
+
+
+@pytest.fixture
+def smith_calls(monkeypatch):
+    """Record, for each _smith call, whether it carried companion rows."""
+    calls = []
+    inner = exactlinalg._smith
+
+    def recording(A, rows=None, track_v=False):
+        calls.append(rows is not None)
+        return inner(A, rows, track_v)
+
+    monkeypatch.setattr(exactlinalg, "_smith", recording)
+    return calls
+
+
+class TestModularFastPath:
+    """_solve_many answers modulo 2^61 - 1 only with a certificate.
+
+    Each test solves first and reads ``smith_calls`` before asking
+    ``reference_solve``, whose full decomposition carries U.
+    """
+
+    def test_zero_columns_stay_zero(self, smith_calls):
+        rng = random.Random(5)
+        cols = list(zip(*random_matrix(rng, 30, 6).to_rows()))
+        zero = (0,) * 30
+        A = IntMatrix.from_cols([zero, cols[0], cols[1], zero, *cols[2:], zero])
+        x = [0, 3, -7, 0, 1, 0, 2, -4, 0]
+        B = A @ IntMatrix.from_cols([x])
+        X = _solve_many(A, B)
+        assert not any(smith_calls)
+        assert X == reference_solve(A, B) == IntMatrix.from_cols([x])
+
+    def test_entry_beyond_half_the_prime_takes_the_smith_route(
+            self, smith_calls):
+        rng = random.Random(6)
+        A = random_matrix(rng, 20, 5)
+        assert fraction_rank(A.to_rows()) == 5
+        x = [(1 << 62) + 3, -5, 0, 1, -(1 << 61)]
+        B = A @ IntMatrix.from_cols([x])
+        X = _solve_many(A, B)
+        assert any(smith_calls)
+        assert X == reference_solve(A, B) == IntMatrix.from_cols([x])
+
+    def test_square_with_determinant_p_takes_the_smith_route(
+            self, smith_calls):
+        # full rank over Q but singular modulo p
+        A = IntMatrix.from_rows([[1, 1, 0], [1, P61 + 1, 2], [0, 0, 1]])
+        assert bareiss_determinant(A.to_rows()) == P61
+        B = A @ IntMatrix.from_cols([[4, -9, 2], [1, 1, 1]])
+        e1 = IntMatrix.from_cols([[1, 0, 0]])
+        X, Y = _solve_many(A, B), _solve_many(A, e1)
+        assert all(smith_calls) and len(smith_calls) == 2
+        assert X == reference_solve(A, B) is not None
+        assert Y == reference_solve(A, e1) is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dependent_live_columns_take_the_smith_route(
+            self, smith_calls, seed):
+        rng = random.Random(seed)
+        cols = list(zip(*random_matrix(rng, 25, 4).to_rows()))
+        A = IntMatrix.from_cols(
+            cols + [[a - 2 * b for a, b in zip(cols[0], cols[3])]])
+        assert fraction_rank(A.to_rows()) == 4
+        B = A @ random_matrix(rng, 5, 2, -6, 6)
+        X = _solve_many(A, B)
+        assert any(smith_calls)
+        assert X == reference_solve(A, B)
+        assert A @ X == B
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_inconsistent_modulo_p_returns_none_without_smith(
+            self, smith_calls, seed):
+        rng = random.Random(seed)
+        A = random_matrix(rng, 40, 8)
+        rows = (A @ random_matrix(rng, 8, 2, -6, 6)).to_rows()
+        rows[rng.randrange(40)][0] += 1
+        B = IntMatrix.from_rows(rows, cols=2)
+        X = _solve_many(A, B)
+        assert smith_calls == []
+        assert X is None
+        assert reference_solve(A, B) is None
 
 
 class TestQuotientInvariants:

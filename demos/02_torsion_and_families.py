@@ -29,7 +29,8 @@ print("d_1 = 1 chain has torsion-free H^2:", h2(P, 1).total.torsion == ())
 
 # --- one group, both routes, several coefficient ranks -------------------
 # The closed form assembles Coker(c*) and a Hom-module; the cross-check
-# computes cohomology of a three-term complex with no shared code path.
+# computes cohomology of a three-term complex. The two routes share only
+# the coefficient-rank rule H^2(G, Z^r) = H^2(G, Z)^r.
 print()
 P = families.divisor_chain_group((2, 4))
 for r in (1, 2, 3):

@@ -5,44 +5,23 @@ presentation in normal-form coordinates, produces explicit polynomial
 2-cocycle representatives for every class it reports, builds the
 corresponding central extensions, and searches for coboundary witnesses.
 All arithmetic is exact over Z.
+
+The top level re-exports the everyday names; every other public name
+lives in its submodule (``nilcoh.exactlinalg``, ``nilcoh.grouplaw``, ...).
 """
 
-from .exactlinalg import (AbelianGroupInvariants, IntMatrix,
-                          SmithDecomposition, invert_unimodular,
-                          kernel_basis, quotient_invariants,
-                          smith_normal_form, solve_in_lattice,
-                          subquotient_invariants)
-from .grouplaw import (GroupElement, GroupPresentation,
-                       InvalidPresentationError, PresentationFormatError,
-                       ValidationReport, commutator, identity, inverse,
-                       load_presentation, multiply, presentation_from_json,
-                       presentation_to_json, random_element, validate)
-from .passi import PassiElement, p2, p2_mul
-from .cohomology import (H2Report, bracket_matrix, h1, h2, h2_via_complex,
-                         jacobi_s_matrix, second_homology_rank)
-from .cocycles import (Cocycle, CocycleLemmaX, CocycleLemmaY, CocycleSum,
-                       ExtElement, ExtensionGroup, IntegerPolynomial,
-                       VerificationReport, build_extension,
-                       coboundary_witness, cocycle_from_json,
-                       cocycle_to_json, evaluate, lemmax_generators,
-                       lemmay_basis, render, verify_cocycle)
+from .grouplaw import (GroupElement, commutator, inverse, multiply,
+                       random_element)
+from .cohomology import h1, h2, h2_via_complex, second_homology_rank
+from .cocycles import (build_extension, coboundary_witness, evaluate,
+                       lemmax_generators, lemmay_basis, render,
+                       verify_cocycle)
 from . import families
 
 __all__ = [
-    "AbelianGroupInvariants", "IntMatrix", "SmithDecomposition",
-    "invert_unimodular", "kernel_basis", "quotient_invariants",
-    "smith_normal_form", "solve_in_lattice", "subquotient_invariants",
-    "GroupElement", "GroupPresentation", "InvalidPresentationError",
-    "PresentationFormatError", "ValidationReport", "commutator", "identity",
-    "inverse", "load_presentation", "multiply", "presentation_from_json",
-    "presentation_to_json", "random_element", "validate",
-    "PassiElement", "p2", "p2_mul",
-    "H2Report", "bracket_matrix", "h1", "h2", "h2_via_complex",
-    "jacobi_s_matrix", "second_homology_rank",
-    "Cocycle", "CocycleLemmaX", "CocycleLemmaY", "CocycleSum", "ExtElement",
-    "ExtensionGroup", "IntegerPolynomial", "VerificationReport",
-    "build_extension", "coboundary_witness", "cocycle_from_json",
-    "cocycle_to_json", "evaluate", "lemmax_generators", "lemmay_basis",
-    "render", "verify_cocycle",
+    "GroupElement", "commutator", "inverse", "multiply", "random_element",
+    "h1", "h2", "h2_via_complex", "second_homology_rank",
+    "build_extension", "coboundary_witness", "evaluate", "lemmax_generators",
+    "lemmay_basis", "render", "verify_cocycle",
     "families",
 ]

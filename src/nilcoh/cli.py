@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import acceptance, families
 from .cocycles import (CocycleFormatError, build_extension,
@@ -29,28 +28,13 @@ def dump_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
-class Invocation:
-    command: str
-    input_path: str = None
-    coeff_rank: int = 1
-    trials: int = 1000
-    bound: int = 10
-    seed: int = 0
-    max_weight: int = 3
-    format: str = "text"
-    out_path: str = None
-    family: str = None
-    n: int = None
-    m: int = None
-    d: tuple = None
-
-
-def _read_presentation(inv):
+def _read_presentation(args):
     # bytes from both sources, so stdin decodes exactly as a file does
-    if inv.input_path is not None:
-        with open(inv.input_path, "rb") as fh:
+    if args.input_path is not None:
+        with open(args.input_path, "rb") as fh:
             data = fh.read()
+    elif sys.stdin is None:  # the process started with stdin closed
+        raise PresentationFormatError("stdin is closed; give --input FILE")
     else:
         data = sys.stdin.buffer.read()
     try:
@@ -60,10 +44,10 @@ def _read_presentation(inv):
     return load_presentation(text)
 
 
-def _cmd_validate(inv):
-    P = _read_presentation(inv)
+def _cmd_validate(args):
+    P = _read_presentation(args)
     rep = validate(P)
-    if inv.format == "json":
+    if args.format == "json":
         text = dump_json({"group": presentation_to_json(P), "valid": rep.ok,
                           "failures": list(rep.failures)})
     else:
@@ -72,18 +56,18 @@ def _cmd_validate(inv):
     return (0 if rep.ok else 1), text
 
 
-def _cmd_h1(inv):
-    P = _read_presentation(inv)
-    g = h1(P, inv.coeff_rank)
-    if inv.format == "json":
+def _cmd_h1(args):
+    P = _read_presentation(args)
+    g = h1(P, args.coeff_rank)
+    if args.format == "json":
         return 0, dump_json({"group": presentation_to_json(P), "h1": g.to_json()})
     return 0, "H^1 = %s\n" % g
 
 
-def _cmd_h2(inv):
-    P = _read_presentation(inv)
-    rep = h2(P, inv.coeff_rank)
-    if inv.format == "json":
+def _cmd_h2(args):
+    P = _read_presentation(args)
+    rep = h2(P, args.coeff_rank)
+    if args.format == "json":
         text = dump_json({"group": presentation_to_json(P), "h2": rep.to_json()})
     else:
         text = ("H^2 = %s\n"
@@ -99,10 +83,10 @@ def _cmd_h2(inv):
     return (0 if rep.agree else 1), text
 
 
-def _cmd_homology_rank(inv):
-    P = _read_presentation(inv)
+def _cmd_homology_rank(args):
+    P = _read_presentation(args)
     k = second_homology_rank(P)
-    if inv.format == "json":
+    if args.format == "json":
         return 0, dump_json({"group": presentation_to_json(P),
                              "second_homology_rank": k})
     return 0, "H_2 free rank = %d\n" % k
@@ -119,10 +103,10 @@ def _describe(P, idx, w):
     return "%s: %s" % (head, render(P, w))
 
 
-def _cmd_cocycles(inv):
-    P = _read_presentation(inv)
+def _cmd_cocycles(args):
+    P = _read_presentation(args)
     ws = lemmax_generators(P) + lemmay_basis(P)
-    if inv.format == "json":
+    if args.format == "json":
         return 0, dump_json({"group": presentation_to_json(P),
                              "cocycles": [cocycle_to_json(w) for w in ws]})
     lines = [_describe(P, i + 1, w) for i, w in enumerate(ws)]
@@ -131,13 +115,13 @@ def _cmd_cocycles(inv):
     return 0, "".join(line + "\n" for line in lines)
 
 
-def _cmd_verify(inv):
-    P = _read_presentation(inv)
+def _cmd_verify(args):
+    P = _read_presentation(args)
     ws = lemmax_generators(P) + lemmay_basis(P)
-    results = [verify_cocycle(P, w, trials=inv.trials, bound=inv.bound,
-                              seed=inv.seed) for w in ws]
+    results = [verify_cocycle(P, w, trials=args.trials, bound=args.bound,
+                              seed=args.seed) for w in ws]
     ok = all(r.ok for r in results)
-    if inv.format == "json":
+    if args.format == "json":
         text = dump_json({"group": presentation_to_json(P),
                           "verify": [{"cocycle": cocycle_to_json(w),
                                       "ok": r.ok, "trials": r.trials,
@@ -153,66 +137,66 @@ def _cmd_verify(inv):
     return (0 if ok else 1), text
 
 
-def _cmd_extend(inv):
-    P = _read_presentation(inv)
+def _cmd_extend(args):
+    P = _read_presentation(args)
     ws = lemmax_generators(P) + lemmay_basis(P)
     try:
         E = build_extension(P, ws)
     except ValueError as exc:
         return 1, "extension rejected: %s\n" % exc
-    rng = random.Random("cli-extend:%d" % inv.seed)
-    for t in range(inv.trials):
-        x = E.random_element(inv.bound, rng)
-        y = E.random_element(inv.bound, rng)
-        z = E.random_element(inv.bound, rng)
+    rng = random.Random("cli-extend:%d" % args.seed)
+    for t in range(args.trials):
+        x = E.random_element(args.bound, rng)
+        y = E.random_element(args.bound, rng)
+        z = E.random_element(args.bound, rng)
         if E.multiply(E.multiply(x, y), z) != E.multiply(x, E.multiply(y, z)):
             return 1, "associativity fails at trial %d\n" % t
         xi = E.inverse(x)
         if (E.multiply(x, xi) != E.identity()
                 or E.multiply(xi, x) != E.identity()):
             return 1, "inverse law fails at trial %d\n" % t
-    if inv.format == "json":
+    if args.format == "json":
         text = dump_json({"group": presentation_to_json(P),
                           "extend": {"fiber_rank": E.fiber_rank,
-                                     "trials": inv.trials, "ok": True}})
+                                     "trials": args.trials, "ok": True}})
     else:
         text = ("central extension by Z^%d built from %d cocycles\n"
                 "associativity and inverse laws: PASS (%d trials)\n"
-                % (E.fiber_rank, len(ws), inv.trials))
+                % (E.fiber_rank, len(ws), args.trials))
     return 0, text
 
 
-def _cmd_witness(inv):
-    P = _read_presentation(inv)
+def _cmd_witness(args):
+    P = _read_presentation(args)
     finite = [w for w in lemmax_generators(P) if w.order]
     if not finite:
-        if inv.format == "json":
+        if args.format == "json":
             return 0, dump_json({"group": presentation_to_json(P), "witness": []})
         return 0, "no torsion classes; nothing to search\n"
     lines, records, ok = [], [], True
     for w in finite:
-        u = coboundary_witness(P, w.order * w, max_weight=inv.max_weight,
-                               trials=inv.trials, seed=inv.seed)
+        u = coboundary_witness(P, w.order * w, max_weight=args.max_weight,
+                               trials=args.trials, seed=args.seed)
         if u is None:
             ok = False
             lines.append("order-%d class: no witness within weight %d (finding)"
-                         % (w.order, inv.max_weight))
+                         % (w.order, args.max_weight))
             records.append({"order": w.order, "found": False})
         else:
             lines.append("order-%d class: %d * cocycle = coboundary of u = %s"
                          % (w.order, w.order, u.render()))
             records.append({"order": w.order, "found": True,
                             "witness": u.render()})
-    if inv.format == "json":
+    if args.format == "json":
         text = dump_json({"group": presentation_to_json(P), "witness": records})
     else:
         text = "".join(line + "\n" for line in lines)
     return (0 if ok else 1), text
 
 
-def _cmd_gen(inv):
+def _cmd_gen(args):
     try:
-        P = _gen_family(inv)
+        P = _gen_family(args)
     except PresentationFormatError:
         raise
     except ValueError as exc:  # a family rejects its parameters
@@ -220,27 +204,27 @@ def _cmd_gen(inv):
     return 0, dump_json(presentation_to_json(P))
 
 
-def _gen_family(inv):
-    if inv.family == "heisenberg":
+def _gen_family(args):
+    if args.family == "heisenberg":
         return families.heisenberg()
-    if inv.family == "abelian":
-        if inv.n is None:
+    if args.family == "abelian":
+        if args.n is None:
             raise PresentationFormatError("family 'abelian' needs --n")
-        return families.abelian(inv.n)
-    if inv.family == "paper-example":
-        if not inv.d:
+        return families.abelian(args.n)
+    if args.family == "paper-example":
+        if not args.d:
             raise PresentationFormatError("family 'paper-example' needs --d d1,d2,...")
-        if inv.n is not None and inv.n != len(inv.d):
+        if args.n is not None and args.n != len(args.d):
             raise PresentationFormatError("--n disagrees with the length of --d")
-        return families.divisor_chain_group(inv.d)
-    if inv.family == "random":
-        if inv.n is None or inv.m is None:
+        return families.divisor_chain_group(args.d)
+    if args.family == "random":
+        if args.n is None or args.m is None:
             raise PresentationFormatError("family 'random' needs --n and --m")
-        return families.random_presentation(inv.n, inv.m, inv.bound, inv.seed)
-    raise PresentationFormatError("unknown family %r" % (inv.family,))
+        return families.random_presentation(args.n, args.m, args.bound, args.seed)
+    raise PresentationFormatError("unknown family %r" % (args.family,))
 
 
-def _cmd_selftest(inv):
+def _cmd_selftest(args):
     lines = []
     ok = acceptance.run_all(write=lines.append)
     lines.append("selftest: %s" % ("all criteria passed" if ok else "FAILURES"))
@@ -261,12 +245,12 @@ _COMMANDS = {
 }
 
 
-def run(inv):
-    """Execute one invocation; returns the process exit code."""
+def run(args):
+    """Execute one parsed command line; returns the process exit code."""
     try:
-        code, text = _COMMANDS[inv.command](inv)
-        if inv.out_path is not None:
-            with open(inv.out_path, "w", encoding="utf-8") as fh:
+        code, text = _COMMANDS[args.command](args)
+        if args.out_path is not None:
+            with open(args.out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
@@ -330,21 +314,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    ns = _build_parser().parse_args(argv)
-    inv = Invocation(command=ns.command,
-                     input_path=ns.input_path,
-                     coeff_rank=ns.coeff_rank,
-                     trials=ns.trials,
-                     bound=ns.bound,
-                     seed=ns.seed,
-                     max_weight=ns.max_weight,
-                     format=ns.format,
-                     out_path=ns.out_path,
-                     family=getattr(ns, "family", None),
-                     n=getattr(ns, "n", None),
-                     m=getattr(ns, "m", None),
-                     d=getattr(ns, "d", None))
-    return run(inv)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

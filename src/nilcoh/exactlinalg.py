@@ -158,20 +158,6 @@ class IntMatrix:
             out.extend(other.row(i))
         return IntMatrix(self.rows, self.cols + other.cols, tuple(out))
 
-    def kron_identity(self, r):
-        """Kronecker product with the r x r identity (each entry becomes e*I_r)."""
-        if r < 0:
-            raise ValueError("r must be nonnegative")
-        out = []
-        for i in range(self.rows):
-            base = self.row(i)
-            for s in range(r):
-                for j in range(self.cols):
-                    e = base[j]
-                    for t in range(r):
-                        out.append(e if s == t else 0)
-        return IntMatrix(self.rows * r, self.cols * r, tuple(out))
-
 
 @dataclass(frozen=True)
 class SmithDecomposition:

@@ -181,6 +181,16 @@ class TestExitCodes:
         assert res.returncode == 2
         assert res.stderr.startswith("error:")
 
+    def test_closed_stdin_is_exit_2(self):
+        # the shell's <&- starts the process with file descriptor 0 closed
+        res = subprocess.run(["sh", "-c", '"$0" -m nilcoh h2 <&-',
+                              sys.executable], capture_output=True, text=True)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+        assert res.stderr.startswith("error:")
+        assert len(res.stderr.splitlines()) == 1
+
     def test_gen_inconsistent_flags_is_exit_2(self):
         res = run_cli(["gen", "--family", "paper-example", "--n", "3",
                        "--d", "2,4"])

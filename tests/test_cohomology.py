@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from math import comb
 
 from nilcoh import families
-from nilcoh.exactlinalg import AbelianGroupInvariants
+from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix,
+                                subquotient_invariants)
 from nilcoh.grouplaw import GroupPresentation, InvalidPresentationError
 from nilcoh.cohomology import (
     bracket_matrix,
@@ -138,6 +139,55 @@ class TestH2ViaComplex:
         got = h2_via_complex(P, 1)
         assert got == AbelianGroupInvariants(5, (2,))
         assert got == h2(P, 1).total
+
+
+def kron_identity(M, r):
+    """M (x) I_r: each entry e of M becomes the r x r block e * I_r."""
+    out = []
+    for row in M.to_rows():
+        for s in range(r):
+            out.extend(e if s == t else 0 for e in row for t in range(r))
+    return IntMatrix(M.rows * r, M.cols * r, tuple(out))
+
+
+def kronecker_complex_h2(P, r):
+    """H^2(G, Z^r) from the complex with each boundary map tensored with I_r.
+
+    An independent check of the coefficient-rank rule: nothing here repeats
+    a group r times, the matrices themselves are r times larger.
+    """
+    n, m, npairs = P.n, P.m, comb(P.n, 2)
+    S = jacobi_s_matrix(P)
+    A = S.vstack(IntMatrix.zeros(npairs, S.cols))
+    B = IntMatrix.zeros(n, n * m + npairs).vstack(
+        IntMatrix.zeros(m, n * m).hstack(bracket_matrix(P)))
+    return subquotient_invariants(kron_identity(A.transpose(), r),
+                                  kron_identity(B.transpose(), r))
+
+
+class TestKroneckerOracle:
+    def test_kron_identity(self):
+        M = IntMatrix.from_rows([[1, 2], [3, 4]])
+        assert kron_identity(M, 2).to_rows() == [
+            [1, 0, 2, 0], [0, 1, 0, 2], [3, 0, 4, 0], [0, 3, 0, 4]]
+        assert kron_identity(M, 0).entries == ()
+
+    @pytest.mark.parametrize("r", [0, 2, 3])
+    @pytest.mark.parametrize("P", [
+        families.divisor_chain_group((2, 4)),
+        families.divisor_chain_group((3, 3, 6)),
+        families.random_presentation(3, 2, 5, 1),
+        families.random_presentation(4, 2, 5, 7),
+        families.random_presentation(5, 3, 5, 11),
+        families.random_presentation(5, 1, 5, 4),
+    ], ids=["chain(2,4)", "chain(3,3,6)", "random(3,2)", "random(4,2)",
+            "random(5,3)", "random(5,1)"])
+    def test_both_routes_match_the_kronecker_complex(self, P, r):
+        expected = kronecker_complex_h2(P, r)
+        rep = h2(P, r)
+        assert rep.total == expected
+        assert rep.crosscheck == expected
+        assert h2_via_complex(P, r) == expected
 
 
 class TestSecondHomologyRank:

@@ -271,12 +271,18 @@ def _chain(text):
     return tuple(int(x) for x in text.split(","))
 
 
-def _int_at_least(least):
-    """argparse type for an integer flag that must be >= least."""
+# H^2(G, Z^r) is reported as r copies, so r bounds the report's size
+_MAX_COEFF_RANK = 4096
+
+
+def _int_at_least(least, most=None):
+    """argparse type for an integer flag that must be >= least (and <= most)."""
     def parse(text):
         value = int(text)
         if value < least:
             raise argparse.ArgumentTypeError("must be >= %d, got %d" % (least, value))
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError("must be <= %d, got %d" % (most, value))
         return value
     parse.__name__ = "integer"  # argparse names it when int() fails
     return parse
@@ -291,8 +297,9 @@ def _build_parser():
     common.add_argument("--input", dest="input_path", metavar="FILE",
                         help="presentation JSON (stdin when absent)")
     common.add_argument("--coeff-rank", dest="coeff_rank",
-                        type=_int_at_least(0), default=1,
-                        help="rank r of the trivial coefficient module Z^r")
+                        type=_int_at_least(0, _MAX_COEFF_RANK), default=1,
+                        help="rank r of the trivial coefficient module Z^r, "
+                             "0 <= r <= %d" % _MAX_COEFF_RANK)
     common.add_argument("--trials", type=_int_at_least(1), default=1000)
     common.add_argument("--bound", type=_int_at_least(1), default=10)
     common.add_argument("--seed", type=int, default=0)

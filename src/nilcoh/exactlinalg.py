@@ -1,29 +1,41 @@
 """Exact linear algebra over the integers.
 
-Smith normal form with unimodular transforms, integer kernel bases,
-lattice solves, and invariant factors of subquotients of Z^k.
+Smith normal form with unimodular transforms, ranks, integer kernel
+bases, lattice solves, and invariant factors of subquotients of Z^k.
 
 One elimination (``_smith``) serves every caller, and it carries only the
 transforms the caller reads, since those transforms are where the
 integer entries grow:
 
-- invariants only: ``rank``, ``quotient_invariants`` (and through them
-  ``grouplaw.validate`` and the closed form in ``cohomology.h2``);
-- V only: ``kernel_basis``;
+- invariants only: ``quotient_invariants`` (the torsion in
+  ``cohomology.h2`` and in ``subquotient_invariants``, so in the complex
+  route of ``h2``), and ``rank`` when neither modular certificate below
+  answers;
+- V only: ``kernel_basis`` (``cocycles.lemmay_basis``);
 - V plus the right-hand side in place of U: ``_solve_many`` and
-  ``solve_in_lattice``, when the modular step below cannot answer;
+  ``solve_in_lattice`` (``cocycles.coboundary_witness``), when the
+  modular step below cannot answer;
 - U and V: ``smith_normal_form``, for ``invert_unimodular`` and
   ``cocycles.lemmax_generators``.
 
 All arithmetic uses Python's arbitrary-precision integers; there are no
-floats. There is one modular step: before eliminating, ``_solve_many``
-reads the solution modulo the prime 2^61 - 1 when the nonzero columns of
-A are independent modulo that prime, so the solution is unique. It
-answers only with a certificate: X after checking A @ X == B exactly over
-the integers, or None when A X = B is already inconsistent modulo the
-prime. Every other system takes the Smith route. Matrices with zero rows
-or columns are legal everywhere and denote zero maps, which the
-higher-level modules rely on for degenerate groups.
+floats. There are two modular steps, and each answers only with a
+certificate; otherwise the Smith route runs.
+
+- ``rank`` (behind ``grouplaw.validate``, the ranks in ``cohomology.h2``
+  and the free rank in ``subquotient_invariants``) drops zero rows and
+  columns and computes the rank over GF(2), then modulo the prime
+  2^61 - 1. The rank modulo a prime is at most the rank over Q, which is
+  at most the smaller live dimension, so a modular rank that reaches that
+  dimension is exact.
+- ``_solve_many`` reads the solution modulo 2^61 - 1 when the nonzero
+  columns of A are independent modulo that prime, so the solution is
+  unique. It returns X after checking A @ X == B exactly over the
+  integers, or None when A X = B is already inconsistent modulo the
+  prime.
+
+Matrices with zero rows or columns are legal everywhere and denote zero
+maps, which the higher-level modules rely on for degenerate groups.
 """
 
 from __future__ import annotations
@@ -125,12 +137,16 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        a, b = self.to_rows(), other.to_rows()
+        # row i of the product is the sum of x * (row k of other) over the
+        # nonzero entries x = self[i, k]; the complexes here are sparse
+        b = other.to_rows()
         out = []
         for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
+            acc = [0] * other.cols
+            for x, bk in zip(self.row(i), b):
+                if x:
+                    acc = [u + x * v for u, v in zip(acc, bk)]
+            out.extend(acc)
         return IntMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, vec):
@@ -319,9 +335,80 @@ def smith_normal_form(A):
     )
 
 
+# The prime of the modular steps in this module (the rank certificate and
+# ``_solve_mod_p``); the lift to the symmetric range recovers integer
+# entries below 2^60 in size.
+_PRIME = (1 << 61) - 1
+_UNDECIDED = object()
+
+
+def _rank_gf2(vectors):
+    """Rank over GF(2) of equal-length integer vectors.
+
+    Each vector is packed into one int, bit j holding entry j mod 2, so a
+    row operation is one XOR. Stops once the rank reaches the length.
+    """
+    width = len(vectors[0]) if vectors else 0
+    basis = {}  # leading bit -> the basis vector with that leading bit
+    for vec in vectors:
+        if len(basis) == width:
+            break
+        w = int("".join("1" if x & 1 else "0" for x in vec), 2)
+        while w:
+            lead = w.bit_length() - 1
+            if lead not in basis:
+                basis[lead] = w
+                break
+            w ^= basis[lead]
+    return len(basis)
+
+
+def _pivots_mod_p(rows, width):
+    """Echelon form modulo _PRIME of the first ``width`` entries of ``rows``.
+
+    Feeds rows in order, reducing each against the pivots found so far,
+    until there are ``width`` pivots or the rows run out. Returns the
+    pivots as (lead, row) with the row scaled to 1 at its lead, zero
+    before it and zero at every earlier lead; entries past ``width``
+    (a right-hand side) ride along.
+    """
+    p = _PRIME
+    pivots = []
+    for vec in rows:
+        if len(pivots) == width:
+            break
+        row = [e % p for e in vec]
+        for c, prow in pivots:
+            f = row[c]
+            if f:
+                row = [(e - f * g) % p for e, g in zip(row, prow)]
+        lead = next((c for c in range(width) if row[c]), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            pivots.append((lead, [e * inv % p for e in row]))
+    return pivots
+
+
 def rank(A):
-    """Rank of A over Q (equivalently over Z)."""
-    return len(_smith(A)[0])
+    """Rank of A over Q (equivalently over Z), certified modulo a prime first.
+
+    Zero rows and zero columns are dropped; the rank over Q is at most
+    the smaller of the remaining dimensions, ``full``. A minor that is
+    nonzero modulo a prime is nonzero over Z, so the rank modulo a prime
+    is at most the rank over Q. Hence when the rank over GF(2), or else
+    modulo _PRIME, equals ``full``, it is the rank over Q. Only when both
+    fall short does the Smith elimination decide.
+    """
+    rows = [row for row in A.to_rows() if any(row)]
+    cols = [col for col in zip(*rows) if any(col)]
+    # vectors of length full, as many as the larger dimension
+    vectors = cols if len(cols) > len(rows) else list(zip(*cols))
+    full = min(len(rows), len(cols))
+    if full == 0:
+        return 0
+    if _rank_gf2(vectors) == full or len(_pivots_mod_p(vectors, full)) == full:
+        return full
+    return len(_smith(IntMatrix.from_rows(vectors, cols=full))[0])
 
 
 def invert_unimodular(M):
@@ -427,12 +514,6 @@ def quotient_invariants(ambient_rank, gens):
                                   tuple(x for x in invariants if x > 1))
 
 
-# The prime of the one modular step in this module (``_solve_mod_p``); the
-# lift to the symmetric range recovers integer entries below 2^60 in size.
-_PRIME = (1 << 61) - 1
-_UNDECIDED = object()
-
-
 def _solve_mod_p(A, B):
     """The unique solution of A @ X = B modulo _PRIME, kept only if it is exact.
 
@@ -455,19 +536,9 @@ def _solve_mod_p(A, B):
     a, b = A.to_rows(), B.to_rows()
     live = [j for j in range(A.cols) if any(row[j] for row in a)]
     width, k = len(live), B.cols
-    pivots = []  # (position in live, reduced row: live entries, then rhs)
-    for arow, brow in zip(a, b):
-        if len(pivots) == width:
-            break
-        row = [arow[j] % p for j in live] + [e % p for e in brow]
-        for c, prow in pivots:
-            f = row[c]
-            if f:
-                row = [(e - f * g) % p for e, g in zip(row, prow)]
-        lead = next((c for c in range(width) if row[c]), None)
-        if lead is not None:
-            inv = pow(row[lead], -1, p)
-            pivots.append((lead, [e * inv % p for e in row]))
+    # (position in live, reduced row: live entries, then rhs)
+    pivots = _pivots_mod_p(([arow[j] for j in live] + brow
+                            for arow, brow in zip(a, b)), width)
     if len(pivots) < width:
         return _UNDECIDED
     # each pivot row is zero at the pivots found before it: back-substitute,
@@ -542,18 +613,17 @@ def solve_in_lattice(A, b):
 
 
 def subquotient_invariants(out_map, in_map):
-    """Invariants of ker(out_map) / im(in_map).
+    """Invariants of ker(out_map) / im(in_map), with no kernel basis or solve.
 
     Requires out_map @ in_map = 0; raises ValueError("not a complex")
-    otherwise. Works by expressing the image inside the saturated kernel
-    basis, where integer coordinates always exist.
+    otherwise. With k = out_map.cols, Z^k / ker(out_map) embeds in a free
+    group, so it is free and ker(out_map) is a direct summand of Z^k.
+    Hence ker / im has the torsion of Z^k / im(in_map) and free rank
+    (k - rank out_map) - rank in_map.
     """
     if out_map.cols != in_map.rows:
         raise ValueError("dimension mismatch: maps do not compose")
     if not (out_map @ in_map).is_zero():
         raise ValueError("not a complex")
-    K = kernel_basis(out_map)
-    coords = _solve_many(K, in_map)
-    if coords is None:
-        raise AssertionError("saturated kernel basis must admit integer coordinates")
-    return quotient_invariants(K.cols, coords)
+    q = quotient_invariants(out_map.cols, in_map)
+    return AbelianGroupInvariants(q.free_rank - rank(out_map), q.torsion)

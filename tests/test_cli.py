@@ -203,6 +203,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [
         ["h2", "--coeff-rank", "-1"],
+        ["h2", "--coeff-rank", "4097"],
+        ["h2", "--coeff-rank", "1000000"],
+        ["h1", "--coeff-rank", "1000000000"],
         ["verify", "--bound", "0"],
         ["verify", "--trials", "-1"],
         ["extend", "--bound", "0"],
@@ -280,6 +283,7 @@ documents = (st.binary(max_size=48)
 
 flags = st.lists(st.sampled_from([
     ["--coeff-rank", "0"], ["--coeff-rank", "2"], ["--coeff-rank", "-1"],
+    ["--coeff-rank", "4096"], ["--coeff-rank", "4097"],
     ["--format", "json"], ["--format", "xml"], ["--seed", "5"],
     ["--bound", "x"], ["--unknown"]]), max_size=2).map(
     lambda parts: [f for part in parts for f in part])

@@ -1,5 +1,6 @@
 """First and second cohomology, computed two independent ways."""
 
+import random
 import sys
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from math import comb
 
 from nilcoh import families
-from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix,
+from nilcoh.exactlinalg import (_solve_many, AbelianGroupInvariants, IntMatrix,
+                                kernel_basis, quotient_invariants,
                                 subquotient_invariants)
 from nilcoh.grouplaw import GroupPresentation, InvalidPresentationError
 from nilcoh.cohomology import (
@@ -150,17 +152,23 @@ def kron_identity(M, r):
     return IntMatrix(M.rows * r, M.cols * r, tuple(out))
 
 
+def complex_maps(P):
+    """The boundary maps A, B of the complex that h2_via_complex dualises."""
+    n, m, npairs = P.n, P.m, comb(P.n, 2)
+    S = jacobi_s_matrix(P)
+    A = S.vstack(IntMatrix.zeros(npairs, S.cols))
+    B = IntMatrix.zeros(n, n * m + npairs).vstack(
+        IntMatrix.zeros(m, n * m).hstack(bracket_matrix(P)))
+    return A, B
+
+
 def kronecker_complex_h2(P, r):
     """H^2(G, Z^r) from the complex with each boundary map tensored with I_r.
 
     An independent check of the coefficient-rank rule: nothing here repeats
     a group r times, the matrices themselves are r times larger.
     """
-    n, m, npairs = P.n, P.m, comb(P.n, 2)
-    S = jacobi_s_matrix(P)
-    A = S.vstack(IntMatrix.zeros(npairs, S.cols))
-    B = IntMatrix.zeros(n, n * m + npairs).vstack(
-        IntMatrix.zeros(m, n * m).hstack(bracket_matrix(P)))
+    A, B = complex_maps(P)
     return subquotient_invariants(kron_identity(A.transpose(), r),
                                   kron_identity(B.transpose(), r))
 
@@ -188,6 +196,61 @@ class TestKroneckerOracle:
         assert rep.total == expected
         assert rep.crosscheck == expected
         assert h2_via_complex(P, r) == expected
+
+
+def reference_subquotient(out_map, in_map):
+    """ker(out_map) / im(in_map) through a saturated kernel basis (oracle).
+
+    Expresses the image inside the kernel basis K, where integer
+    coordinates always exist, and takes the quotient of Z^K.cols by them.
+    """
+    assert (out_map @ in_map).is_zero()
+    K = kernel_basis(out_map)
+    coords = _solve_many(K, in_map)
+    assert coords is not None
+    return quotient_invariants(K.cols, coords)
+
+
+class TestSubquotientOracle:
+    """subquotient_invariants reads torsion and ranks off the maps; the
+    kernel-basis route agrees."""
+
+    LADDER = [(n, (n + 2) // 3, seed) for n in range(3, 9) for seed in (1, 2)]
+
+    @pytest.mark.parametrize("P", [
+        families.heisenberg(),
+        families.abelian(3),
+        families.discrete_heisenberg(6),
+        families.divisor_chain_group((2, 4)),
+        families.divisor_chain_group((3, 3, 6)),
+        families.divisor_chain_group((2, 4, 8)),
+        families.random_presentation(5, 10, 5, 1),
+        families.random_presentation(6, 15, 5, 2),
+    ] + [families.random_presentation(n, m, 5, seed) for n, m, seed in LADDER],
+        ids=["heisenberg", "abelian(3)", "discrete_heisenberg(6)",
+             "chain(2,4)", "chain(3,3,6)", "chain(2,4,8)", "random(5,10)",
+             "random(6,15)"] + ["random(%d,%d)s%d" % a for a in LADDER])
+    def test_complex_maps_of_the_corpus(self, P):
+        A, B = complex_maps(P)
+        f, g = A.transpose(), B.transpose()
+        assert subquotient_invariants(f, g) == reference_subquotient(f, g)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 4), st.integers(0, 6), st.integers(0, 4),
+           st.integers(0, 10**6))
+    def test_random_complexes(self, rows, cols, width, seed):
+        # g = (kernel columns of f) @ M: f @ g = 0, and ker f / im g often
+        # has torsion
+        rng = random.Random(seed)
+        f = IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)],
+            cols=cols)
+        K = kernel_basis(f)
+        M = IntMatrix.from_rows(
+            [[rng.randint(-4, 4) for _ in range(width)] for _ in range(K.cols)],
+            cols=width)
+        g = K @ M
+        assert subquotient_invariants(f, g) == reference_subquotient(f, g)
 
 
 class TestSecondHomologyRank:

@@ -1,12 +1,14 @@
 """Exact integer linear algebra: Smith form, kernels, quotients, lattice solve."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import exactlinalg
+from nilcoh import exactlinalg, families
+from nilcoh.cohomology import h2
 from nilcoh.exactlinalg import (
     _smith,
     _solve_many,
@@ -72,6 +74,22 @@ matrices = st.integers(0, 6).flatmap(
         ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
     )
 )
+
+
+class TestIntMatrix:
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+    def test_matmul_matches_the_triple_sum(self, r, k, c, data):
+        entries = st.just(0) | st.integers(-9, 9)
+
+        def draw(rows, cols):
+            return IntMatrix(rows, cols, data.draw(st.lists(
+                entries, min_size=rows * cols, max_size=rows * cols)))
+
+        a, b = draw(r, k), draw(k, c)
+        expect = [[sum(a.entry(i, t) * b.entry(t, j) for t in range(k))
+                   for j in range(c)] for i in range(r)]
+        assert a @ b == IntMatrix.from_rows(expect, cols=c)
 
 
 class TestSmithNormalForm:
@@ -344,6 +362,92 @@ class TestModularFastPath:
         assert smith_calls == []
         assert X is None
         assert reference_solve(A, B) is None
+
+
+@pytest.fixture
+def rank_branches(monkeypatch):
+    """Record, in order, which test of ``rank`` ran: gf2, mod p or smith."""
+    calls = []
+    for name, label in (("_rank_gf2", "gf2"), ("_pivots_mod_p", "mod p"),
+                        ("_smith", "smith")):
+        def recording(*args, _inner=getattr(exactlinalg, name), _label=label):
+            calls.append(_label)
+            return _inner(*args)
+
+        monkeypatch.setattr(exactlinalg, name, recording)
+    return calls
+
+
+@pytest.fixture
+def smith_callers(monkeypatch):
+    """Record the name of the function that calls _smith, call by call."""
+    callers = []
+    inner = exactlinalg._smith
+
+    def recording(A, rows=None, track_v=False):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return inner(A, rows, track_v)
+
+    monkeypatch.setattr(exactlinalg, "_smith", recording)
+    return callers
+
+
+class TestRankCertificates:
+    """rank answers from GF(2) or the prime only when the rank is the
+    smaller live dimension; otherwise Smith elimination decides."""
+
+    @pytest.mark.parametrize("rows, expect", [
+        ([[1, 0, 3], [2, 1, 5]], 2),
+        ([[3], [4], [6]], 1),
+        ([[0, 0, 0, 0], [0, 1, 0, 4], [0, 0, 0, 0]], 1),
+    ])
+    def test_gf2_answers(self, rank_branches, rows, expect):
+        A = IntMatrix.from_rows(rows)
+        assert rank(A) == expect == fraction_rank(rows)
+        assert rank_branches == ["gf2"]
+
+    @pytest.mark.parametrize("rows, expect", [
+        ([[2]], 1),
+        ([[1, 1], [1, -1]], 2),
+        ([[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0], [0, 1, 0, -1]], 2),
+        ([[P61 + 2, 4, 0], [6, 8, 2]], 2),
+    ])
+    def test_full_over_q_but_not_mod_2_the_prime_answers(
+            self, rank_branches, rows, expect):
+        A = IntMatrix.from_rows(rows)
+        assert rank(A) == expect == fraction_rank(rows)
+        assert rank_branches == ["gf2", "mod p"]
+
+    @pytest.mark.parametrize("rows, expect", [
+        ([[2 * P61]], 1),
+        ([[1, 1, 0], [1, 2 * P61 + 1, 2], [0, 0, 1]], 3),  # det 2 p
+    ])
+    def test_deficient_mod_both_primes_smith_answers(
+            self, rank_branches, rows, expect):
+        A = IntMatrix.from_rows(rows)
+        assert rank(A) == expect == fraction_rank(rows)
+        assert rank_branches == ["gf2", "mod p", "smith"]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_deficient_over_q_smith_answers(self, rank_branches, seed):
+        rng = random.Random(seed)
+        cols = list(zip(*random_matrix(rng, 6, 4).to_rows()))
+        A = IntMatrix.from_cols(cols + [[a + 3 * b for a, b in zip(cols[0], cols[2])]])
+        assert rank(A) == fraction_rank(A.to_rows()) == 4
+        assert rank_branches == ["gf2", "mod p", "smith"]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (3, 4)])
+    def test_zero_and_empty_shapes_need_no_elimination(
+            self, rank_branches, shape):
+        assert rank(IntMatrix.zeros(*shape)) == 0
+        assert rank_branches == []
+
+    @pytest.mark.parametrize("n", range(6, 12))
+    def test_h2_ranks_need_no_smith(self, smith_callers, n):
+        for seed in (1, 2):
+            P = families.random_presentation(n, (n + 2) // 3, 5, seed)
+            assert h2(P, 1).agree
+        assert smith_callers and "rank" not in smith_callers
 
 
 class TestQuotientInvariants:

@@ -14,8 +14,7 @@ import random
 import sys
 
 from . import acceptance, families
-from .cocycles import (CocycleFormatError, build_extension,
-                       coboundary_witness, cocycle_to_json,
+from .cocycles import (build_extension, coboundary_witness, cocycle_to_json,
                        lemmax_generators, lemmay_basis, render,
                        verify_cocycle)
 from .cohomology import h1, h2, second_homology_rank
@@ -255,10 +254,7 @@ def run(args):
         else:
             sys.stdout.write(text)
         return code
-    except (PresentationFormatError, CocycleFormatError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PresentationFormatError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except InvalidPresentationError as exc:

@@ -35,6 +35,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
+from operator import index
 
 from .exactlinalg import (IntMatrix, invert_unimodular, kernel_basis,
                           smith_normal_form, solve_in_lattice)
@@ -90,7 +91,7 @@ class CocycleLemmaX(Cocycle):
     order: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "f", tuple(int(x) for x in self.f))
+        object.__setattr__(self, "f", tuple(map(index, self.f)))
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class CocycleLemmaY(Cocycle):
 
     def __post_init__(self):
         object.__setattr__(self, "phi",
-                           tuple(tuple(int(x) for x in row) for row in self.phi))
+                           tuple(tuple(map(index, row)) for row in self.phi))
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class CocycleSum(Cocycle):
     def __post_init__(self):
         flat = []
         for c, p in self.terms:
-            c = int(c)
+            c = index(c)
             if c == 0:
                 continue
             if isinstance(p, CocycleSum):
@@ -264,9 +265,9 @@ def _compile(P, w):
     _cocycle_poly(P, w, poly)
     width = P.n + P.m
     start = {"a": 0, "b": P.n}
-    terms = [(coeff, tuple(start[letter] + primed * width + index
+    terms = [(coeff, tuple(start[letter] + primed * width + idx
                            + binom * 2 * width
-                           for (letter, primed, index, binom), power in mono
+                           for (letter, primed, idx, binom), power in mono
                            for _ in range(power)))
              for mono, coeff in poly.items()]
 
@@ -304,8 +305,8 @@ def _join_terms(terms):
 
 
 def _factor_str(factor, power):
-    letter, primed, index, binom = factor
-    name = "%s%d%s" % (letter, index + 1, "'" if primed else "")
+    letter, primed, idx, binom = factor
+    name = "%s%d%s" % (letter, idx + 1, "'" if primed else "")
     s = "C(%s,2)" % name if binom else name
     if power > 1:
         s += "^%d" % power
@@ -374,7 +375,7 @@ class ExtElement:
     t: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "t", tuple(int(x) for x in self.t))
+        object.__setattr__(self, "t", tuple(map(index, self.t)))
 
 
 @dataclass(frozen=True)
@@ -464,7 +465,7 @@ class IntegerPolynomial:
 
     @classmethod
     def from_dict(cls, n, m, data):
-        terms = tuple(sorted((mono, int(c)) for mono, c in data.items() if c))
+        terms = tuple(sorted((mono, index(c)) for mono, c in data.items() if c))
         return cls(n, m, terms)
 
     def is_zero(self):

@@ -17,7 +17,10 @@ of the dual of the finite complex
     wedge^3 L_1 --A--> (L_1 (x) L_2) (+) wedge^2 L_1 --B--> L_1 (+) L_2,
 
 with A the Jacobi map into the tensor block and B the commutator map out
-of the wedge block. Both routes are computed exactly and compared.
+of the wedge block. That route builds the two dual maps d^1 = B^T and
+d^2 = A^T row by row, and ``subquotient_invariants`` checks
+d^2 d^1 = (B A)^T = 0 on every call. Both routes are computed exactly and
+compared.
 
 The coefficients are trivial, so H^2(G, Z^r) = H^2(G, Z)^r. Both routes
 apply r by that one rule: they compute at r = 1 and repeat the group r
@@ -154,8 +157,9 @@ def h2_via_complex(P, r=1):
     """H^2(G, Z^r) = H^2(G, Z)^r by cohomology of the dualised complex.
 
     This path never looks at the closed-form decomposition: it builds the
-    two boundary maps, dualises them over Z, takes invariants of kernel
-    mod image, and repeats the group r times.
+    two coboundary maps d^1 = B^T and d^2 = A^T of the dual complex
+    directly, takes invariants of ker d^2 / im d^1 (which checks
+    d^2 d^1 = 0), and repeats the group r times.
     """
     require_valid(P)
     if r < 0:
@@ -165,16 +169,15 @@ def h2_via_complex(P, r=1):
     S = jacobi_s_matrix(P)
     C = bracket_matrix(P)
 
-    # A: wedge^3 -> tensor block (Jacobi), zero into the wedge block
-    A = S.vstack(IntMatrix.zeros(npairs, S.cols))
-    # B: zero on the tensor block, c out of the wedge block into L_2
-    B_top = IntMatrix.zeros(n, n * m + npairs)
-    B_bot = IntMatrix.zeros(m, n * m).hstack(C)
-    B = B_top.vstack(B_bot)
-    if not (B @ A).is_zero():
-        raise AssertionError("boundary maps fail B @ A = 0")
-
-    return subquotient_invariants(A.transpose(), B.transpose()).repeat(r)
+    # d^1 = B^T: zero rows for the tensor block, then c(x_i ^ x_j) per pair
+    d1 = IntMatrix.from_rows([(0,) * (n + m)] * (n * m)
+                             + [(0,) * n + C.col(p) for p in range(npairs)],
+                             cols=n + m)
+    # d^2 = A^T: per triple, its Jacobi column of S, then zeros for the pairs
+    d2 = IntMatrix.from_rows([S.col(t) + (0,) * npairs
+                              for t in range(S.cols)],
+                             cols=n * m + npairs)
+    return subquotient_invariants(d2, d1).repeat(r)
 
 
 def second_homology_rank(P):

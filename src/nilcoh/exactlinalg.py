@@ -41,6 +41,7 @@ maps, which the higher-level modules rely on for degenerate groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class IntMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        ent = tuple(int(x) for x in self.entries)
+        ent = tuple(map(index, self.entries))
         if len(ent) != self.rows * self.cols:
             raise ValueError(
                 "expected %d entries, got %d" % (self.rows * self.cols, len(ent)))
@@ -138,12 +139,15 @@ class IntMatrix:
             raise ValueError("dimension mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         # row i of the product is the sum of x * (row k of other) over the
-        # nonzero entries x = self[i, k]; the complexes here are sparse
-        b = other.to_rows()
+        # nonzero entries x = self[i, k] whose row k is nonzero; the
+        # complexes here are sparse, with whole blocks of zero rows
+        live = [(k, row) for k, row in enumerate(other.to_rows()) if any(row)]
         out = []
         for i in range(self.rows):
+            a = self.row(i)
             acc = [0] * other.cols
-            for x, bk in zip(self.row(i), b):
+            for k, bk in live:
+                x = a[k]
                 if x:
                     acc = [u + x * v for u, v in zip(acc, bk)]
             out.extend(acc)
@@ -453,7 +457,7 @@ class AbelianGroupInvariants:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        tor = tuple(int(t) for t in self.torsion)
+        tor = tuple(map(index, self.torsion))
         for t in tor:
             if t < 2:
                 raise ValueError("torsion orders must be >= 2, got %d" % t)

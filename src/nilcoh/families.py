@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from operator import index
 
 from .grouplaw import GroupPresentation, validate
 
@@ -19,7 +20,7 @@ def divisor_chain_group(d):
     divisor chain d_1 | d_2 | ... | d_k this family has
     H^2(G, Z) = Z^{C(2k,2)-1} (+) Z_{d_1} (torsion omitted when d_1 = 1).
     """
-    d = tuple(int(x) for x in d)
+    d = tuple(map(index, d))
     if any(x < 1 for x in d):
         raise ValueError("chain entries must be positive")
     k = len(d)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from operator import index
 from types import MappingProxyType
 
 from .exactlinalg import IntMatrix, rank
@@ -50,7 +51,7 @@ class GroupPresentation:
         data = {}
         for key, vec in dict(self.bracket or {}).items():
             i, j = key
-            data[(int(i), int(j))] = tuple(int(x) for x in vec)
+            data[(index(i), index(j))] = tuple(map(index, vec))
         object.__setattr__(self, "bracket", MappingProxyType(data))
 
     def bracket_vector(self, i, j):
@@ -71,8 +72,8 @@ class GroupElement:
     b: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(int(x) for x in self.b))
+        object.__setattr__(self, "a", tuple(map(index, self.a)))
+        object.__setattr__(self, "b", tuple(map(index, self.b)))
 
 
 @dataclass(frozen=True)
@@ -127,44 +128,45 @@ def _check_element(P, g):
                          % (len(g.a), len(g.b), P.n, P.m))
 
 
+def _collect(P, u, v):
+    """F(u, v) = sum over i < j of u_j v_i bracket(i, j), as a list.
+
+    The one collection formula of the package: x_j^{u_j} x_i^{v_i} with
+    i < j equals x_i^{v_i} x_j^{u_j} y^{-u_j v_i bracket(i, j)}, so
+    collecting x^u x^v costs y^{-F(u, v)}.
+    """
+    out = [0] * P.m
+    for (i, j), vec in P.bracket.items():
+        coef = u[j] * v[i]
+        if coef:
+            for l in range(P.m):
+                out[l] += coef * vec[l]
+    return out
+
+
 def multiply(P, g, h):
     """Collected product of two normal-form words."""
     _check_element(P, g)
     _check_element(P, h)
     a = tuple(x + y for x, y in zip(g.a, h.a))
-    corr = [0] * P.m
-    for (i, j), vec in P.bracket.items():
-        coef = g.a[j] * h.a[i]
-        if coef:
-            for l in range(P.m):
-                corr[l] += coef * vec[l]
-    b = tuple(g.b[l] + h.b[l] - corr[l] for l in range(P.m))
-    return GroupElement(a, b)
+    corr = _collect(P, g.a, h.a)
+    return GroupElement(a, tuple(x + y - c for x, y, c in zip(g.b, h.b, corr)))
 
 
 def inverse(P, g):
     _check_element(P, g)
-    corr = [0] * P.m
-    for (i, j), vec in P.bracket.items():
-        coef = g.a[i] * g.a[j]
-        if coef:
-            for l in range(P.m):
-                corr[l] += coef * vec[l]
+    corr = _collect(P, g.a, g.a)
     return GroupElement(tuple(-x for x in g.a),
-                        tuple(-g.b[l] - corr[l] for l in range(P.m)))
+                        tuple(-x - c for x, c in zip(g.b, corr)))
 
 
 def commutator(P, g, h):
     """[g, h] = g h g^-1 h^-1; always central, with bilinear exponents."""
     _check_element(P, g)
     _check_element(P, h)
-    out = [0] * P.m
-    for (i, j), vec in P.bracket.items():
-        coef = g.a[i] * h.a[j] - g.a[j] * h.a[i]
-        if coef:
-            for l in range(P.m):
-                out[l] += coef * vec[l]
-    return GroupElement((0,) * P.n, tuple(out))
+    return GroupElement((0,) * P.n,
+                        tuple(x - y for x, y in zip(_collect(P, h.a, g.a),
+                                                    _collect(P, g.a, h.a))))
 
 
 def random_element(P, bound, seed):

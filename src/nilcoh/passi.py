@@ -12,6 +12,9 @@ rule x_i x_j = x_j x_i + [x_i, x_j] modulo degree 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
+
+from .grouplaw import _collect
 
 
 def quad_pairs(n):
@@ -39,9 +42,9 @@ class PassiElement:
     lin_y: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "lin_x", tuple(int(x) for x in self.lin_x))
-        object.__setattr__(self, "quad", tuple(int(x) for x in self.quad))
-        object.__setattr__(self, "lin_y", tuple(int(x) for x in self.lin_y))
+        object.__setattr__(self, "lin_x", tuple(map(index, self.lin_x)))
+        object.__setattr__(self, "quad", tuple(map(index, self.quad)))
+        object.__setattr__(self, "lin_y", tuple(map(index, self.lin_y)))
 
     def __add__(self, other):
         return PassiElement(
@@ -93,23 +96,15 @@ def p2_mul(P, u, v):
     is the ordered quadratic monomial, plus the central correction
     -bracket(j, i) when the factors arrive out of order.
     """
-    n, m = P.n, P.m
+    n = P.n
     quad = [0] * (n * (n + 1) // 2)
-    lin_y = [0] * m
     for i in range(n):
         ui = u.lin_x[i]
         if not ui:
             continue
         for j in range(n):
             coef = ui * v.lin_x[j]
-            if not coef:
-                continue
-            if i <= j:
-                quad[quad_index(n, i, j)] += coef
-            else:
-                quad[quad_index(n, j, i)] += coef
-                vec = P.bracket.get((j, i))
-                if vec:
-                    for l in range(m):
-                        lin_y[l] -= coef * vec[l]
-    return PassiElement((0,) * n, tuple(quad), tuple(lin_y))
+            if coef:
+                quad[quad_index(n, i, j) if i <= j else quad_index(n, j, i)] += coef
+    lin_y = tuple(-x for x in _collect(P, u.lin_x, v.lin_x))
+    return PassiElement((0,) * n, tuple(quad), lin_y)

@@ -1,17 +1,44 @@
 """The nine acceptance criteria, one test each, with a printed verdict line.
 
-Run with -s (or look at captured stdout on failure) to see the lines:
+One ``python -m nilcoh selftest`` run feeds every test here, so each
+criterion runs once, through the command line. Run with -s (or look at
+captured stdout on failure) to see the lines:
 
     PASS 1 divisor-chain H^2 regression: ...
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
 from nilcoh.acceptance import CRITERIA
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
-@pytest.mark.parametrize("name,check", CRITERIA, ids=[c[0] for c in CRITERIA])
-def test_criterion(name, check):
-    ok, detail = check()
-    print("%s %s: %s" % ("PASS" if ok else "FAIL", name, detail))
-    assert ok, "%s: %s" % (name, detail)
+
+@pytest.fixture(scope="module")
+def selftest():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "nilcoh", "selftest"],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("name", [c[0] for c in CRITERIA],
+                         ids=[c[0] for c in CRITERIA])
+def test_criterion(selftest, name):
+    lines = [line for line in selftest.stdout.splitlines()
+             if line.startswith(("PASS %s:" % name, "FAIL %s:" % name))]
+    print("\n".join(lines))
+    assert len(lines) == 1, selftest.stdout + selftest.stderr
+    assert lines[0].startswith("PASS "), lines[0]
+
+
+def test_selftest_passes(selftest):
+    assert selftest.returncode == 0, selftest.stderr
+    lines = selftest.stdout.splitlines()
+    assert lines[-1] == "selftest: all criteria passed"
+    assert sum(line.startswith("PASS") for line in lines) == 9

@@ -319,12 +319,3 @@ class TestFuzz:
         assert "Traceback" not in err
         if code == 0:
             assert run_in_process(["validate"], out.encode()) == (0, "valid\n", "")
-
-
-class TestSelftest:
-    def test_selftest_passes(self):
-        res = run_cli(["selftest"])
-        assert res.returncode == 0
-        lines = res.stdout.splitlines()
-        assert lines[-1] == "selftest: all criteria passed"
-        assert sum(line.startswith("PASS") for line in lines) == 9

@@ -8,14 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from nilcoh import exactlinalg, families
 from nilcoh.cohomology import h2, jacobi_s_matrix, ordered_pairs
-from nilcoh.exactlinalg import IntMatrix, rank, smith_normal_form
-from nilcoh.grouplaw import GroupElement, identity, multiply, random_element
+from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix, rank,
+                                smith_normal_form)
+from nilcoh.grouplaw import (GroupElement, GroupPresentation, identity,
+                             multiply, random_element)
+from nilcoh.passi import PassiElement
 from nilcoh.cocycles import (
     CocycleFormatError,
     CocycleLemmaX,
     CocycleLemmaY,
     CocycleSum,
     ExtElement,
+    IntegerPolynomial,
     build_extension,
     coboundary_witness,
     cocycle_from_json,
@@ -433,3 +437,34 @@ class TestCocycleJson:
     def test_bad_sum_term(self):
         with pytest.raises(CocycleFormatError, match="'coeff'"):
             cocycle_from_json({"kind": "sum", "data": [{"cocycle": {}}]})
+
+
+# Each builder puts x into one integer slot of a value type. A torsion
+# order is at least 2, so that slot holds 2 * x.
+INTEGER_SLOTS = {
+    "IntMatrix": lambda x: IntMatrix(1, 1, (x,)),
+    "AbelianGroupInvariants.torsion":
+        lambda x: AbelianGroupInvariants(0, (2 * x,)),
+    "GroupPresentation.key": lambda x: GroupPresentation(2, 1, {(0, x): (1,)}),
+    "GroupPresentation.vector": lambda x: GroupPresentation(2, 1, {(0, 1): (x,)}),
+    "GroupElement.a": lambda x: GroupElement((x,), (0,)),
+    "GroupElement.b": lambda x: GroupElement((0,), (x,)),
+    "ExtElement.t": lambda x: ExtElement(GroupElement((0,), ()), (x,)),
+    "PassiElement.lin_x": lambda x: PassiElement((x,), (0,), ()),
+    "PassiElement.quad": lambda x: PassiElement((0,), (x,), ()),
+    "PassiElement.lin_y": lambda x: PassiElement((0,), (0,), (x,)),
+    "CocycleLemmaX.f": lambda x: CocycleLemmaX(f=(x,)),
+    "CocycleLemmaY.phi": lambda x: CocycleLemmaY(phi=((x,),)),
+    "CocycleSum.coefficient": lambda x: CocycleSum(((x, E11),)),
+    "IntegerPolynomial.from_dict": lambda x: IntegerPolynomial.from_dict(0, 0, {(): x}),
+    "divisor_chain_group": lambda x: families.divisor_chain_group((x,)),
+}
+
+
+@pytest.mark.parametrize("build", INTEGER_SLOTS.values(), ids=INTEGER_SLOTS)
+def test_integer_slots_take_only_integers(build):
+    # int() would truncate 0.5 and parse "3"; bools are integers
+    for bad in (0.5, "3"):
+        with pytest.raises(TypeError):
+            build(bad)
+    assert build(True) == build(1)

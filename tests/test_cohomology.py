@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import comb
 
-from nilcoh import families
+from nilcoh import cohomology, families
 from nilcoh.exactlinalg import (_solve_many, AbelianGroupInvariants, IntMatrix,
                                 kernel_basis, quotient_invariants,
                                 subquotient_invariants)
@@ -211,29 +211,46 @@ def reference_subquotient(out_map, in_map):
     return quotient_invariants(K.cols, coords)
 
 
+LADDER = [(n, (n + 2) // 3, seed) for n in range(3, 9) for seed in (1, 2)]
+complex_corpus = pytest.mark.parametrize("P", [
+    families.heisenberg(),
+    families.abelian(3),
+    families.discrete_heisenberg(6),
+    families.divisor_chain_group((2, 4)),
+    families.divisor_chain_group((3, 3, 6)),
+    families.divisor_chain_group((2, 4, 8)),
+    families.random_presentation(5, 10, 5, 1),
+    families.random_presentation(6, 15, 5, 2),
+] + [families.random_presentation(n, m, 5, seed) for n, m, seed in LADDER],
+    ids=["heisenberg", "abelian(3)", "discrete_heisenberg(6)",
+         "chain(2,4)", "chain(3,3,6)", "chain(2,4,8)", "random(5,10)",
+         "random(6,15)"] + ["random(%d,%d)s%d" % a for a in LADDER])
+
+
 class TestSubquotientOracle:
     """subquotient_invariants reads torsion and ranks off the maps; the
     kernel-basis route agrees."""
 
-    LADDER = [(n, (n + 2) // 3, seed) for n in range(3, 9) for seed in (1, 2)]
-
-    @pytest.mark.parametrize("P", [
-        families.heisenberg(),
-        families.abelian(3),
-        families.discrete_heisenberg(6),
-        families.divisor_chain_group((2, 4)),
-        families.divisor_chain_group((3, 3, 6)),
-        families.divisor_chain_group((2, 4, 8)),
-        families.random_presentation(5, 10, 5, 1),
-        families.random_presentation(6, 15, 5, 2),
-    ] + [families.random_presentation(n, m, 5, seed) for n, m, seed in LADDER],
-        ids=["heisenberg", "abelian(3)", "discrete_heisenberg(6)",
-             "chain(2,4)", "chain(3,3,6)", "chain(2,4,8)", "random(5,10)",
-             "random(6,15)"] + ["random(%d,%d)s%d" % a for a in LADDER])
+    @complex_corpus
     def test_complex_maps_of_the_corpus(self, P):
         A, B = complex_maps(P)
         f, g = A.transpose(), B.transpose()
         assert subquotient_invariants(f, g) == reference_subquotient(f, g)
+
+    @complex_corpus
+    def test_complex_route_reads_the_dual_maps(self, P, monkeypatch):
+        # h2_via_complex builds d^2 = A^T and d^1 = B^T itself; they must
+        # be exactly the transposes of the oracle's block matrices
+        calls = []
+
+        def record(out_map, in_map):
+            calls.append((out_map, in_map))
+            return subquotient_invariants(out_map, in_map)
+
+        monkeypatch.setattr(cohomology, "subquotient_invariants", record)
+        h2_via_complex(P, 1)
+        A, B = complex_maps(P)
+        assert calls == [(A.transpose(), B.transpose())]
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 4), st.integers(0, 6), st.integers(0, 4),

@@ -86,7 +86,14 @@ class TestIntMatrix:
             return IntMatrix(rows, cols, data.draw(st.lists(
                 entries, min_size=rows * cols, max_size=rows * cols)))
 
-        a, b = draw(r, k), draw(k, c)
+        # the right factor always has some all-zero rows, which the
+        # product skips
+        zero_rows = (data.draw(st.sets(st.integers(0, k - 1), min_size=1))
+                     if k else set())
+        b = IntMatrix.from_rows([[0] * c if t in zero_rows else row
+                                 for t, row in enumerate(draw(k, c).to_rows())],
+                                cols=c)
+        a = draw(r, k)
         expect = [[sum(a.entry(i, t) * b.entry(t, j) for t in range(k))
                    for j in range(c)] for i in range(r)]
         assert a @ b == IntMatrix.from_rows(expect, cols=c)

@@ -279,10 +279,17 @@ CRITERIA = (
 
 
 def run_all(write=print):
-    """Run every criterion, print one line each, return overall success."""
+    """Run every criterion, print one line each, return overall success.
+
+    A criterion that raises fails with the exception as its detail, and
+    the remaining criteria still run.
+    """
     all_ok = True
     for name, fn in CRITERIA:
-        ok, detail = fn()
+        try:
+            ok, detail = fn()
+        except Exception as exc:
+            ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
         write("%s %s: %s" % ("PASS" if ok else "FAIL", name, detail))
         all_ok = all_ok and ok
     return all_ok

@@ -37,11 +37,11 @@ from dataclasses import dataclass, field
 from math import comb
 from operator import index
 
-from .exactlinalg import (IntMatrix, invert_unimodular, kernel_basis,
-                          smith_normal_form, solve_in_lattice)
+from .exactlinalg import (IntMatrix, cokernel_generators, kernel_basis,
+                          solve_in_lattice)
 from .grouplaw import (GroupElement, _check_element, _is_int, draw_element,
                        identity, inverse, multiply)
-from .cohomology import bracket_matrix, jacobi_s_matrix, ordered_pairs, require_valid
+from .cohomology import _jacobi_transpose, bracket_matrix, ordered_pairs, require_valid
 
 
 class CocycleFormatError(ValueError):
@@ -92,6 +92,7 @@ class CocycleLemmaX(Cocycle):
 
     def __post_init__(self):
         object.__setattr__(self, "f", tuple(map(index, self.f)))
+        object.__setattr__(self, "order", index(self.order))
 
 
 @dataclass(frozen=True)
@@ -129,19 +130,12 @@ def lemmax_generators(P):
 
     Returns infinite-order generators first (one per kernel dimension of
     c), then one generator of order d for each invariant factor d > 1 of
-    the bracket matrix.
+    the bracket matrix. One Smith elimination of C^T gives both, through
+    ``cokernel_generators``.
     """
     require_valid(P)
-    A = bracket_matrix(P).transpose()
-    s = smith_normal_form(A)
-    uinv = invert_unimodular(s.U)
-    gens = [CocycleLemmaX(f=uinv.col(t), order=0)
-            for t in range(s.rank, A.rows)]
-    for t in range(s.rank):
-        d = s.D.entry(t, t)
-        if d > 1:
-            gens.append(CocycleLemmaX(f=uinv.col(t), order=d))
-    return gens
+    return [CocycleLemmaX(f=f, order=d)
+            for d, f in cokernel_generators(bracket_matrix(P).transpose())]
 
 
 def lemmay_basis(P):
@@ -151,7 +145,7 @@ def lemmay_basis(P):
     vanishing on S, not just a finite-index subgroup.
     """
     require_valid(P)
-    K = kernel_basis(jacobi_s_matrix(P).transpose())
+    K = kernel_basis(_jacobi_transpose(P))
     out = []
     for j in range(K.cols):
         vec = K.col(j)

@@ -7,27 +7,27 @@ One elimination (``_smith``) serves every caller, and it carries only the
 transforms the caller reads, since those transforms are where the
 integer entries grow:
 
-- invariants only: ``quotient_invariants`` (the torsion in
-  ``cohomology.h2`` and in ``subquotient_invariants``, so in the complex
-  route of ``h2``), and ``rank`` when neither modular certificate below
-  answers;
+- invariants only: ``quotient_invariants`` (the closed form of
+  ``cohomology.h2``, and the torsion in ``subquotient_invariants``, so in
+  the complex route of ``h2``), and ``rank`` when neither modular
+  certificate below answers;
 - V only: ``kernel_basis`` (``cocycles.lemmay_basis``);
 - V plus the right-hand side in place of U: ``_solve_many`` and
   ``solve_in_lattice`` (``cocycles.coboundary_witness``), when the
   modular step below cannot answer;
-- U and V: ``smith_normal_form``, for ``invert_unimodular`` and
-  ``cocycles.lemmax_generators``.
+- U^-1 only: ``cokernel_generators`` (``cocycles.lemmax_generators``);
+- U and V: ``smith_normal_form`` (the SNF acceptance criterion).
 
 All arithmetic uses Python's arbitrary-precision integers; there are no
 floats. There are two modular steps, and each answers only with a
 certificate; otherwise the Smith route runs.
 
-- ``rank`` (behind ``grouplaw.validate``, the ranks in ``cohomology.h2``
-  and the free rank in ``subquotient_invariants``) drops zero rows and
-  columns and computes the rank over GF(2), then modulo the prime
-  2^61 - 1. The rank modulo a prime is at most the rank over Q, which is
-  at most the smaller live dimension, so a modular rank that reaches that
-  dimension is exact.
+- ``rank`` (behind ``grouplaw.validate``, the Jacobi rank in
+  ``cohomology.h2`` and the free rank in ``subquotient_invariants``)
+  drops zero rows and columns and computes the rank over GF(2), then
+  modulo the prime 2^61 - 1. The rank modulo a prime is at most the rank
+  over Q, which is at most the smaller live dimension, so a modular rank
+  that reaches that dimension is exact.
 - ``_solve_many`` reads the solution modulo 2^61 - 1 when the nonzero
   columns of A are independent modulo that prime, so the solution is
   unique. It returns X after checking A @ X == B exactly over the
@@ -53,6 +53,8 @@ class IntMatrix:
     entries: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", index(self.rows))
+        object.__setattr__(self, "cols", index(self.cols))
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         ent = tuple(map(index, self.entries))
@@ -97,13 +99,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
-
-    @classmethod
-    def diagonal(cls, diag):
-        diag = list(diag)
-        n = len(diag)
-        return cls(n, n, tuple(diag[i] if i == j else 0
-                               for i in range(n) for j in range(n)))
 
     @classmethod
     def column_vector(cls, vec):
@@ -198,15 +193,17 @@ class SmithDecomposition:
         return len(self.invariants)
 
 
-def _smith(A, rows=None, track_v=False):
+def _smith(A, rows=None, track_v=False, inverse=None):
     """Smith elimination of A, carrying only the transforms the caller reads.
 
     Every row operation on A is repeated on ``rows``, a list of A.rows
     companion rows that is modified in place (the identity gives U, the
-    rows of a right-hand side B give U @ B). Every column operation is
-    repeated on V when ``track_v`` is set. Returns (invariants, d, v):
-    the invariant factors, the reduced matrix as a list of rows, and V as
-    a list of rows or None.
+    rows of a right-hand side B give U @ B). ``inverse``, a list of A.rows
+    rows starting as the identity, receives the inverse of each row
+    operation from the right, so row i ends as column i of U^-1. Every
+    column operation is repeated on V when ``track_v`` is set. Returns
+    (invariants, d, v): the invariant factors, the reduced matrix as a
+    list of rows, and V as a list of rows or None.
 
     Pivots are chosen by least absolute value, which keeps coefficient
     growth tame on the sparse matrices the cohomology routines produce.
@@ -224,6 +221,8 @@ def _smith(A, rows=None, track_v=False):
         d[r0], d[r1] = d[r1], d[r0]
         if rows is not None:
             rows[r0], rows[r1] = rows[r1], rows[r0]
+        if inverse is not None:
+            inverse[r0], inverse[r1] = inverse[r1], inverse[r0]
 
     def swap_cols(c0, c1):
         for row in d:
@@ -236,10 +235,13 @@ def _smith(A, rows=None, track_v=False):
         d[r] = [-x for x in d[r]]
         if rows is not None:
             rows[r] = [-x for x in rows[r]]
+        if inverse is not None:
+            inverse[r] = [-x for x in inverse[r]]
 
     def row_axpy(dst, src, q):
         # row dst -= q * row src, mirrored on the companion rows; both rows
-        # are zero before column t, the current stage
+        # are zero before column t, the current stage. Its inverse adds
+        # q * column dst of U^-1 to column src.
         drow, srow = d[dst], d[src]
         for k in range(t, n):
             drow[k] -= q * srow[k]
@@ -247,6 +249,8 @@ def _smith(A, rows=None, track_v=False):
             crow, csrc = rows[dst], rows[src]
             for k in range(len(crow)):
                 crow[k] -= q * csrc[k]
+        if inverse is not None:
+            inverse[src] = [x + q * y for x, y in zip(inverse[src], inverse[dst])]
 
     def col_axpy(dst, src, q, live):
         # col dst -= q * col src, mirrored on V; live: rows of d nonzero at src
@@ -323,9 +327,9 @@ def _smith(A, rows=None, track_v=False):
 def smith_normal_form(A):
     """Smith normal form of an integer matrix, with both transforms.
 
-    For callers that read U: ``lemmax_generators``, ``invert_unimodular``
-    and the SNF acceptance criterion. Callers that need less use ``rank``,
-    ``quotient_invariants`` (no transform) or ``kernel_basis`` (V only).
+    For callers that read U and V: the SNF acceptance criterion. Callers
+    that need less use ``rank``, ``quotient_invariants`` (no transform),
+    ``kernel_basis`` (V only) or ``cokernel_generators`` (U^-1 only).
     Works for any shape including empty ones.
     """
     m, n = A.rows, A.cols
@@ -415,18 +419,20 @@ def rank(A):
     return len(_smith(IntMatrix.from_rows(vectors, cols=full))[0])
 
 
-def invert_unimodular(M):
-    """Inverse of a unimodular integer matrix.
+def cokernel_generators(A):
+    """Lifts of generators of Z^A.rows / im(A), as (order, vector) pairs.
 
-    Uses U M V = I to return V @ U. Raises ValueError if M is not square
-    with determinant +-1.
+    With U A V = D in Smith form, U carries Z^rows / im(A) onto
+    Z^rows / im(D), so column t of U^-1 lifts the generator e_t of the
+    latter. The free generators come first (order 0, one per t = rank ..
+    rows - 1), then one of order d for each invariant factor d > 1, in
+    the order of the invariant factors. One elimination, carrying U^-1
+    and no other transform, gives all of them.
     """
-    if M.rows != M.cols:
-        raise ValueError("dimension mismatch: only square matrices can be unimodular")
-    s = smith_normal_form(M)
-    if len(s.invariants) != M.rows or any(x != 1 for x in s.invariants):
-        raise ValueError("matrix is not unimodular")
-    return s.V @ s.U
+    inv = [[int(i == j) for j in range(A.rows)] for i in range(A.rows)]
+    invariants = _smith(A, inverse=inv)[0]
+    return ([(0, tuple(inv[t])) for t in range(len(invariants), A.rows)]
+            + [(d, tuple(inv[t])) for t, d in enumerate(invariants) if d > 1])
 
 
 def kernel_basis(A):
@@ -455,6 +461,7 @@ class AbelianGroupInvariants:
     torsion: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", index(self.free_rank))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         tor = tuple(map(index, self.torsion))
@@ -476,12 +483,6 @@ class AbelianGroupInvariants:
 
     def is_trivial(self):
         return self.free_rank == 0 and not self.torsion
-
-    def direct_sum(self, other):
-        mixed = self.torsion + other.torsion
-        recanon = quotient_invariants(len(mixed), IntMatrix.diagonal(mixed))
-        return AbelianGroupInvariants(self.free_rank + other.free_rank,
-                                      recanon.torsion)
 
     def repeat(self, r):
         """Direct sum of r copies (coefficient modules Z^r act one copy at a time)."""

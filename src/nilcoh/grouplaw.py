@@ -48,6 +48,8 @@ class GroupPresentation:
     bracket: object = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", index(self.n))
+        object.__setattr__(self, "m", index(self.m))
         data = {}
         for key, vec in dict(self.bracket or {}).items():
             i, j = key

@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from nilcoh import acceptance, cli
 from nilcoh.acceptance import CRITERIA
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -42,3 +43,19 @@ def test_selftest_passes(selftest):
     lines = selftest.stdout.splitlines()
     assert lines[-1] == "selftest: all criteria passed"
     assert sum(line.startswith("PASS") for line in lines) == 9
+
+
+def test_raising_criterion_fails_alone(monkeypatch, capsys):
+    def boom():
+        raise ValueError("broken")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        ("a", lambda: (True, "fine")), ("b", boom), ("c", lambda: (True, "fine"))))
+    lines = []
+    assert not acceptance.run_all(write=lines.append)
+    assert lines == ["PASS a: fine", "FAIL b: raised ValueError: broken",
+                     "PASS c: fine"]
+    assert cli.main(["selftest"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == lines + ["selftest: FAILURES"]

@@ -2,8 +2,10 @@
 process through ``cli.main`` where hypothesis fuzzes documents and flags."""
 
 import contextlib
+import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from math import comb
@@ -319,3 +321,17 @@ class TestFuzz:
         assert "Traceback" not in err
         if code == 0:
             assert run_in_process(["validate"], out.encode()) == (0, "valid\n", "")
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracer.py wraps these names; one that is gone would crash
+    # every traced run
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("nilcoh_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = [(getattr(owner, "__name__", owner), attr)
+               for owner, attr, _ in tracer.TARGETS if not hasattr(owner, attr)]
+    assert missing == []

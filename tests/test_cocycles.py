@@ -443,8 +443,13 @@ class TestCocycleJson:
 # order is at least 2, so that slot holds 2 * x.
 INTEGER_SLOTS = {
     "IntMatrix": lambda x: IntMatrix(1, 1, (x,)),
+    "IntMatrix.rows": lambda x: IntMatrix(x, 1, (0,)),
+    "IntMatrix.cols": lambda x: IntMatrix(1, x, (0,)),
+    "AbelianGroupInvariants.free_rank": lambda x: AbelianGroupInvariants(x),
     "AbelianGroupInvariants.torsion":
         lambda x: AbelianGroupInvariants(0, (2 * x,)),
+    "GroupPresentation.n": lambda x: GroupPresentation(x, 0),
+    "GroupPresentation.m": lambda x: GroupPresentation(0, x),
     "GroupPresentation.key": lambda x: GroupPresentation(2, 1, {(0, x): (1,)}),
     "GroupPresentation.vector": lambda x: GroupPresentation(2, 1, {(0, 1): (x,)}),
     "GroupElement.a": lambda x: GroupElement((x,), (0,)),
@@ -454,6 +459,7 @@ INTEGER_SLOTS = {
     "PassiElement.quad": lambda x: PassiElement((0,), (x,), ()),
     "PassiElement.lin_y": lambda x: PassiElement((0,), (0,), (x,)),
     "CocycleLemmaX.f": lambda x: CocycleLemmaX(f=(x,)),
+    "CocycleLemmaX.order": lambda x: CocycleLemmaX(f=(1,), order=x),
     "CocycleLemmaY.phi": lambda x: CocycleLemmaY(phi=((x,),)),
     "CocycleSum.coefficient": lambda x: CocycleSum(((x, E11),)),
     "IntegerPolynomial.from_dict": lambda x: IntegerPolynomial.from_dict(0, 0, {(): x}),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from math import comb
 
-from nilcoh import cohomology, families
+from nilcoh import acceptance, cocycles, cohomology, exactlinalg, families
 from nilcoh.exactlinalg import (_solve_many, AbelianGroupInvariants, IntMatrix,
                                 kernel_basis, quotient_invariants,
                                 subquotient_invariants)
@@ -323,3 +323,34 @@ class TestTransformFree:
         P = families.random_presentation(8, 3, 5, seed)
         for r in (1, 2):
             assert h2(P, r).agree
+
+
+class TestOneEliminationOfC:
+    """Each use of the bracket matrix C eliminates it exactly once."""
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        # the shapes of the matrices _smith eliminates; rank only falls
+        # back to _smith when no modular certificate answers
+        calls = []
+        smith = exactlinalg._smith
+
+        def counted(A, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name != "rank":
+                calls.append((A.rows, A.cols))
+            return smith(A, *args, **kwargs)
+
+        monkeypatch.setattr(exactlinalg, "_smith", counted)
+        return calls
+
+    @pytest.mark.parametrize("P", [P for _, P in acceptance.corpus()] + [
+        families.random_presentation(n, (n + 2) // 3, 5, 1) for n in range(6, 12)])
+    def test_lemmax_and_h2(self, smith_calls, P):
+        n, m, npairs = P.n, P.m, comb(P.n, 2)
+        cocycles.lemmax_generators(P)
+        assert smith_calls == [(npairs, m)]
+        for r in (1, 2):
+            del smith_calls[:]
+            cohomology.h2(P, r)
+            # the closed form on C, the complex route on d^1
+            assert smith_calls == [(m, npairs), (n * m + npairs, n + m)]

@@ -14,7 +14,7 @@ from nilcoh.exactlinalg import (
     _solve_many,
     AbelianGroupInvariants,
     IntMatrix,
-    invert_unimodular,
+    cokernel_generators,
     kernel_basis,
     quotient_invariants,
     rank,
@@ -557,20 +557,19 @@ class TestSolveInLattice:
         assert a.mul_vec(got) == b
 
 
-class TestUnimodularInverse:
+class TestCokernelGenerators:
     @settings(deadline=None, max_examples=100)
     @given(matrices)
-    def test_two_sided_inverse_of_transforms(self, a):
+    def test_lifts_are_columns_of_the_inverse_transform(self, a):
+        # U f = e_t says f is column t of U^-1; the free indices come
+        # first, then one per invariant factor d > 1
         s = smith_normal_form(a)
-        for u in (s.U, s.V):
-            w = invert_unimodular(u)
-            n = u.rows
-            assert u @ w == IntMatrix.identity(n)
-            assert w @ u == IntMatrix.identity(n)
-
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(ValueError):
-            invert_unimodular(IntMatrix.from_rows([[2]]))
+        expect = [(0, t) for t in range(s.rank, a.rows)] + [
+            (d, t) for t, d in enumerate(s.invariants) if d > 1]
+        gens = cokernel_generators(a)
+        assert [d for d, _ in gens] == [d for d, _ in expect]
+        for (_, f), (_, t) in zip(gens, expect):
+            assert s.U.mul_vec(f) == tuple(int(i == t) for i in range(a.rows))
 
 
 class TestAbelianGroupInvariants:
@@ -579,12 +578,6 @@ class TestAbelianGroupInvariants:
             AbelianGroupInvariants(free_rank=0, torsion=(1, 2))
         with pytest.raises(ValueError):
             AbelianGroupInvariants(free_rank=0, torsion=(4, 2))
-
-    def test_direct_sum_recanonicalizes(self):
-        a = AbelianGroupInvariants(1, (2,))
-        b = AbelianGroupInvariants(0, (3,))
-        # Z_2 (+) Z_3 = Z_6
-        assert a.direct_sum(b) == AbelianGroupInvariants(1, (6,))
 
     def test_repeat(self):
         a = AbelianGroupInvariants(2, (4,))

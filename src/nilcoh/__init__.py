@@ -8,15 +8,11 @@ All arithmetic is exact over Z.
 
 The top level re-exports the everyday names; every other public name
 lives in its submodule (``nilcoh.exactlinalg``, ``nilcoh.grouplaw``, ...).
+Each re-export imports its submodule on first access, so a process loads
+only the modules it uses.
 """
 
-from .grouplaw import (GroupElement, commutator, inverse, multiply,
-                       random_element)
-from .cohomology import h1, h2, h2_via_complex, second_homology_rank
-from .cocycles import (build_extension, coboundary_witness, evaluate,
-                       lemmax_generators, lemmay_basis, render,
-                       verify_cocycle)
-from . import families
+from importlib import import_module
 
 __all__ = [
     "GroupElement", "commutator", "inverse", "multiply", "random_element",
@@ -25,3 +21,28 @@ __all__ = [
     "lemmay_basis", "render", "verify_cocycle",
     "families",
 ]
+
+# the submodule that defines each function or class in __all__
+_SOURCE = {name: module for module, names in (
+    ("grouplaw", ("GroupElement", "commutator", "inverse", "multiply",
+                  "random_element")),
+    ("cohomology", ("h1", "h2", "h2_via_complex", "second_homology_rank")),
+    ("cocycles", ("build_extension", "coboundary_witness", "evaluate",
+                  "lemmax_generators", "lemmay_basis", "render",
+                  "verify_cocycle")),
+) for name in names}
+
+
+def __getattr__(name):
+    if name == "families":
+        value = import_module(".families", __name__)
+    elif name in _SOURCE:
+        value = getattr(import_module("." + _SOURCE[name], __name__), name)
+    else:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

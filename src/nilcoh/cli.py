@@ -4,19 +4,19 @@ Commands read a presentation document from --input or stdin (``gen`` and
 ``selftest`` take no input) and write text or JSON to stdout or --out.
 Exit codes: 0 success, 1 validation or verification failure, 2 malformed
 input or invocation.
+
+Each process runs one command, so a command imports the modules only it
+needs (``cocycles``, ``acceptance``, ``families``) when it runs: an ``h2``
+process loads ``cli``, ``grouplaw``, ``exactlinalg`` and ``cohomology``
+and nothing else of the package.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from . import acceptance, families
-from .cocycles import (build_extension, coboundary_witness, cocycle_to_json,
-                       lemmax_generators, lemmay_basis, render,
-                       verify_cocycle)
 from .cohomology import h1, h2, second_homology_rank
 from .grouplaw import (InvalidPresentationError, PresentationFormatError,
                        load_presentation, presentation_to_json, validate)
@@ -92,6 +92,7 @@ def _cmd_homology_rank(args):
 
 
 def _describe(P, idx, w):
+    from .cocycles import cocycle_to_json, render
     kind = cocycle_to_json(w)["kind"]
     if kind == "lemmax" and w.order:
         head = "cocycle %d [lemmax, order %d]" % (idx, w.order)
@@ -103,6 +104,7 @@ def _describe(P, idx, w):
 
 
 def _cmd_cocycles(args):
+    from .cocycles import cocycle_to_json, lemmax_generators, lemmay_basis
     P = _read_presentation(args)
     ws = lemmax_generators(P) + lemmay_basis(P)
     if args.format == "json":
@@ -115,6 +117,8 @@ def _cmd_cocycles(args):
 
 
 def _cmd_verify(args):
+    from .cocycles import (cocycle_to_json, lemmax_generators, lemmay_basis,
+                           verify_cocycle)
     P = _read_presentation(args)
     ws = lemmax_generators(P) + lemmay_basis(P)
     results = [verify_cocycle(P, w, trials=args.trials, bound=args.bound,
@@ -137,6 +141,9 @@ def _cmd_verify(args):
 
 
 def _cmd_extend(args):
+    import random
+
+    from .cocycles import build_extension, lemmax_generators, lemmay_basis
     P = _read_presentation(args)
     ws = lemmax_generators(P) + lemmay_basis(P)
     try:
@@ -166,12 +173,20 @@ def _cmd_extend(args):
 
 
 def _cmd_witness(args):
+    from .cocycles import (_monomial_count, coboundary_witness,
+                           lemmax_generators)
     P = _read_presentation(args)
     finite = [w for w in lemmax_generators(P) if w.order]
     if not finite:
         if args.format == "json":
             return 0, dump_json({"group": presentation_to_json(P), "witness": []})
         return 0, "no torsion classes; nothing to search\n"
+    count = _monomial_count(P.n, P.m, args.max_weight)
+    if count > _MAX_WITNESS_MONOMIALS:
+        raise PresentationFormatError(
+            "--max-weight %d gives %d candidate monomials on this group; "
+            "the search takes at most %d"
+            % (args.max_weight, count, _MAX_WITNESS_MONOMIALS))
     lines, records, ok = [], [], True
     for w in finite:
         u = coboundary_witness(P, w.order * w, max_weight=args.max_weight,
@@ -204,6 +219,7 @@ def _cmd_gen(args):
 
 
 def _gen_family(args):
+    from . import families
     if args.family == "heisenberg":
         return families.heisenberg()
     if args.family == "abelian":
@@ -224,6 +240,7 @@ def _gen_family(args):
 
 
 def _cmd_selftest(args):
+    from . import acceptance
     lines = []
     ok = acceptance.run_all(write=lines.append)
     lines.append("selftest: %s" % ("all criteria passed" if ok else "FAILURES"))
@@ -270,6 +287,17 @@ def _chain(text):
 # H^2(G, Z^r) is reported as r copies, so r bounds the report's size
 _MAX_COEFF_RANK = 4096
 
+# The witness search solves a sampled system with one column per
+# candidate monomial, refused up front past these sizes. On chain(3,3,6)
+# (n = 6, m = 1) it takes 29 s at weight 5 with 552 monomials and more
+# than 30 s at weight 6 with 1162. On discrete_heisenberg(4) (n = 2,
+# m = 1) it takes 3.6 s at weight 12 with 251 monomials and more than
+# 90 s at weight 13: the first system samples exponents in [-3, 3], so
+# every coordinate it reads takes at most 13 values, x^13 agrees there
+# with a polynomial of degree 12, and the columns become dependent.
+_MAX_WITNESS_MONOMIALS = 600
+_MAX_WITNESS_WEIGHT = 12
+
 
 def _int_at_least(least, most=None):
     """argparse type for an integer flag that must be >= least (and <= most)."""
@@ -300,7 +328,7 @@ def _build_parser():
     common.add_argument("--bound", type=_int_at_least(1), default=10)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--max-weight", dest="max_weight",
-                        type=_int_at_least(1), default=3)
+                        type=_int_at_least(1, _MAX_WITNESS_WEIGHT), default=3)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", dest="out_path", metavar="FILE")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb
 from operator import index
 
-from .exactlinalg import (IntMatrix, cokernel_generators, kernel_basis,
-                          solve_in_lattice)
-from .grouplaw import (GroupElement, _check_element, _is_int, draw_element,
-                       identity, inverse, multiply)
+from .exactlinalg import (IntMatrix, _Value, _set, cokernel_generators,
+                          kernel_basis, solve_in_lattice)
+from .grouplaw import (_check_element, _is_int, draw_element, identity,
+                       inverse, multiply)
 from .cohomology import _jacobi_transpose, bracket_matrix, ordered_pairs, require_valid
 
 
@@ -50,6 +49,8 @@ class CocycleFormatError(ValueError):
 
 class Cocycle:
     """Base class providing Z-linear combinations of cocycle values."""
+
+    __slots__ = ()
 
     def __add__(self, other):
         if not isinstance(other, Cocycle):
@@ -78,8 +79,7 @@ def _terms(w):
     return ((1, w),)
 
 
-@dataclass(frozen=True)
-class CocycleLemmaX(Cocycle):
+class CocycleLemmaX(Cocycle, _Value):
     """Coordinates f of a homomorphism on wedge^2 L_1, in the pair basis.
 
     ``order`` records the order of the class in Coker(c^*): 0 means
@@ -87,34 +87,30 @@ class CocycleLemmaX(Cocycle):
     lemmax_generators, not re-derived on construction.
     """
 
-    f: tuple
-    order: int = 0
+    __slots__ = ("f", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "f", tuple(map(index, self.f)))
-        object.__setattr__(self, "order", index(self.order))
+    def __init__(self, f, order=0):
+        _set(self, "f", tuple(map(index, f)))
+        _set(self, "order", index(order))
 
 
-@dataclass(frozen=True)
-class CocycleLemmaY(Cocycle):
+class CocycleLemmaY(Cocycle, _Value):
     """Coordinates phi of a homomorphism on L_1 (x) L_2, as an n x m table."""
 
-    phi: tuple
+    __slots__ = ("phi",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "phi",
-                           tuple(tuple(map(index, row)) for row in self.phi))
+    def __init__(self, phi):
+        _set(self, "phi", tuple(tuple(map(index, row)) for row in phi))
 
 
-@dataclass(frozen=True)
-class CocycleSum(Cocycle):
+class CocycleSum(Cocycle, _Value):
     """Flattened integer combination of elementary cocycles."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms):
         flat = []
-        for c, p in self.terms:
+        for c, p in terms:
             c = index(c)
             if c == 0:
                 continue
@@ -122,7 +118,7 @@ class CocycleSum(Cocycle):
                 flat.extend((c * c2, p2) for c2, p2 in p.terms)
             else:
                 flat.append((c, p))
-        object.__setattr__(self, "terms", tuple(flat))
+        _set(self, "terms", tuple(flat))
 
 
 def lemmax_generators(P):
@@ -321,12 +317,14 @@ def render(P, w):
                        for mono in sorted(poly))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    trials: int
-    message: str = ""
-    counterexample: tuple = ()
+class VerificationReport(_Value):
+    __slots__ = ("ok", "trials", "message", "counterexample")
+
+    def __init__(self, ok, trials, message="", counterexample=()):
+        _set(self, "ok", ok)
+        _set(self, "trials", trials)
+        _set(self, "message", message)
+        _set(self, "counterexample", counterexample)
 
 
 def verify_cocycle(P, w, trials=1000, bound=10, seed=0):
@@ -363,17 +361,15 @@ def verify_cocycle(P, w, trials=1000, bound=10, seed=0):
                               message="no violation in %d trials" % trials)
 
 
-@dataclass(frozen=True)
-class ExtElement:
-    g: GroupElement
-    t: tuple
+class ExtElement(_Value):
+    __slots__ = ("g", "t")
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(map(index, self.t)))
+    def __init__(self, g, t):
+        _set(self, "g", g)
+        _set(self, "t", tuple(map(index, t)))
 
 
-@dataclass(frozen=True)
-class ExtensionGroup:
+class ExtensionGroup(_Value):
     """Central extension of the base group by Z^r along r cocycle fibers.
 
     Elements are pairs (g, t) with t in Z^r, multiplied by
@@ -381,37 +377,37 @@ class ExtensionGroup:
         (g, t) (g', t') = (g g', t + t' + (w_1(g,g'), ..., w_r(g,g'))).
     """
 
-    base: object
-    fibers: tuple
-    _values: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "fibers", "_values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_values",
-                           tuple(_compile(self.base, w) for w in self.fibers))
+    def __init__(self, base, fibers):
+        _set(self, "base", base)
+        _set(self, "fibers", fibers)
+        # compiled fibers: a cache of the fields, outside equality and repr
+        _set(self, "_values", tuple(_compile(base, w) for w in fibers))
 
     @property
     def fiber_rank(self):
         return len(self.fibers)
 
     def identity(self):
-        return ExtElement(identity(self.base), (0,) * self.fiber_rank)
+        return ExtElement._trusted(identity(self.base), (0,) * self.fiber_rank)
 
     def multiply(self, e1, e2):
         g = multiply(self.base, e1.g, e2.g)
         t = tuple(x + y + value(e1.g, e2.g)
                   for x, y, value in zip(e1.t, e2.t, self._values))
-        return ExtElement(g, t)
+        return ExtElement._trusted(g, t)
 
     def inverse(self, e):
         gi = inverse(self.base, e.g)
         t = tuple(-x - value(e.g, gi) for x, value in zip(e.t, self._values))
-        return ExtElement(gi, t)
+        return ExtElement._trusted(gi, t)
 
     def random_element(self, bound, seed):
         rng = seed if isinstance(seed, random.Random) else random.Random(seed)
         g = draw_element(self.base, bound, rng)
         t = tuple(rng.randint(-bound, bound) for _ in range(self.fiber_rank))
-        return ExtElement(g, t)
+        return ExtElement._trusted(g, t)
 
 
 def build_extension(P, fibers, spot_trials=32, spot_bound=5, spot_seed=0):
@@ -449,13 +445,18 @@ def _mono_val(mono, g):
     return val
 
 
-@dataclass(frozen=True)
-class IntegerPolynomial:
-    """Integer polynomial in the exponent coordinates of one element."""
+class IntegerPolynomial(_Value):
+    """Integer polynomial in the exponent coordinates of one element.
 
-    n: int
-    m: int
-    terms: tuple  # sorted ((ea, eb), coeff) pairs, coeff != 0
+    ``terms`` holds sorted ((ea, eb), coeff) pairs with coeff != 0.
+    """
+
+    __slots__ = ("n", "m", "terms")
+
+    def __init__(self, n, m, terms):
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "terms", terms)
 
     @classmethod
     def from_dict(cls, n, m, data):
@@ -494,6 +495,18 @@ def _weighted_monomials(n, m, max_weight):
 
     rec(0, max_weight, [])
     return out
+
+
+def _monomial_count(n, m, max_weight):
+    """len(_weighted_monomials(n, m, max_weight)), without listing them.
+
+    A monomial whose b-exponents sum to k has a-exponents summing to at
+    most max_weight - 2 k: C(k + m - 1, k) choices for b, C(s + n, n) for
+    a with sum at most s. The constant monomial is excluded.
+    """
+    return sum((comb(k + m - 1, k) if m else int(k == 0))
+               * comb(max_weight - 2 * k + n, n)
+               for k in range(max_weight // 2 + 1)) - 1
 
 
 def coboundary_witness(P, w, max_weight=3, trials=1000, seed=0):

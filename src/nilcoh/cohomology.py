@@ -33,11 +33,10 @@ lexicographic, tensor basis x_t (x) y_l row-major in (t, l).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .exactlinalg import (AbelianGroupInvariants, IntMatrix, rank,
-                          subquotient_invariants, quotient_invariants)
+from .exactlinalg import (AbelianGroupInvariants, IntMatrix, _Value, _set,
+                          rank, subquotient_invariants, quotient_invariants)
 from .grouplaw import InvalidPresentationError, bracket_matrix, validate
 
 
@@ -88,8 +87,7 @@ def jacobi_s_matrix(P):
     return _jacobi_transpose(P).transpose()
 
 
-@dataclass(frozen=True)
-class H2Report:
+class H2Report(_Value):
     """H^2 with its summands, plus the independent complex-path value.
 
     hom_part_rank is the rank of Hom((L_1 (x) L_2)/S, Z^r) and ker_c_rank
@@ -97,13 +95,18 @@ class H2Report:
     Z^{r ker_c_rank} (+) Z^{hom_part_rank} (+) ext_part.
     """
 
-    total: AbelianGroupInvariants
-    coker_cstar: AbelianGroupInvariants
-    hom_part_rank: int
-    ker_c_rank: int
-    ext_part: AbelianGroupInvariants
-    crosscheck: AbelianGroupInvariants
-    agree: bool
+    __slots__ = ("total", "coker_cstar", "hom_part_rank", "ker_c_rank",
+                 "ext_part", "crosscheck", "agree")
+
+    def __init__(self, total, coker_cstar, hom_part_rank, ker_c_rank,
+                 ext_part, crosscheck, agree):
+        _set(self, "total", total)
+        _set(self, "coker_cstar", coker_cstar)
+        _set(self, "hom_part_rank", hom_part_rank)
+        _set(self, "ker_c_rank", ker_c_rank)
+        _set(self, "ext_part", ext_part)
+        _set(self, "crosscheck", crosscheck)
+        _set(self, "agree", agree)
 
     def to_json(self):
         return {

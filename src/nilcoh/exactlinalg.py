@@ -36,32 +36,87 @@ certificate; otherwise the Smith route runs.
 
 Matrices with zero rows or columns are legal everywhere and denote zero
 maps, which the higher-level modules rely on for degenerate groups.
+
+Every value type of the package (matrices and invariants here, group
+elements and presentations, cocycles, reports) derives from ``_Value``.
+Its ``__slots__`` name its fields; ``__init__`` coerces and checks them
+once and sets them with ``_set``, and afterwards assigning or deleting an
+attribute raises AttributeError. Two values are equal when they have the
+same class and equal public fields, and the hash and repr read the same
+fields; a slot whose name starts with ``_`` is a cache outside all three.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import index
+from operator import attrgetter, index
+
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Value:
+    """Immutable record: equality, hash and repr by class and public slots."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__
+                            if not name.startswith("_"))
+        # attrgetter with one name returns the bare value, which still
+        # compares and hashes consistently within the class
+        cls._key = attrgetter(*cls._fields)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance from field values that are already coerced and checked."""
+        obj = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _set(obj, name, value)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of %s"
+                             % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of %s"
+                             % (name, type(self).__name__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__,
+                           ", ".join("%s=%r" % (name, getattr(self, name))
+                                     for name in self._fields))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which recomputes caches
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class IntMatrix(_Value):
     """Immutable dense integer matrix, entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple = ()
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", index(self.rows))
-        object.__setattr__(self, "cols", index(self.cols))
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows, cols, entries=()):
+        rows, cols = index(rows), index(cols)
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        ent = tuple(map(index, self.entries))
-        if len(ent) != self.rows * self.cols:
+        ent = tuple(map(index, entries))
+        if len(ent) != rows * cols:
             raise ValueError(
-                "expected %d entries, got %d" % (self.rows * self.cols, len(ent)))
-        object.__setattr__(self, "entries", ent)
+                "expected %d entries, got %d" % (rows * cols, len(ent)))
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", ent)
 
     @classmethod
     def from_rows(cls, rows, cols=None):
@@ -174,8 +229,7 @@ class IntMatrix:
         return IntMatrix(self.rows, self.cols + other.cols, tuple(out))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(_Value):
     """U @ A @ V == D with U, V unimodular and D the invariant-factor diagonal.
 
     The diagonal of D is d_1, ..., d_k, 0, ..., 0 with d_1 | d_2 | ... | d_k
@@ -183,10 +237,13 @@ class SmithDecomposition:
     length is the rank of A.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-    invariants: tuple
+    __slots__ = ("U", "D", "V", "invariants")
+
+    def __init__(self, U, D, V, invariants):
+        _set(self, "U", U)
+        _set(self, "D", D)
+        _set(self, "V", V)
+        _set(self, "invariants", invariants)
 
     @property
     def rank(self):
@@ -449,29 +506,28 @@ def kernel_basis(A):
                                rows=A.cols)
 
 
-@dataclass(frozen=True)
-class AbelianGroupInvariants:
+class AbelianGroupInvariants(_Value):
     """A finitely generated abelian group in canonical invariant-factor form.
 
     Z^free_rank (+) Z_{t_1} (+) ... (+) Z_{t_k} with every t_i >= 2 and
     t_1 | t_2 | ... | t_k.
     """
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_rank", index(self.free_rank))
-        if self.free_rank < 0:
+    def __init__(self, free_rank, torsion=()):
+        free_rank = index(free_rank)
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        tor = tuple(map(index, self.torsion))
+        tor = tuple(map(index, torsion))
         for t in tor:
             if t < 2:
                 raise ValueError("torsion orders must be >= 2, got %d" % t)
         for a, b in zip(tor, tor[1:]):
             if b % a:
                 raise ValueError("torsion orders must form a divisibility chain")
-        object.__setattr__(self, "torsion", tor)
+        _set(self, "free_rank", free_rank)
+        _set(self, "torsion", tor)
 
     @classmethod
     def trivial(cls):

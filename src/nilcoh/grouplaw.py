@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from operator import index
 from types import MappingProxyType
 
-from .exactlinalg import IntMatrix, rank
+from .exactlinalg import IntMatrix, _Value, _set, rank
 
 
 class PresentationFormatError(ValueError):
@@ -33,8 +32,7 @@ class InvalidPresentationError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(_Value):
     """Structure constants of a class-2 group.
 
     ``bracket`` maps pairs (i, j) with i < j (0-based) to the exponent
@@ -43,18 +41,17 @@ class GroupPresentation:
     presentations can still be constructed in negative tests.
     """
 
-    n: int
-    m: int
-    bracket: object = None
+    __slots__ = ("n", "m", "bracket")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", index(self.n))
-        object.__setattr__(self, "m", index(self.m))
+    def __init__(self, n, m, bracket=None):
+        n, m = index(n), index(m)
         data = {}
-        for key, vec in dict(self.bracket or {}).items():
+        for key, vec in dict(bracket or {}).items():
             i, j = key
             data[(index(i), index(j))] = tuple(map(index, vec))
-        object.__setattr__(self, "bracket", MappingProxyType(data))
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "bracket", MappingProxyType(data))
 
     def bracket_vector(self, i, j):
         """Exponents of [x_i, x_j], extended antisymmetrically to all i, j."""
@@ -66,22 +63,22 @@ class GroupPresentation:
         return tuple(-x for x in vec) if vec else (0,) * self.m
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """Exponent vectors (a, b) of a normal-form word."""
 
-    a: tuple
-    b: tuple
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(map(index, self.a)))
-        object.__setattr__(self, "b", tuple(map(index, self.b)))
+    def __init__(self, a, b):
+        _set(self, "a", tuple(map(index, a)))
+        _set(self, "b", tuple(map(index, b)))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: tuple = ()
+class ValidationReport(_Value):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok, failures=()):
+        _set(self, "ok", ok)
+        _set(self, "failures", failures)
 
 
 def bracket_matrix(P):
@@ -121,7 +118,7 @@ def validate(P):
 
 
 def identity(P):
-    return GroupElement((0,) * P.n, (0,) * P.m)
+    return GroupElement._trusted((0,) * P.n, (0,) * P.m)
 
 
 def _check_element(P, g):
@@ -152,23 +149,24 @@ def multiply(P, g, h):
     _check_element(P, h)
     a = tuple(x + y for x, y in zip(g.a, h.a))
     corr = _collect(P, g.a, h.a)
-    return GroupElement(a, tuple(x + y - c for x, y, c in zip(g.b, h.b, corr)))
+    return GroupElement._trusted(
+        a, tuple(x + y - c for x, y, c in zip(g.b, h.b, corr)))
 
 
 def inverse(P, g):
     _check_element(P, g)
     corr = _collect(P, g.a, g.a)
-    return GroupElement(tuple(-x for x in g.a),
-                        tuple(-x - c for x, c in zip(g.b, corr)))
+    return GroupElement._trusted(tuple(-x for x in g.a),
+                                 tuple(-x - c for x, c in zip(g.b, corr)))
 
 
 def commutator(P, g, h):
     """[g, h] = g h g^-1 h^-1; always central, with bilinear exponents."""
     _check_element(P, g)
     _check_element(P, h)
-    return GroupElement((0,) * P.n,
-                        tuple(x - y for x, y in zip(_collect(P, h.a, g.a),
-                                                    _collect(P, g.a, h.a))))
+    return GroupElement._trusted(
+        (0,) * P.n, tuple(x - y for x, y in zip(_collect(P, h.a, g.a),
+                                                _collect(P, g.a, h.a))))
 
 
 def random_element(P, bound, seed):
@@ -182,7 +180,7 @@ def random_element(P, bound, seed):
 def draw_element(P, bound, rng):
     a = tuple(rng.randint(-bound, bound) for _ in range(P.n))
     b = tuple(rng.randint(-bound, bound) for _ in range(P.m))
-    return GroupElement(a, b)
+    return GroupElement._trusted(a, b)
 
 
 def presentation_to_json(P):

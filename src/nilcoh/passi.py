@@ -11,9 +11,9 @@ rule x_i x_j = x_j x_i + [x_i, x_j] modulo degree 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
+from .exactlinalg import _Value, _set
 from .grouplaw import _collect
 
 
@@ -33,18 +33,15 @@ def _binom2(a):
     return a * (a - 1) // 2
 
 
-@dataclass(frozen=True)
-class PassiElement:
+class PassiElement(_Value):
     """Coordinates (lin_x, quad, lin_y) in the degree-2 basis."""
 
-    lin_x: tuple
-    quad: tuple
-    lin_y: tuple
+    __slots__ = ("lin_x", "quad", "lin_y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lin_x", tuple(map(index, self.lin_x)))
-        object.__setattr__(self, "quad", tuple(map(index, self.quad)))
-        object.__setattr__(self, "lin_y", tuple(map(index, self.lin_y)))
+    def __init__(self, lin_x, quad, lin_y):
+        _set(self, "lin_x", tuple(map(index, lin_x)))
+        _set(self, "quad", tuple(map(index, quad)))
+        _set(self, "lin_y", tuple(map(index, lin_y)))
 
     def __add__(self, other):
         return PassiElement(

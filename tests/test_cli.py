@@ -217,6 +217,8 @@ class TestExitCodes:
         ["gen", "--family", "abelian", "--n", "-1"],
         ["witness", "--max-weight", "-1"],
         ["witness", "--max-weight", "0"],
+        ["witness", "--max-weight", "13"],
+        ["witness", "--max-weight", "100"],
     ], ids=" ".join)
     def test_out_of_range_flag_is_exit_2(self, args):
         doc = json.dumps(presentation_to_json(families.heisenberg()))
@@ -225,6 +227,16 @@ class TestExitCodes:
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
         assert sum("error:" in line for line in res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("d, weight", [((3, 3, 6), 6), ((2, 2), 8)])
+    def test_oversized_witness_search_is_exit_2(self, d, weight):
+        # 1162 and 790 candidate monomials; both run for minutes
+        doc = json.dumps(presentation_to_json(families.divisor_chain_group(d)))
+        res = run_cli(["witness", "--max-weight", str(weight)], stdin_text=doc)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: --max-weight %d gives " % weight)
+        assert len(res.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("source", ["stdin", "file"])
     @pytest.mark.parametrize("doc", [
@@ -335,3 +347,64 @@ def test_tracer_targets_resolve():
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _ in tracer.TARGETS if not hasattr(owner, attr)]
     assert missing == []
+
+
+# Runs ``python -m nilcoh`` in this process through runpy, then prints the
+# nilcoh modules that the command loaded as the last stdout line.
+_LOADED_BY_COMMAND = """
+import json, runpy, sys
+sys.argv = ["nilcoh"] + sys.argv[1:]
+try:
+    runpy.run_module("nilcoh", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(sorted(name for name in sys.modules
+                        if name == "nilcoh" or name.startswith("nilcoh."))))
+"""
+
+
+class TestColdStart:
+    """A CLI process imports only the modules its command runs."""
+
+    COLD_PATH = {"nilcoh", "nilcoh.__main__", "nilcoh.cli", "nilcoh.grouplaw",
+                 "nilcoh.exactlinalg", "nilcoh.cohomology"}
+
+    @pytest.mark.parametrize("command", ["h2", "validate", "h1", "homology-rank"])
+    def test_command_loads_only_the_cold_path(self, command, chain_file):
+        res = subprocess.run([sys.executable, "-c", _LOADED_BY_COMMAND,
+                              command, "--input", chain_file],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        loaded = set(json.loads(res.stdout.splitlines()[-1]))
+        assert "nilcoh.cli" in loaded
+        assert loaded <= self.COLD_PATH
+
+    def test_no_module_imports_dataclasses(self):
+        import nilcoh
+        names = sorted("nilcoh." + path[:-3]
+                       for path in os.listdir(nilcoh.__path__[0])
+                       if path.endswith(".py") and path != "__init__.py")
+        assert "nilcoh.cocycles" in names and "nilcoh.acceptance" in names
+        probe = "import sys; %s; print('dataclasses' in sys.modules)"
+        bare = subprocess.run([sys.executable, "-c", probe % "pass"],
+                              capture_output=True, text=True, check=True)
+        full = subprocess.run([sys.executable, "-c",
+                               probe % "; ".join("import " + n for n in names)],
+                              capture_output=True, text=True, check=True)
+        assert full.stdout == bare.stdout
+
+    def test_traced_command_wraps_lazily_imported_functions(self, chain_file,
+                                                            tmp_path):
+        # the tracer replaces module attributes, which a command's import
+        # inside a function reads when it runs
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = tmp_path / "trace.json"
+        res = subprocess.run([sys.executable,
+                              os.path.join(root, "perfbench", "tracer.py"),
+                              str(out), "cocycles", "--input", chain_file],
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == run_cli(["cocycles", "--input", chain_file]).stdout
+        stats = json.loads(out.read_text())["stats"]
+        assert stats["cocycles.generators"][0] == 2
+        assert stats["cocycles.render"][0] >= 1

@@ -29,6 +29,8 @@ from nilcoh.cocycles import (
     lemmay_basis,
     render,
     verify_cocycle,
+    _monomial_count,
+    _weighted_monomials,
 )
 
 HEIS = families.heisenberg()
@@ -386,6 +388,11 @@ class TestCoboundaryWitness:
         with pytest.raises(ValueError, match="max_weight >= 1"):
             coboundary_witness(HEIS, 0 * E11, max_weight=max_weight,
                                trials=50, seed=0)
+
+    def test_monomial_count_matches_the_ansatz(self):
+        for n, m, weight in product(range(5), range(4), range(9)):
+            assert (_monomial_count(n, m, weight)
+                    == len(_weighted_monomials(n, m, weight))), (n, m, weight)
 
 
 class TestCountConsistency:

@@ -1,12 +1,14 @@
 """Seeing a torsion class die: an explicit coboundary witness.
 
 In the chain group with d = (2, 4), H^2(G, Z) = Z^5 (+) Z_2. The Z_2
-class is represented by a polynomial cocycle w whose double is trivial
-in cohomology, so 2w must be a coboundary: 2w(g, g') = u(g) + u(g') -
-u(g g') for some u: G -> Z. The witness search finds such a u among
-integer polynomials of low weighted degree and validates it on fresh
-random pairs. For w itself no witness can exist, and the search
-(correctly) comes back empty-handed.
+class is represented by a LemmaX cocycle w = w_f, whose double is
+trivial in cohomology, so 2w must be a coboundary: 2w(g, g') = u(g) +
+u(g') - u(g g') for some u: G -> Z. The primitive has a closed form: the
+group law subtracts the collection term sum_{i<j} a_j a'_i c(i, j) from
+b, so any lambda with C^T lambda = 2f gives u = -lambda . b. One lattice
+solve finds lambda, and u is then validated on fresh random pairs. For w
+itself the same solve has no solution: f lies outside im(c^*), which
+proves that w is not a coboundary.
 
 Run:  python3 demos/03_coboundary_witness.py
 """
@@ -33,7 +35,7 @@ w = torsion[0]
 print("\norder-%d class, represented by  w(g, g') = %s" % (w.order, render(P, w)))
 
 # --- the double is a coboundary ------------------------------------------
-u = coboundary_witness(P, 2 * w, max_weight=3, trials=1000, seed=0)
+u = coboundary_witness(P, 2 * w, trials=1000, seed=0)
 print("\nwitness for 2w:  u =", u.render())
 
 rng = random.Random(17)
@@ -46,7 +48,7 @@ for _ in range(500):
 print("delta(u) == 2w on fresh pairs: %d/500" % checks)
 
 # --- the class itself is not a coboundary --------------------------------
-# Absence of a witness in the ansatz space is a finding, not a proof;
-# here nontriviality is already certified by the Z_2 summand above.
-missing = coboundary_witness(P, w, max_weight=3, trials=200, seed=0)
-print("\nwitness search for w itself:", missing)
+# None means C^T lambda = f has no integer solution: a proof, which the
+# Z_2 summand above confirms.
+missing = coboundary_witness(P, w, trials=200, seed=0)
+print("\nwitness for w itself:", missing, "(a proof that w is not a coboundary)")

@@ -3,8 +3,9 @@
 The package computes H^1 and H^2 with trivial coefficients Z^r from a
 presentation in normal-form coordinates, produces explicit polynomial
 2-cocycle representatives for every class it reports, builds the
-corresponding central extensions, and searches for coboundary witnesses.
-All arithmetic is exact over Z.
+corresponding central extensions, and solves for the polynomial whose
+coboundary is a multiple of a torsion class. All arithmetic is exact over
+Z.
 
 The top level re-exports the everyday names; every other public name
 lives in its submodule (``nilcoh.exactlinalg``, ``nilcoh.grouplaw``, ...).

@@ -25,8 +25,15 @@ the two summands of H^2:
 Integer linear combinations (``CocycleSum``) are cocycles again. Each of
 the three shapes is expanded into one polynomial table, monomials in
 (a, b, a', b') with integer coefficients; evaluation, rendering,
-verification, extension building and coboundary witness search all read
-that table, and no other copy of the formulas above exists.
+verification, extension building and the validation of coboundary
+witnesses all read that table, and no other copy of the formulas above
+exists.
+
+A LemmaX class has a closed-form primitive: when C^T lambda = f, the
+coboundary of u(g) = -lambda . b is w_f, because the group law subtracts
+the collection term sum_{i<j} a_j a'_i c(i, j) from b. So
+``coboundary_witness`` is one lattice solve, and no solution proves that
+w_f is not a coboundary.
 """
 
 from __future__ import annotations
@@ -36,8 +43,8 @@ from collections import Counter
 from math import comb
 from operator import index
 
-from .exactlinalg import (IntMatrix, _Value, _set, cokernel_generators,
-                          kernel_basis, solve_in_lattice)
+from .exactlinalg import (_Value, _set, cokernel_generators, kernel_basis,
+                          solve_in_lattice)
 from .grouplaw import (_check_element, _is_int, draw_element, identity,
                        inverse, multiply)
 from .cohomology import _jacobi_transpose, bracket_matrix, ordered_pairs, require_valid
@@ -478,81 +485,44 @@ class IntegerPolynomial(_Value):
             for (ea, eb), coeff in self.terms)
 
 
-def _weighted_monomials(n, m, max_weight):
-    # exponent weight: 1 per a_i power, 2 per b_l power; constant excluded
-    out = []
+def coboundary_witness(P, w, trials=1000, seed=0):
+    """The primitive u of w, with u(g) + u(h) - u(gh) = w(g, h) and u(e) = 0.
 
-    def rec(idx, remaining, acc):
-        if idx == n + m:
-            if any(acc):
-                out.append((tuple(acc[:n]), tuple(acc[n:])))
-            return
-        step = 1 if idx < n else 2
-        e = 0
-        while e * step <= remaining:
-            rec(idx + 1, remaining - e * step, acc + [e])
-            e += 1
-
-    rec(0, max_weight, [])
-    return out
-
-
-def _monomial_count(n, m, max_weight):
-    """len(_weighted_monomials(n, m, max_weight)), without listing them.
-
-    A monomial whose b-exponents sum to k has a-exponents summing to at
-    most max_weight - 2 k: C(k + m - 1, k) choices for b, C(s + n, n) for
-    a with sum at most s. The constant monomial is excluded.
-    """
-    return sum((comb(k + m - 1, k) if m else int(k == 0))
-               * comb(max_weight - 2 * k + n, n)
-               for k in range(max_weight // 2 + 1)) - 1
-
-
-def coboundary_witness(P, w, max_weight=3, trials=1000, seed=0):
-    """Search for u with u(g) + u(h) - u(gh) = w(g, h) and u(e) = 0.
-
-    The ansatz is every integer-coefficient monomial in (a, b) of
-    weighted degree <= max_weight (a_i weighs 1, b_l weighs 2). The
-    linear system over sampled pairs is solved exactly in the integer
-    lattice, then the candidate is validated on ``trials`` fresh pairs.
-    Returns the witness polynomial or None; absence of a witness in this
-    ansatz space is a finding, not a proof of nontriviality.
+    ``w`` is a LemmaX cocycle w_f or an integer combination of them, and f
+    is the sum of their coordinates. The group law subtracts
+    F(a, a') = sum_{i<j} a_j a'_i c(i, j) from b, so for any lambda with
+    C^T lambda = f the polynomial u = -sum_l lambda_l b_l has coboundary
+    exactly w. The lattice solve either returns such a lambda or proves
+    that none exists: None means f is not in im(c^*), so w is not a
+    coboundary. A returned u has also been validated on ``trials`` fresh
+    pairs through the group law; a failure there raises ArithmeticError.
     """
     require_valid(P)
-    if max_weight < 1 or trials < 1:
-        raise ValueError("need max_weight >= 1 and trials >= 1")
-    monos = _weighted_monomials(P.n, P.m, max_weight)
+    if trials < 1:
+        raise ValueError("need trials >= 1")
+    f = [0] * comb(P.n, 2)
+    for c, term in _terms(w):
+        if not isinstance(term, CocycleLemmaX):
+            raise TypeError("a coboundary witness needs LemmaX terms, got %r"
+                            % (term,))
+        _check_lemmax(P, term)
+        f = [x + c * y for x, y in zip(f, term.f)]
+    lam = solve_in_lattice(bracket_matrix(P).transpose(), f)
+    if lam is None:
+        return None
+    zero = (0,) * P.n
+    poly = IntegerPolynomial.from_dict(
+        P.n, P.m, {(zero, tuple(int(k == l) for k in range(P.m))): -x
+                   for l, x in enumerate(lam)})
     value = _compile(P, w)
-    for attempt, (count, tbound) in enumerate(
-            ((3 * len(monos) + 16, 3), (5 * len(monos) + 32, 4))):
-        rng = random.Random("%s:train:%d" % (seed, attempt))
-        rows, rhs = [], []
-        for _ in range(count):
-            g = draw_element(P, tbound, rng)
-            h = draw_element(P, tbound, rng)
-            gh = multiply(P, g, h)
-            rows.append([_mono_val(mu, g) + _mono_val(mu, h) - _mono_val(mu, gh)
-                         for mu in monos])
-            rhs.append(value(g, h))
-        sol = solve_in_lattice(IntMatrix.from_rows(rows, cols=len(monos)), rhs)
-        if sol is None:
-            # a genuine witness would satisfy any sampled system
-            return None
-        poly = IntegerPolynomial.from_dict(
-            P.n, P.m, {mono: c for mono, c in zip(monos, sol)})
-        valid = True
-        for t in range(trials):
-            vr = random.Random("%s:val:%d" % (seed, t))
-            g = draw_element(P, 10, vr)
-            h = draw_element(P, 10, vr)
-            if (poly.evaluate(g) + poly.evaluate(h)
-                    - poly.evaluate(multiply(P, g, h))) != value(g, h):
-                valid = False
-                break
-        if valid:
-            return poly
-    return None
+    for t in range(trials):
+        vr = random.Random("%s:val:%d" % (seed, t))
+        g = draw_element(P, 10, vr)
+        h = draw_element(P, 10, vr)
+        if (poly.evaluate(g) + poly.evaluate(h)
+                - poly.evaluate(multiply(P, g, h))) != value(g, h):
+            raise ArithmeticError("witness fails validation at trial %d" % t)
+    return poly
 
 
 def cocycle_to_json(w):

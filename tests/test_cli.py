@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcoh import cli, families
+from nilcoh.cocycles import lemmax_generators
 from nilcoh.grouplaw import presentation_to_json
 
 
@@ -89,6 +90,23 @@ class TestReports:
         res = run_cli(["witness", "--input", chain_file, "--trials", "200"])
         assert res.returncode == 0
         assert "order-2 class: 2 * cocycle = coboundary of u =" in res.stdout
+
+    def test_witness_on_near_free_n6(self, tmp_path):
+        # the closed form needs one lattice solve per class; a search over
+        # polynomial ansatzes ran past 120 s on this group
+        P = families.random_presentation(6, 15, 5, 1)
+        path = tmp_path / "near-free-n6.json"
+        path.write_text(json.dumps(presentation_to_json(P)))
+        res = subprocess.run([sys.executable, "-m", "nilcoh", "witness",
+                              "--input", str(path)],
+                             capture_output=True, text=True, timeout=30)
+        assert res.returncode == 0, res.stderr
+        orders = [w.order for w in lemmax_generators(P) if w.order]
+        lines = res.stdout.splitlines()
+        assert orders and len(lines) == len(orders)
+        for d, line in zip(orders, lines):
+            assert line.startswith("order-%d class: %d * cocycle = coboundary "
+                                   "of u = " % (d, d))
 
 
 class TestPipelines:
@@ -215,10 +233,7 @@ class TestExitCodes:
         ["gen", "--family", "random", "--n", "2", "--m", "3"],
         ["gen", "--family", "paper-example", "--d", "0,2"],
         ["gen", "--family", "abelian", "--n", "-1"],
-        ["witness", "--max-weight", "-1"],
-        ["witness", "--max-weight", "0"],
-        ["witness", "--max-weight", "13"],
-        ["witness", "--max-weight", "100"],
+        ["witness", "--trials", "0"],
     ], ids=" ".join)
     def test_out_of_range_flag_is_exit_2(self, args):
         doc = json.dumps(presentation_to_json(families.heisenberg()))
@@ -228,15 +243,37 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
         assert sum("error:" in line for line in res.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("d, weight", [((3, 3, 6), 6), ((2, 2), 8)])
-    def test_oversized_witness_search_is_exit_2(self, d, weight):
-        # 1162 and 790 candidate monomials; both run for minutes
-        doc = json.dumps(presentation_to_json(families.divisor_chain_group(d)))
-        res = run_cli(["witness", "--max-weight", str(weight)], stdin_text=doc)
+    @pytest.mark.parametrize("args", [
+        ["h2", "--trials", "7", "--bound", "3"],
+        ["h2", "--trials", "7"],
+        ["h2", "--bound", "3"],
+        ["h2", "--max-weight", "5"],
+        ["witness", "--max-weight", "13"],
+        ["witness", "--bound", "3"],
+        ["cocycles", "--trials", "5"],
+        ["validate", "--coeff-rank", "2"],
+        ["verify", "--coeff-rank", "2"],
+        ["gen", "--family", "heisenberg", "--format", "json"],
+        ["gen", "--family", "heisenberg", "--input", "x.json"],
+        ["selftest", "--seed", "1"],
+    ], ids=" ".join)
+    def test_flag_of_another_command_is_exit_2(self, args):
+        doc = json.dumps(presentation_to_json(families.heisenberg()))
+        res = run_cli(args, stdin_text=doc)
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr.startswith("error: --max-weight %d gives " % weight)
-        assert len(res.stderr.splitlines()) == 1
+        assert "Traceback" not in res.stderr
+        assert sum("error:" in line for line in res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["validate", "h1", "h2",
+                                         "homology-rank", "cocycles", "verify",
+                                         "extend", "witness"])
+    def test_every_command_that_reads_input_takes_seed(self, command,
+                                                       chain_file):
+        res = run_cli([command, "--input", chain_file, "--seed", "3"]
+                      + (["--trials", "5"] if command in ("verify", "extend",
+                                                          "witness") else []))
+        assert res.returncode == 0, res.stderr
 
     @pytest.mark.parametrize("source", ["stdin", "file"])
     @pytest.mark.parametrize("doc", [

@@ -1,15 +1,16 @@
-"""Cocycle construction, evaluation, rendering, extensions, witness search."""
+"""Cocycle construction, evaluation, rendering, extensions, coboundary witnesses."""
 
 import random
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import exactlinalg, families
-from nilcoh.cohomology import h2, jacobi_s_matrix, ordered_pairs
+from nilcoh import cocycles, exactlinalg, families
+from nilcoh.cohomology import bracket_matrix, h2, jacobi_s_matrix, ordered_pairs
 from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix, rank,
-                                smith_normal_form)
+                                smith_normal_form, solve_in_lattice)
 from nilcoh.grouplaw import (GroupElement, GroupPresentation, identity,
                              multiply, random_element)
 from nilcoh.passi import PassiElement
@@ -29,8 +30,8 @@ from nilcoh.cocycles import (
     lemmay_basis,
     render,
     verify_cocycle,
-    _monomial_count,
-    _weighted_monomials,
+    _compile,
+    _mono_val,
 )
 
 HEIS = families.heisenberg()
@@ -46,8 +47,26 @@ CORPUS = [
 ]
 
 
+def prime_factors(d):
+    out, p = [], 2
+    while p * p <= d:
+        if d % p == 0:
+            out.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    return out + [d] if d > 1 else out
+
+
+CORPUS_IDS = ["heisenberg", "abelian3", "dheis3", "chain2-4", "chain3-3-6"]
+
+
 def all_cocycles(P):
     return lemmax_generators(P) + lemmay_basis(P)
+
+
+def torsion_generators(P):
+    return [w for w in lemmax_generators(P) if w.order]
 
 
 def eval_rendered(P, text, g, h):
@@ -111,6 +130,18 @@ class TestLemmaXGenerators:
         assert orders.count(0) == 5
         assert orders.count(2) == 1
         assert len(gens) == 6
+
+    @pytest.mark.parametrize("P", CORPUS + [
+        families.random_presentation(n, comb(n, 2), 5, 1) for n in range(3, 7)],
+        ids=CORPUS_IDS + ["near-free-n%d" % n for n in range(3, 7)])
+    def test_torsion_orders_are_exact(self, P):
+        # order d: d*f is in im(C^T), and (d/p)*f is not for each prime p | d
+        CT = bracket_matrix(P).transpose()
+        for w in torsion_generators(P):
+            d = w.order
+            assert solve_in_lattice(CT, [d * x for x in w.f]) is not None
+            for p in prime_factors(d):
+                assert solve_in_lattice(CT, [d // p * x for x in w.f]) is None
 
 
 class TestLemmaYBasis:
@@ -326,22 +357,78 @@ class TestExtensions:
             build_extension(CHAIN, [bad], spot_trials=0)
 
 
+def _weighted_monomials(n, m, max_weight):
+    # exponent weight: 1 per a_i power, 2 per b_l power; constant excluded
+    out = []
+
+    def rec(idx, remaining, acc):
+        if idx == n + m:
+            if any(acc):
+                out.append((tuple(acc[:n]), tuple(acc[n:])))
+            return
+        step = 1 if idx < n else 2
+        e = 0
+        while e * step <= remaining:
+            rec(idx + 1, remaining - e * step, acc + [e])
+            e += 1
+
+    rec(0, max_weight, [])
+    return out
+
+
+def sampled_witness(P, w, max_weight, trials=1000, seed=0):
+    """The sampled ansatz search: an oracle independent of the closed form.
+
+    Every integer-coefficient monomial in (a, b) of weighted degree
+    <= max_weight (a_i weighs 1, b_l weighs 2) is a candidate column. The
+    linear system over sampled pairs is solved in the integer lattice, and
+    the candidate is validated on ``trials`` fresh pairs. Returns the
+    polynomial or None; unlike the closed form, None is not a proof.
+    """
+    monos = _weighted_monomials(P.n, P.m, max_weight)
+    value = _compile(P, w)
+    for attempt, (count, tbound) in enumerate(
+            ((3 * len(monos) + 16, 3), (5 * len(monos) + 32, 4))):
+        rng = random.Random("%s:train:%d" % (seed, attempt))
+        rows, rhs = [], []
+        for _ in range(count):
+            g = random_element(P, tbound, rng)
+            h = random_element(P, tbound, rng)
+            gh = multiply(P, g, h)
+            rows.append([_mono_val(mu, g) + _mono_val(mu, h) - _mono_val(mu, gh)
+                         for mu in monos])
+            rhs.append(value(g, h))
+        sol = solve_in_lattice(IntMatrix.from_rows(rows, cols=len(monos)), rhs)
+        if sol is None:
+            return None
+        poly = IntegerPolynomial.from_dict(P.n, P.m, dict(zip(monos, sol)))
+        for t in range(trials):
+            vr = random.Random("%s:val:%d" % (seed, t))
+            g = random_element(P, 10, vr)
+            h = random_element(P, 10, vr)
+            if (poly.evaluate(g) + poly.evaluate(h)
+                    - poly.evaluate(multiply(P, g, h))) != value(g, h):
+                break
+        else:
+            return poly
+    return None
+
+
 class TestCoboundaryWitness:
     def test_zero_cocycle(self):
-        wit = coboundary_witness(HEIS, 0 * E11, max_weight=2, trials=50, seed=0)
+        wit = coboundary_witness(HEIS, 0 * E11, trials=50, seed=0)
         assert wit is not None and wit.is_zero()
 
     def test_zero_scaled_lemmax_on_abelian(self):
         P = families.abelian(2)
         w = 0 * CocycleLemmaX(f=(1,))
-        wit = coboundary_witness(P, w, max_weight=2, trials=50, seed=0)
+        wit = coboundary_witness(P, w, trials=50, seed=0)
         assert wit is not None and wit.is_zero()
 
-    def test_doubled_torsion_class_has_weight3_witness(self):
+    def test_doubled_torsion_class_has_a_witness_linear_in_b(self):
         torsion = [w for w in lemmax_generators(CHAIN) if w.order == 2]
         assert len(torsion) == 1
-        wit = coboundary_witness(CHAIN, 2 * torsion[0], max_weight=3,
-                                 trials=1000, seed=0)
+        wit = coboundary_witness(CHAIN, 2 * torsion[0], trials=1000, seed=0)
         assert wit is not None
         # independent re-validation on fresh samples
         rng = random.Random(99)
@@ -351,21 +438,40 @@ class TestCoboundaryWitness:
             delta = (wit.evaluate(g) + wit.evaluate(h)
                      - wit.evaluate(multiply(CHAIN, g, h)))
             assert delta == evaluate(CHAIN, 2 * torsion[0], g, h)
-        # every monomial respects the weight budget
+        # the closed form u = -lambda . b
         for (ea, eb), _ in wit.terms:
-            assert sum(ea) + 2 * sum(eb) <= 3
+            assert not any(ea) and sum(eb) == 1
+
+    @pytest.mark.parametrize("P", CORPUS, ids=CORPUS_IDS)
+    def test_sampled_oracle_finds_the_same_witness(self, P):
+        for w in torsion_generators(P):
+            exact = coboundary_witness(P, w.order * w)
+            oracle = sampled_witness(P, w.order * w, max_weight=3)
+            assert exact is not None and oracle is not None
+            assert oracle.render() == exact.render()
+
+    def test_combination_of_lemmax_terms(self):
+        # the f vectors of the terms add up
+        w = torsion_generators(CHAIN)[0]
+        free = lemmax_generators(CHAIN)[0]
+        assert free.order == 0
+        combo = w + free + w - free
+        assert (coboundary_witness(CHAIN, combo).render()
+                == coboundary_witness(CHAIN, 2 * w).render())
+        assert coboundary_witness(CHAIN, w + free - free) is None
 
     def test_nontrivial_class_has_no_witness(self):
+        # None from the closed form is a proof; the search agrees
         torsion = [w for w in lemmax_generators(CHAIN) if w.order == 2]
-        wit = coboundary_witness(CHAIN, torsion[0], max_weight=3,
-                                 trials=200, seed=0)
-        assert wit is None
+        assert coboundary_witness(CHAIN, torsion[0], trials=200, seed=0) is None
+        assert sampled_witness(CHAIN, torsion[0], max_weight=3,
+                               trials=200) is None
 
     def test_torsion_witness_stays_off_the_smith_route(self, monkeypatch):
-        # the sampled system (286 x 90, rank 84, 6 zero columns) has one
-        # solution on its nonzero columns, read modulo a prime and checked
+        # C^T of chain(3,3,6) is one nonzero column: the solve is read
+        # modulo a prime and checked, with no Smith elimination
         P = families.divisor_chain_group((3, 3, 6))
-        torsion = [w for w in lemmax_generators(P) if w.order]
+        torsion = torsion_generators(P)
         assert [w.order for w in torsion] == [3]
         inner = exactlinalg._smith
 
@@ -375,24 +481,35 @@ class TestCoboundaryWitness:
             return inner(A, rows, track_v)
 
         monkeypatch.setattr(exactlinalg, "_smith", refuse_companions)
-        wit = coboundary_witness(P, 3 * torsion[0], 3, 1000, 0)
+        wit = coboundary_witness(P, 3 * torsion[0], 1000, 0)
         assert wit is not None and wit.render() == "-b1"
 
+    def test_wrong_primitive_raises(self, monkeypatch):
+        # a u that fails validation is never returned
+        def off_by_one(A, b):
+            x = solve_in_lattice(A, b)
+            return (x[0] + 1,) + x[1:]
+
+        monkeypatch.setattr(cocycles, "solve_in_lattice", off_by_one)
+        w = torsion_generators(CHAIN)[0]
+        with pytest.raises(ArithmeticError, match="fails validation"):
+            coboundary_witness(CHAIN, 2 * w)
+
     def test_no_validation_trials_is_rejected(self):
-        # a candidate from the sampled system must not come back unvalidated
+        # a primitive must not come back unvalidated
         with pytest.raises(ValueError, match="trials >= 1"):
-            coboundary_witness(HEIS, 0 * E11, max_weight=2, trials=0, seed=0)
+            coboundary_witness(HEIS, 0 * E11, trials=0, seed=0)
 
-    @pytest.mark.parametrize("max_weight", [0, -1])
-    def test_empty_ansatz_is_rejected(self, max_weight):
-        with pytest.raises(ValueError, match="max_weight >= 1"):
-            coboundary_witness(HEIS, 0 * E11, max_weight=max_weight,
-                               trials=50, seed=0)
+    @pytest.mark.parametrize("w", [E11, CocycleLemmaX(f=(1,)) + E11,
+                                   "not a cocycle"],
+                             ids=["lemmay", "sum-with-lemmay", "string"])
+    def test_non_lemmax_term_is_rejected(self, w):
+        with pytest.raises(TypeError, match="LemmaX"):
+            coboundary_witness(HEIS, w)
 
-    def test_monomial_count_matches_the_ansatz(self):
-        for n, m, weight in product(range(5), range(4), range(9)):
-            assert (_monomial_count(n, m, weight)
-                    == len(_weighted_monomials(n, m, weight))), (n, m, weight)
+    def test_dimension_mismatch_is_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            coboundary_witness(HEIS, CocycleLemmaX(f=(1, 0)))
 
 
 class TestCountConsistency:

@@ -296,6 +296,7 @@ def _int_at_least(least, most=None):
 
 
 def _build_parser():
+    """The top-level parser and a map from each command to its subparser."""
     parser = argparse.ArgumentParser(
         prog="nilcoh",
         description="Exact H^1/H^2 and explicit 2-cocycles for torsion-free "
@@ -331,11 +332,17 @@ def _build_parser():
     gen.add_argument("--n", type=_int_at_least(0))
     gen.add_argument("--m", type=_int_at_least(0))
     gen.add_argument("--d", type=_chain, metavar="d1,d2,...")
-    return parser
+    return parser, commands
 
 
 def main(argv=None):
-    return run(_build_parser().parse_args(argv))
+    parser, commands = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # the command's own usage lists the flags it does take
+        commands[args.command].error("unrecognized arguments: %s"
+                                     % " ".join(extra))
+    return run(args)
 
 
 if __name__ == "__main__":

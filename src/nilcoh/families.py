@@ -38,17 +38,17 @@ def discrete_heisenberg(d):
     return divisor_chain_group((d,))
 
 
-def random_presentation(n, m, bound, seed, attempts=100):
+def random_presentation(n, m, bound, seed):
     """Random brackets in [-bound, bound], redrawn until rank(c) = m.
 
     Deterministic in seed. Raises ValueError when no valid draw shows up
-    within ``attempts`` tries (for instance when m > C(n,2), where no
-    draw can succeed).
+    within 100 tries (for instance when m > C(n,2), where no draw can
+    succeed).
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rng = random.Random(seed)
-    for _ in range(attempts):
+    for _ in range(100):
         bracket = {}
         for i in range(n):
             for j in range(i + 1, n):
@@ -57,5 +57,5 @@ def random_presentation(n, m, bound, seed, attempts=100):
         P = GroupPresentation(n=n, m=m, bracket=bracket)
         if validate(P).ok:
             return P
-    raise ValueError("no valid presentation with n=%d, m=%d found in %d attempts"
-                     % (n, m, attempts))
+    raise ValueError("no valid presentation with n=%d, m=%d found in 100 attempts"
+                     % (n, m))

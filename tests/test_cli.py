@@ -264,6 +264,8 @@ class TestExitCodes:
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
         assert sum("error:" in line for line in res.stderr.splitlines()) == 1
+        # the command's own usage, which lists the flags it does take
+        assert res.stderr.startswith("usage: nilcoh %s [-h]" % args[0])
 
     @pytest.mark.parametrize("command", ["validate", "h1", "h2",
                                          "homology-rank", "cocycles", "verify",

@@ -20,7 +20,7 @@ from nilcoh.cocycles import (
     CocycleLemmaY,
     CocycleSum,
     ExtElement,
-    IntegerPolynomial,
+    Primitive,
     build_extension,
     coboundary_witness,
     cocycle_from_json,
@@ -31,7 +31,6 @@ from nilcoh.cocycles import (
     render,
     verify_cocycle,
     _compile,
-    _mono_val,
 )
 
 HEIS = families.heisenberg()
@@ -86,6 +85,8 @@ def reference_value(P, w, g, h):
     """The LemmaX/LemmaY formulas of the cocycles module docstring, term by term.
 
     Independent of the polynomial table that evaluate() and render() share.
+    The docstring's sum over j < i, j < k appears here as two sums, split
+    at i < k and k <= i.
     """
     if isinstance(w, CocycleSum):
         return sum(c * reference_value(P, p, g, h) for c, p in w.terms)
@@ -351,11 +352,6 @@ class TestExtensions:
         with pytest.raises(ValueError, match="spot verification"):
             build_extension(CHAIN, [bad])
 
-    def test_no_spot_trials_is_rejected(self):
-        bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
-        with pytest.raises(ValueError, match="spot_trials >= 1"):
-            build_extension(CHAIN, [bad], spot_trials=0)
-
 
 def _weighted_monomials(n, m, max_weight):
     # exponent weight: 1 per a_i power, 2 per b_l power; constant excluded
@@ -376,6 +372,15 @@ def _weighted_monomials(n, m, max_weight):
     return out
 
 
+def _mono_value(mono, g):
+    """Value at g of the monomial with exponent vectors mono = (ea, eb)."""
+    ea, eb = mono
+    val = 1
+    for x, e in zip(g.a + g.b, ea + eb):
+        val *= x ** e
+    return val
+
+
 def sampled_witness(P, w, max_weight, trials=1000, seed=0):
     """The sampled ansatz search: an oracle independent of the closed form.
 
@@ -383,7 +388,8 @@ def sampled_witness(P, w, max_weight, trials=1000, seed=0):
     <= max_weight (a_i weighs 1, b_l weighs 2) is a candidate column. The
     linear system over sampled pairs is solved in the integer lattice, and
     the candidate is validated on ``trials`` fresh pairs. Returns the
-    polynomial or None; unlike the closed form, None is not a proof.
+    nonzero coefficients as {monomial: coeff}, or None; unlike the closed
+    form, None is not a proof.
     """
     monos = _weighted_monomials(P.n, P.m, max_weight)
     value = _compile(P, w)
@@ -395,19 +401,22 @@ def sampled_witness(P, w, max_weight, trials=1000, seed=0):
             g = random_element(P, tbound, rng)
             h = random_element(P, tbound, rng)
             gh = multiply(P, g, h)
-            rows.append([_mono_val(mu, g) + _mono_val(mu, h) - _mono_val(mu, gh)
-                         for mu in monos])
+            rows.append([_mono_value(mu, g) + _mono_value(mu, h)
+                         - _mono_value(mu, gh) for mu in monos])
             rhs.append(value(g, h))
         sol = solve_in_lattice(IntMatrix.from_rows(rows, cols=len(monos)), rhs)
         if sol is None:
             return None
-        poly = IntegerPolynomial.from_dict(P.n, P.m, dict(zip(monos, sol)))
+        poly = {mu: c for mu, c in zip(monos, sol) if c}
+
+        def u(g):
+            return sum(c * _mono_value(mu, g) for mu, c in poly.items())
+
         for t in range(trials):
             vr = random.Random("%s:val:%d" % (seed, t))
             g = random_element(P, 10, vr)
             h = random_element(P, 10, vr)
-            if (poly.evaluate(g) + poly.evaluate(h)
-                    - poly.evaluate(multiply(P, g, h))) != value(g, h):
+            if u(g) + u(h) - u(multiply(P, g, h)) != value(g, h):
                 break
         else:
             return poly
@@ -438,9 +447,10 @@ class TestCoboundaryWitness:
             delta = (wit.evaluate(g) + wit.evaluate(h)
                      - wit.evaluate(multiply(CHAIN, g, h)))
             assert delta == evaluate(CHAIN, 2 * torsion[0], g, h)
-        # the closed form u = -lambda . b
-        for (ea, eb), _ in wit.terms:
-            assert not any(ea) and sum(eb) == 1
+        # the closed form u = -lambda . b with C^T lambda = 2f
+        lam = [-c for c in wit.coeffs]
+        assert (bracket_matrix(CHAIN).transpose().mul_vec(lam)
+                == tuple(2 * x for x in torsion[0].f))
 
     @pytest.mark.parametrize("P", CORPUS, ids=CORPUS_IDS)
     def test_sampled_oracle_finds_the_same_witness(self, P):
@@ -448,7 +458,18 @@ class TestCoboundaryWitness:
             exact = coboundary_witness(P, w.order * w)
             oracle = sampled_witness(P, w.order * w, max_weight=3)
             assert exact is not None and oracle is not None
-            assert oracle.render() == exact.render()
+            zero = (0,) * P.n
+            assert oracle == {
+                (zero, tuple(int(k == l) for k in range(P.m))): c
+                for l, c in enumerate(exact.coeffs) if c}
+
+    def test_render_puts_the_highest_b_first(self):
+        P = families.random_presentation(3, 3, 3, 2)
+        (w,) = torsion_generators(P)
+        assert w.order == 60
+        u = coboundary_witness(P, 60 * w)
+        assert u.render() == "-15*b3 - 3*b2 + 8*b1"
+        assert Primitive(()).render() == "0"
 
     def test_combination_of_lemmax_terms(self):
         # the f vectors of the terms add up
@@ -586,7 +607,7 @@ INTEGER_SLOTS = {
     "CocycleLemmaX.order": lambda x: CocycleLemmaX(f=(1,), order=x),
     "CocycleLemmaY.phi": lambda x: CocycleLemmaY(phi=((x,),)),
     "CocycleSum.coefficient": lambda x: CocycleSum(((x, E11),)),
-    "IntegerPolynomial.from_dict": lambda x: IntegerPolynomial.from_dict(0, 0, {(): x}),
+    "Primitive.coeffs": lambda x: Primitive((x,)),
     "divisor_chain_group": lambda x: families.divisor_chain_group((x,)),
 }
 

@@ -30,3 +30,7 @@ def test_demo_runs_cleanly(path):
         # both H^2 routes agree at r = 1, 2, 3 and on 20 random groups
         assert sum(line.endswith("equal: True") for line in lines) == 3
         assert lines[-1].endswith("20/20")
+    if path.name == "03_coboundary_witness.py":
+        # the closed-form primitive of 2w, checked on 500 fresh pairs
+        assert "witness for 2w:  u = -b1" in lines
+        assert "delta(u) == 2w on fresh pairs: 500/500" in lines

@@ -9,7 +9,7 @@ import pytest
 import nilcoh
 from nilcoh import families
 from nilcoh.cocycles import (CocycleLemmaX, CocycleLemmaY, CocycleSum,
-                             ExtElement, ExtensionGroup, IntegerPolynomial,
+                             ExtElement, ExtensionGroup, Primitive,
                              VerificationReport)
 from nilcoh.cohomology import H2Report, h2
 from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix,
@@ -44,8 +44,7 @@ SAMPLES = {
         ok=True, trials=3, message="fine", counterexample=()),
     "ExtElement": lambda: ExtElement(g=GroupElement((1, 0), (0,)), t=(7,)),
     "ExtensionGroup": lambda: ExtensionGroup(base=HEIS, fibers=(E11,)),
-    "IntegerPolynomial": lambda: IntegerPolynomial(
-        n=1, m=0, terms=((((2,), ()), 3),)),
+    "Primitive": lambda: Primitive(coeffs=(3, 0, -2)),
     "PassiElement": lambda: PassiElement(lin_x=(1,), quad=(2,), lin_y=()),
 }
 

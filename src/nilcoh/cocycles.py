@@ -409,6 +409,25 @@ class ExtensionGroup(_Value):
         t = tuple(rng.randint(-bound, bound) for _ in range(self.fiber_rank))
         return ExtElement._trusted(g, t)
 
+    def first_law_failure(self, trials, bound, rng):
+        """The first (law, trial) at which the group laws fail, or None.
+
+        Each trial draws x, y, z from ``rng`` with coordinates in
+        [-bound, bound], then checks (x y) z = x (y z) ("associativity")
+        and x x^-1 = x^-1 x = e ("inverse law").
+        """
+        for t in range(trials):
+            x = self.random_element(bound, rng)
+            y = self.random_element(bound, rng)
+            z = self.random_element(bound, rng)
+            if self.multiply(self.multiply(x, y), z) != \
+                    self.multiply(x, self.multiply(y, z)):
+                return "associativity", t
+            xi, e = self.inverse(x), self.identity()
+            if self.multiply(x, xi) != e or self.multiply(xi, x) != e:
+                return "inverse law", t
+        return None
+
 
 def build_extension(P, fibers):
     """Extension group from verified cocycle fibers.

@@ -11,8 +11,8 @@ the Jacobi elements
 
     x_i (x) c(x_j ^ x_k) - x_j (x) c(x_i ^ x_k) + x_k (x) c(x_i ^ x_j).
 
-As an independent cross-check, the same group is the degree-2 cohomology
-of the dual of the finite complex
+As a cross-check, the same group is the degree-2 cohomology of the dual
+of the finite complex
 
     wedge^3 L_1 --A--> (L_1 (x) L_2) (+) wedge^2 L_1 --B--> L_1 (+) L_2,
 
@@ -20,7 +20,9 @@ with A the Jacobi map into the tensor block and B the commutator map out
 of the wedge block. That route builds the two dual maps d^1 = B^T and
 d^2 = A^T row by row, and ``subquotient_invariants`` checks
 d^2 d^1 = (B A)^T = 0 on every call. Both routes are computed exactly and
-compared.
+compared, but they are not independent: both read ``bracket_matrix`` and
+``_jacobi_transpose``, so a fault in either builder reaches both alike
+and the routes still agree.
 
 The coefficients are trivial, so H^2(G, Z^r) = H^2(G, Z)^r. Both routes
 apply r by that one rule: they compute at r = 1 and repeat the group r
@@ -88,7 +90,7 @@ def jacobi_s_matrix(P):
 
 
 class H2Report(_Value):
-    """H^2 with its summands, plus the independent complex-path value.
+    """H^2 with its summands, plus the complex-path value.
 
     hom_part_rank is the rank of Hom((L_1 (x) L_2)/S, Z^r) and ker_c_rank
     is C(n,2) - rank(c); both feed the equivalent free-rank form

@@ -9,30 +9,22 @@ integer entries grow:
 
 - invariants only: ``quotient_invariants`` (the closed form of
   ``cohomology.h2``, and the torsion in ``subquotient_invariants``, so in
-  the complex route of ``h2``), and ``rank`` when neither modular
-  certificate below answers;
+  the complex route of ``h2``), and ``rank`` when the modular
+  certificate below does not answer;
 - V only: ``kernel_basis`` (``cocycles.lemmay_basis``);
 - V plus the right-hand side in place of U: ``_solve_many`` and
-  ``solve_in_lattice`` (``cocycles.coboundary_witness``), when the
-  modular step below cannot answer;
+  ``solve_in_lattice`` (``cocycles.coboundary_witness``);
 - U^-1 only: ``cokernel_generators`` (``cocycles.lemmax_generators``);
 - U and V: ``smith_normal_form`` (the SNF acceptance criterion).
 
 All arithmetic uses Python's arbitrary-precision integers; there are no
-floats. There are two modular steps, and each answers only with a
-certificate; otherwise the Smith route runs.
-
-- ``rank`` (behind ``grouplaw.validate``, the Jacobi rank in
-  ``cohomology.h2`` and the free rank in ``subquotient_invariants``)
-  drops zero rows and columns and computes the rank over GF(2), then
-  modulo the prime 2^61 - 1. The rank modulo a prime is at most the rank
-  over Q, which is at most the smaller live dimension, so a modular rank
-  that reaches that dimension is exact.
-- ``_solve_many`` reads the solution modulo 2^61 - 1 when the nonzero
-  columns of A are independent modulo that prime, so the solution is
-  unique. It returns X after checking A @ X == B exactly over the
-  integers, or None when A X = B is already inconsistent modulo the
-  prime.
+floats. The one modular step is the rank certificate. ``rank`` (behind
+``grouplaw.validate``, the Jacobi rank in ``cohomology.h2`` and the free
+rank in ``subquotient_invariants``) drops zero rows and columns and
+computes the rank over GF(2), then modulo the prime 2^61 - 1. The rank
+modulo a prime is at most the rank over Q, which is at most the smaller
+live dimension, so a modular rank that reaches that dimension is exact;
+otherwise the Smith elimination decides.
 
 Matrices with zero rows or columns are legal everywhere and denote zero
 maps, which the higher-level modules rely on for degenerate groups.
@@ -400,11 +392,8 @@ def smith_normal_form(A):
     )
 
 
-# The prime of the modular steps in this module (the rank certificate and
-# ``_solve_mod_p``); the lift to the symmetric range recovers integer
-# entries below 2^60 in size.
+# The prime of the rank certificate, the only modular step in this module
 _PRIME = (1 << 61) - 1
-_UNDECIDED = object()
 
 
 def _rank_gf2(vectors):
@@ -429,13 +418,13 @@ def _rank_gf2(vectors):
 
 
 def _pivots_mod_p(rows, width):
-    """Echelon form modulo _PRIME of the first ``width`` entries of ``rows``.
+    """Echelon form modulo _PRIME of ``rows``, integer vectors of length ``width``.
 
-    Feeds rows in order, reducing each against the pivots found so far,
-    until there are ``width`` pivots or the rows run out. Returns the
-    pivots as (lead, row) with the row scaled to 1 at its lead, zero
-    before it and zero at every earlier lead; entries past ``width``
-    (a right-hand side) ride along.
+    The rank certificate of ``rank`` reads the number of pivots. Feeds
+    rows in order, reducing each against the pivots found so far, until
+    there are ``width`` pivots or the rows run out. Returns the pivots as
+    (lead, row) with the row scaled to 1 at its lead, zero before it and
+    zero at every earlier lead.
     """
     p = _PRIME
     pivots = []
@@ -575,78 +564,17 @@ def quotient_invariants(ambient_rank, gens):
                                   tuple(x for x in invariants if x > 1))
 
 
-def _solve_mod_p(A, B):
-    """The unique solution of A @ X = B modulo _PRIME, kept only if it is exact.
-
-    Eliminates the nonzero columns of A, with B alongside, modulo _PRIME,
-    feeding rows in order until every nonzero column has a pivot. Then
-    the solution is unique modulo _PRIME, so each outcome is a certificate:
-
-    - the lift to the symmetric range, zero on the zero columns, satisfies
-      A @ X == B exactly: X is the unique integer solution on the nonzero
-      columns, and it is what the Smith route returns, since no column
-      operation there touches a zero column;
-    - A @ X != B modulo _PRIME: the system is inconsistent modulo _PRIME,
-      so no integer solution exists and the answer is None.
-
-    Anything else (a nonzero column without a pivot modulo _PRIME, a
-    non-integral rational solution, entries beyond _PRIME / 2) returns
-    _UNDECIDED.
-    """
-    p = _PRIME
-    a, b = A.to_rows(), B.to_rows()
-    live = [j for j in range(A.cols) if any(row[j] for row in a)]
-    width, k = len(live), B.cols
-    # (position in live, reduced row: live entries, then rhs)
-    pivots = _pivots_mod_p(([arow[j] for j in live] + brow
-                            for arow, brow in zip(a, b)), width)
-    if len(pivots) < width:
-        return _UNDECIDED
-    # each pivot row is zero at the pivots found before it: back-substitute,
-    # skipping the unknowns already known to be zero
-    y, support = [None] * width, []
-    for lead, row in reversed(pivots):
-        acc = row[width:]
-        for c in support:
-            f = row[c]
-            if f:
-                acc = [u - f * v for u, v in zip(acc, y[c])]
-        y[lead] = [u % p for u in acc]
-        if any(y[lead]):
-            support.append(lead)
-    half = p // 2
-    x = [[0] * k for _ in range(A.cols)]
-    for c in support:
-        x[live[c]] = [e - p if e > half else e for e in y[c]]
-    # A @ X against B, row by row over the nonzero rows of X
-    exact = True
-    for arow, brow in zip(a, b):
-        r = [0] * k
-        for c in support:
-            f = arow[live[c]]
-            if f:
-                r = [u + f * v for u, v in zip(r, x[live[c]])]
-        if r != brow:
-            if any((u - v) % p for u, v in zip(r, brow)):
-                return None
-            exact = False
-    return IntMatrix.from_rows(x, cols=k) if exact else _UNDECIDED
-
-
 def _solve_many(A, B):
     """Integer solutions X of A @ X = B, or None if some column has none.
 
-    First tries ``_solve_mod_p``, which answers when the nonzero columns of
-    A are independent modulo _PRIME and its answer carries a certificate:
-    an exact check A @ X == B, or an inconsistency modulo _PRIME. Every
-    other system goes through the Smith route, which carries V and B.
+    One Smith elimination of A carries V and, in place of U, the rows of
+    B, so C = U @ B. Then A X = B iff D (V^-1 X) = C: each entry of C
+    above the rank must be divisible by its invariant factor, and each
+    entry below it must be zero; the quotients mapped through V give X.
     """
     if A.rows != B.rows:
         raise ValueError("dimension mismatch: %d equations, rhs has %d rows"
                          % (A.rows, B.rows))
-    X = _solve_mod_p(A, B)
-    if X is not _UNDECIDED:
-        return X
     C = B.to_rows()
     invariants, _, v = _smith(A, C, track_v=True)
     r = len(invariants)

@@ -298,6 +298,14 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    def test_out_of_memory_is_exit_2(self):
+        # as h2 on {"n": 120, "m": 0} runs out building the complex route
+        doc = json.dumps(presentation_to_json(families.heisenberg())).encode()
+        with mock.patch.object(cli, "h2", side_effect=MemoryError):
+            code, out, err = run_in_process(["h2"], doc)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
 
 def run_in_process(args, stdin=b""):
     """cli.main on bytes for stdin; returns (exit code, stdout, stderr).

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import cocycles, exactlinalg, families
+from nilcoh import cocycles, families
 from nilcoh.cohomology import bracket_matrix, h2, jacobi_s_matrix, ordered_pairs
 from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix, rank,
                                 smith_normal_form, solve_in_lattice)
@@ -20,6 +20,7 @@ from nilcoh.cocycles import (
     CocycleLemmaY,
     CocycleSum,
     ExtElement,
+    ExtensionGroup,
     Primitive,
     build_extension,
     coboundary_witness,
@@ -352,6 +353,19 @@ class TestExtensions:
         with pytest.raises(ValueError, match="spot verification"):
             build_extension(CHAIN, [bad])
 
+    def test_non_cocycle_fiber_fails_associativity(self):
+        # built directly, past the spot verification of build_extension
+        bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
+        ext = ExtensionGroup(CHAIN, (bad,))
+        law, trial = ext.first_law_failure(1000, 10, random.Random(0))
+        assert law == "associativity"
+        rng = random.Random(0)
+        for k in range(trial + 1):
+            x, y, z = (ext.random_element(10, rng) for _ in range(3))
+            broken = ext.multiply(ext.multiply(x, y), z) != \
+                ext.multiply(x, ext.multiply(y, z))
+            assert broken == (k == trial)
+
 
 def _weighted_monomials(n, m, max_weight):
     # exponent weight: 1 per a_i power, 2 per b_l power; constant excluded
@@ -488,20 +502,11 @@ class TestCoboundaryWitness:
         assert sampled_witness(CHAIN, torsion[0], max_weight=3,
                                trials=200) is None
 
-    def test_torsion_witness_stays_off_the_smith_route(self, monkeypatch):
-        # C^T of chain(3,3,6) is one nonzero column: the solve is read
-        # modulo a prime and checked, with no Smith elimination
+    def test_order_three_witness_on_chain_336(self):
+        # C^T of chain(3,3,6) is a single column, so lambda is unique
         P = families.divisor_chain_group((3, 3, 6))
         torsion = torsion_generators(P)
         assert [w.order for w in torsion] == [3]
-        inner = exactlinalg._smith
-
-        def refuse_companions(A, rows=None, track_v=False):
-            if rows is not None:
-                raise AssertionError("the witness solve ran Smith elimination")
-            return inner(A, rows, track_v)
-
-        monkeypatch.setattr(exactlinalg, "_smith", refuse_companions)
         wit = coboundary_witness(P, 3 * torsion[0], 1000, 0)
         assert wit is not None and wit.render() == "-b1"
 

@@ -29,8 +29,11 @@ print("d_1 = 1 chain has torsion-free H^2:", h2(P, 1).total.torsion == ())
 
 # --- one group, both routes, several coefficient ranks -------------------
 # The closed form assembles Coker(c*) and a Hom-module; the cross-check
-# computes cohomology of a three-term complex. The two routes share only
-# the coefficient-rank rule H^2(G, Z^r) = H^2(G, Z)^r.
+# computes the Chevalley-Eilenberg complex of the Lie ring, one weight at
+# a time. The two routes share validate, the exact linear algebra
+# (quotient_invariants, which the complex route reaches through
+# subquotient_invariants, rank and _smith) and the coefficient-rank rule
+# H^2(G, Z^r) = H^2(G, Z)^r.
 print()
 P = families.divisor_chain_group((2, 4))
 for r in (1, 2, 3):

@@ -203,23 +203,6 @@ class IntMatrix(_Value):
         return tuple(sum(self.entries[i * self.cols + k] * vec[k]
                          for k in range(self.cols)) for i in range(self.rows))
 
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("dimension mismatch: vstack %d and %d columns"
-                             % (self.cols, other.cols))
-        return IntMatrix(self.rows + other.rows, self.cols,
-                         self.entries + other.entries)
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("dimension mismatch: hstack %d and %d rows"
-                             % (self.rows, other.rows))
-        out = []
-        for i in range(self.rows):
-            out.extend(self.row(i))
-            out.extend(other.row(i))
-        return IntMatrix(self.rows, self.cols + other.cols, tuple(out))
-
 
 class SmithDecomposition(_Value):
     """U @ A @ V == D with U, V unimodular and D the invariant-factor diagonal.

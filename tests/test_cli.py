@@ -299,7 +299,7 @@ class TestExitCodes:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_out_of_memory_is_exit_2(self):
-        # as h2 on {"n": 120, "m": 0} runs out building the complex route
+        # as h2 on an input too large for memory would
         doc = json.dumps(presentation_to_json(families.heisenberg())).encode()
         with mock.patch.object(cli, "h2", side_effect=MemoryError):
             code, out, err = run_in_process(["h2"], doc)

@@ -153,12 +153,19 @@ def kron_identity(M, r):
 
 
 def complex_maps(P):
-    """The boundary maps A, B of the complex that h2_via_complex dualises."""
+    """The boundary maps A, B of the finite complex
+
+        wedge^3 L_1 --A--> (L_1 (x) L_2) (+) wedge^2 L_1 --B--> L_1 (+) L_2,
+
+    A the Jacobi map into the tensor block and B the commutator map out of
+    the wedge block; H^2(G, Z) is the degree-2 cohomology of its dual.
+    """
     n, m, npairs = P.n, P.m, comb(P.n, 2)
-    S = jacobi_s_matrix(P)
-    A = S.vstack(IntMatrix.zeros(npairs, S.cols))
-    B = IntMatrix.zeros(n, n * m + npairs).vstack(
-        IntMatrix.zeros(m, n * m).hstack(bracket_matrix(P)))
+    S, C = jacobi_s_matrix(P), bracket_matrix(P)
+    A = IntMatrix.from_rows(S.to_rows() + [[0] * S.cols] * npairs, cols=S.cols)
+    B = IntMatrix.from_rows([[0] * (n * m + npairs)] * n
+                            + [[0] * (n * m) + row for row in C.to_rows()],
+                            cols=n * m + npairs)
     return A, B
 
 
@@ -237,21 +244,6 @@ class TestSubquotientOracle:
         f, g = A.transpose(), B.transpose()
         assert subquotient_invariants(f, g) == reference_subquotient(f, g)
 
-    @complex_corpus
-    def test_complex_route_reads_the_dual_maps(self, P, monkeypatch):
-        # h2_via_complex builds d^2 = A^T and d^1 = B^T itself; they must
-        # be exactly the transposes of the oracle's block matrices
-        calls = []
-
-        def record(out_map, in_map):
-            calls.append((out_map, in_map))
-            return subquotient_invariants(out_map, in_map)
-
-        monkeypatch.setattr(cohomology, "subquotient_invariants", record)
-        h2_via_complex(P, 1)
-        A, B = complex_maps(P)
-        assert calls == [(A.transpose(), B.transpose())]
-
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 4), st.integers(0, 6), st.integers(0, 4),
            st.integers(0, 10**6))
@@ -268,6 +260,64 @@ class TestSubquotientOracle:
             cols=width)
         g = K @ M
         assert subquotient_invariants(f, g) == reference_subquotient(f, g)
+
+
+def jacobi_without_third_term(P):
+    """_jacobi_transpose with the x_k (x) c(x_i ^ x_j) term dropped (a mutant)."""
+    n, m = P.n, P.m
+    rows = []
+    for (i, j, k) in ordered_triples(n):
+        row = [0] * (n * m)
+        for t, p, q, sign in ((i, j, k, 1), (j, i, k, -1)):
+            for l, x in enumerate(P.bracket_vector(p, q)):
+                row[tensor_index(n, m, t, l)] += sign * x
+        rows.append(row)
+    return IntMatrix.from_rows(rows, cols=n * m)
+
+
+CHAINS = [families.divisor_chain_group(c) for c in ((2, 4), (3, 3, 6), (1, 2, 4, 8))]
+
+
+class TestIndependentRoutes:
+    """A fault in a closed-form builder cannot reach the complex route."""
+
+    def test_jacobi_mutant_breaks_agreement(self, monkeypatch):
+        monkeypatch.setattr(cohomology, "_jacobi_transpose", jacobi_without_third_term)
+        assert not all(h2(P, 1).agree for P in CHAINS)
+
+    def test_doubled_bracket_matrix_breaks_agreement(self, monkeypatch):
+        real = cohomology.bracket_matrix
+
+        def doubled(P):
+            C = real(P)
+            return IntMatrix(C.rows, C.cols, [2 * x for x in C.entries])
+
+        monkeypatch.setattr(cohomology, "bracket_matrix", doubled)
+        assert not all(h2(P, 1).agree for P in CHAINS)
+
+    @complex_corpus
+    def test_complex_route_reads_no_closed_form_builder(self, P, monkeypatch):
+        expected = h2(P, 1).total
+
+        def refuse(*args):
+            raise AssertionError("the complex route read a closed-form builder")
+
+        monkeypatch.setattr(cohomology, "bracket_matrix", refuse)
+        monkeypatch.setattr(cohomology, "_jacobi_transpose", refuse)
+        assert h2_via_complex(P, 1) == expected
+
+    def test_abelian_builds_no_zero_block(self, monkeypatch):
+        # m = 0: every weight block is empty, where a padded d^2 would be a
+        # C(50,3) x C(50,2) zero matrix
+        shapes = []
+
+        def record(out_map, in_map):
+            shapes.extend([(out_map.rows, out_map.cols), (in_map.rows, in_map.cols)])
+            return subquotient_invariants(out_map, in_map)
+
+        monkeypatch.setattr(cohomology, "subquotient_invariants", record)
+        assert h2_via_complex(families.abelian(50), 1) == Z(1225)
+        assert shapes and all(rows * cols == 0 for rows, cols in shapes)
 
 
 class TestSecondHomologyRank:
@@ -352,5 +402,7 @@ class TestOneEliminationOfC:
         for r in (1, 2):
             del smith_calls[:]
             cohomology.h2(P, r)
-            # the closed form on C, the complex route on d^1
-            assert smith_calls == [(m, npairs), (n * m + npairs, n + m)]
+            # the closed form on C, the complex route on its weight-2 d^1;
+            # no 1-form has weight 3 or 4, so those d^1 have no columns
+            assert smith_calls == [(m, npairs), (npairs, m), (n * m, 0),
+                                   (comb(m, 2), 0)]

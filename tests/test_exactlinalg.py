@@ -263,7 +263,7 @@ class TestTransformTracking:
         rows[rng.randrange(40)][1] += 1
         B = IntMatrix.from_rows(rows, cols=3)
         # the nudged column leaves the rational column space of A
-        assert fraction_rank(A.hstack(IntMatrix.from_cols([B.col(1)])).to_rows()) \
+        assert fraction_rank([row + [b] for row, b in zip(A.to_rows(), B.col(1))]) \
             == fraction_rank(A.to_rows()) + 1
         assert reference_solve(A, B) is None
         assert _solve_many(A, B) is None
@@ -455,15 +455,15 @@ class TestQuotientInvariants:
     @given(matrices, st.lists(st.integers(-3, 3), min_size=1, max_size=6))
     def test_column_operation_invariance(self, a, coeffs):
         if a.cols == 0:
-            extra = IntMatrix.zeros(a.rows, 1)
+            col = (0,) * a.rows
         else:
             weights = (coeffs * a.cols)[: a.cols]
             col = tuple(
                 sum(w * a.entry(i, j) for j, w in enumerate(weights))
                 for i in range(a.rows)
             )
-            extra = IntMatrix.column_vector(col) if a.rows else IntMatrix.zeros(0, 1)
-        enlarged = a.hstack(extra)
+        enlarged = IntMatrix.from_rows(
+            [row + [c] for row, c in zip(a.to_rows(), col)], cols=a.cols + 1)
         assert quotient_invariants(a.rows, a) == quotient_invariants(a.rows, enlarged)
 
 

@@ -39,18 +39,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 from math import comb
 from operator import index
 
 from .exactlinalg import (_Value, _set, cokernel_generators, kernel_basis,
                           solve_in_lattice)
-from .grouplaw import (_check_element, _is_int, draw_element, identity,
-                       inverse, multiply)
-from .cohomology import _jacobi_transpose, bracket_matrix, ordered_pairs, require_valid
-
-
-class CocycleFormatError(ValueError):
-    """A cocycle document does not match the expected schema."""
+from .grouplaw import _check_element, draw_element, identity, inverse, multiply
+from .cohomology import _jacobi_transpose, bracket_matrix, require_valid
 
 
 class Cocycle:
@@ -197,10 +193,8 @@ def _poly_add(poly, coeff, factors):
 
 def _lemmax_poly(P, w, poly, scale):
     _check_lemmax(P, w)
-    for idx, (i, j) in enumerate(ordered_pairs(P.n)):
-        if w.f[idx]:
-            _poly_add(poly, -scale * w.f[idx],
-                      (("a", 0, j, 0), ("a", 1, i, 0)))
+    for (i, j), f in zip(combinations(range(P.n), 2), w.f):
+        _poly_add(poly, -scale * f, (("a", 0, j, 0), ("a", 1, i, 0)))
 
 
 def _lemmay_poly(P, w, poly, scale):
@@ -515,37 +509,3 @@ def cocycle_to_json(w):
                 "data": [{"coeff": c, "cocycle": cocycle_to_json(p)}
                          for c, p in w.terms]}
     raise TypeError("not a cocycle: %r" % (w,))
-
-
-def _int_list(x):
-    return isinstance(x, list) and all(_is_int(v) for v in x)
-
-
-def cocycle_from_json(data):
-    if not isinstance(data, dict) or "kind" not in data:
-        raise CocycleFormatError("cocycle must be an object with a 'kind' field")
-    kind = data["kind"]
-    if kind == "lemmax":
-        if not _int_list(data.get("data")):
-            raise CocycleFormatError("lemmax field 'data' must be a list of integers")
-        if not _is_int(data.get("order", 0)):
-            raise CocycleFormatError("lemmax field 'order' must be an integer")
-        return CocycleLemmaX(f=tuple(data["data"]), order=data.get("order", 0))
-    if kind == "lemmay":
-        rows = data.get("data")
-        if not isinstance(rows, list) or not all(_int_list(row) for row in rows):
-            raise CocycleFormatError("lemmay field 'data' must be a list of rows "
-                                     "of integers")
-        return CocycleLemmaY(phi=tuple(tuple(row) for row in rows))
-    if kind == "sum":
-        if not isinstance(data.get("data"), list):
-            raise CocycleFormatError("sum field 'data' must be a list of terms")
-        terms = []
-        for item in data["data"]:
-            if not isinstance(item, dict) or "coeff" not in item or "cocycle" not in item:
-                raise CocycleFormatError("sum terms need 'coeff' and 'cocycle' fields")
-            if not _is_int(item["coeff"]):
-                raise CocycleFormatError("sum term field 'coeff' must be an integer")
-            terms.append((item["coeff"], cocycle_from_json(item["cocycle"])))
-        return CocycleSum(tuple(terms))
-    raise CocycleFormatError("unknown cocycle kind %r" % (kind,))

@@ -27,7 +27,8 @@ times.
 
 Basis orderings are fixed here once and shared by every matrix and every
 cocycle coordinate in the package: pairs (i < j) and triples (i < j < k)
-lexicographic, tensor basis x_t (x) y_l row-major in (t, l).
+in ``itertools.combinations`` order, which is lexicographic; tensor basis
+x_t (x) y_l row-major in (t, l).
 """
 
 from __future__ import annotations
@@ -39,21 +40,6 @@ from .exactlinalg import (AbelianGroupInvariants, IntMatrix, _Value, _set,
                           rank, subquotient_invariants, quotient_invariants)
 from .grouplaw import (GroupElement, InvalidPresentationError, bracket_matrix,
                        commutator, validate)
-
-
-def ordered_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def pair_index(n, i, j):
-    if not (0 <= i < j < n):
-        raise IndexError("pair (%d, %d) out of range" % (i, j))
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
-
-
-def ordered_triples(n):
-    return [(i, j, k) for i in range(n)
-            for j in range(i + 1, n) for k in range(j + 1, n)]
 
 
 def tensor_index(n, m, t, l):
@@ -71,8 +57,11 @@ def require_valid(P):
 def _jacobi_transpose(P):
     """S^T: per triple, one row holding its Jacobi element in the tensor basis."""
     n, m = P.n, P.m
+    if not n * m:
+        # L_1 (x) L_2 = 0: every row is empty
+        return IntMatrix(comb(n, 3), 0)
     rows = []
-    for (i, j, k) in ordered_triples(n):
+    for (i, j, k) in combinations(range(n), 3):
         row = [0] * (n * m)
         for t, p, q, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
             vec = P.bracket.get((p, q), (0,) * m)
@@ -81,11 +70,6 @@ def _jacobi_transpose(P):
                     row[tensor_index(n, m, t, l)] += sign * vec[l]
         rows.append(row)
     return IntMatrix.from_rows(rows, cols=n * m)
-
-
-def jacobi_s_matrix(P):
-    """The (n m) x C(n,3) matrix whose columns span S inside L_1 (x) L_2."""
-    return _jacobi_transpose(P).transpose()
 
 
 class H2Report(_Value):
@@ -135,9 +119,10 @@ def h2(P, r=1):
     Every summand and the complex-route cross-check are computed at r = 1;
     the report holds each group repeated r times. One elimination of C
     gives both C-summands: C has rank m on a valid presentation, and C^T
-    has the invariant factors of C.
+    has the invariant factors of C. The complex route runs first and
+    validates P for both routes.
     """
-    require_valid(P)
+    crosscheck = h2_via_complex(P, 1)
     if r < 0:
         raise ValueError("coefficient rank must be nonnegative")
     C = bracket_matrix(P)
@@ -146,8 +131,6 @@ def h2(P, r=1):
     coker_cstar = AbelianGroupInvariants(ker_c_rank, ext_part.torsion)
     hom_part_rank = P.n * P.m - rank(_jacobi_transpose(P))
     total = AbelianGroupInvariants(ker_c_rank + hom_part_rank, ext_part.torsion)
-
-    crosscheck = h2_via_complex(P, 1)
     return H2Report(total=total.repeat(r), coker_cstar=coker_cstar.repeat(r),
                     hom_part_rank=r * hom_part_rank, ker_c_rank=ker_c_rank,
                     ext_part=ext_part.repeat(r), crosscheck=crosscheck.repeat(r),
@@ -192,9 +175,11 @@ def h2_via_complex(P, r=1):
                         entries[i * len(basis) + j] += (-1) ** (p + q) * t * x
         return IntMatrix(len(rows), len(basis), entries)
 
-    h = [subquotient_invariants(d(2, w), d(1, w)) for w in (2, 3, 4)]
-    # only weight 2 has 1-forms, so only it carries torsion
-    return AbelianGroupInvariants(sum(g.free_rank for g in h), h[0].torsion).repeat(r)
+    # a weight with no 2-forms adds 0; only weight 2 has 1-forms, so only
+    # it carries torsion
+    h = [subquotient_invariants(d(2, w), d(1, w)) for w in (2, 3, 4) if forms(2, w)]
+    return AbelianGroupInvariants(sum(g.free_rank for g in h),
+                                  sum((g.torsion for g in h), ())).repeat(r)
 
 
 def second_homology_rank(P):

@@ -140,10 +140,6 @@ class IntMatrix(_Value):
                    tuple(cols[j][i] for i in range(height) for j in range(len(cols))))
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
 
@@ -436,13 +432,13 @@ def rank(A):
     modulo _PRIME, equals ``full``, it is the rank over Q. Only when both
     fall short does the Smith elimination decide.
     """
+    if not any(A.entries):
+        return 0
     rows = [row for row in A.to_rows() if any(row)]
     cols = [col for col in zip(*rows) if any(col)]
     # vectors of length full, as many as the larger dimension
     vectors = cols if len(cols) > len(rows) else list(zip(*cols))
     full = min(len(rows), len(cols))
-    if full == 0:
-        return 0
     if _rank_gf2(vectors) == full or len(_pivots_mod_p(vectors, full)) == full:
         return full
     return len(_smith(IntMatrix.from_rows(vectors, cols=full))[0])
@@ -502,15 +498,8 @@ class AbelianGroupInvariants(_Value):
         _set(self, "torsion", tor)
 
     @classmethod
-    def trivial(cls):
-        return cls(0, ())
-
-    @classmethod
     def free(cls, k):
         return cls(k, ())
-
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
 
     def repeat(self, r):
         """Direct sum of r copies (coefficient modules Z^r act one copy at a time)."""
@@ -522,10 +511,6 @@ class AbelianGroupInvariants(_Value):
 
     def to_json(self):
         return {"free": self.free_rank, "torsion": list(self.torsion)}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["free"], tuple(data["torsion"]))
 
     def __str__(self):
         parts = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 from operator import index
 from types import MappingProxyType
 
@@ -86,11 +87,8 @@ def bracket_matrix(P):
 
     The column at pair (i, j) is bracket(i, j).
     """
-    cols = []
-    for i in range(P.n):
-        for j in range(i + 1, P.n):
-            cols.append(P.bracket.get((i, j), (0,) * P.m))
-    return IntMatrix.from_cols(cols, rows=P.m)
+    return IntMatrix.from_cols([P.bracket.get(pair, (0,) * P.m)
+                                for pair in combinations(range(P.n), 2)], rows=P.m)
 
 
 def validate(P):

@@ -17,12 +17,8 @@ from .exactlinalg import _Value, _set
 from .grouplaw import _collect
 
 
-def quad_pairs(n):
-    """Basis order for the quadratic block: (i, j) with i <= j, lexicographic."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 def quad_index(n, i, j):
+    """Position of (i, j), i <= j, in the lexicographic order of the quadratic block."""
     if not (0 <= i <= j < n):
         raise IndexError("quadratic index (%d, %d) out of range" % (i, j))
     return i * n - i * (i - 1) // 2 + (j - i)
@@ -59,11 +55,6 @@ class PassiElement(_Value):
 
     def is_zero(self):
         return not (any(self.lin_x) or any(self.quad) or any(self.lin_y))
-
-
-def zero(P):
-    k = P.n * (P.n + 1) // 2
-    return PassiElement((0,) * P.n, (0,) * k, (0,) * P.m)
 
 
 def p2(P, g):

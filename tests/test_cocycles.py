@@ -1,21 +1,20 @@
 """Cocycle construction, evaluation, rendering, extensions, coboundary witnesses."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcoh import cocycles, families
-from nilcoh.cohomology import bracket_matrix, h2, jacobi_s_matrix, ordered_pairs
+from nilcoh.cohomology import _jacobi_transpose, bracket_matrix, h2
 from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix, rank,
                                 smith_normal_form, solve_in_lattice)
 from nilcoh.grouplaw import (GroupElement, GroupPresentation, identity,
                              multiply, random_element)
 from nilcoh.passi import PassiElement
 from nilcoh.cocycles import (
-    CocycleFormatError,
     CocycleLemmaX,
     CocycleLemmaY,
     CocycleSum,
@@ -24,7 +23,6 @@ from nilcoh.cocycles import (
     Primitive,
     build_extension,
     coboundary_witness,
-    cocycle_from_json,
     cocycle_to_json,
     evaluate,
     lemmax_generators,
@@ -94,7 +92,7 @@ def reference_value(P, w, g, h):
     a, b, ap = g.a, g.b, h.a
     if isinstance(w, CocycleLemmaX):
         return -sum(a[j] * ap[i] * f
-                    for (i, j), f in zip(ordered_pairs(P.n), w.f))
+                    for (i, j), f in zip(combinations(range(P.n), 2), w.f))
 
     def C2(x):
         return x * (x - 1) // 2
@@ -158,14 +156,14 @@ class TestLemmaYBasis:
     def test_divisor_chain_is_torsion_only(self):
         P = CHAIN
         assert lemmay_basis(P) == []
-        assert P.n * P.m - rank(jacobi_s_matrix(P)) == 0
+        assert P.n * P.m - rank(_jacobi_transpose(P)) == 0
 
     def test_abelian_has_none(self):
         assert lemmay_basis(families.abelian(4)) == []
 
     def test_annihilates_jacobi_columns(self):
         for P in CORPUS:
-            S = jacobi_s_matrix(P)
+            S = _jacobi_transpose(P).transpose()
             for w in lemmay_basis(P):
                 flat = tuple(x for row in w.phi for x in row)
                 for c in range(S.cols):
@@ -226,7 +224,7 @@ class TestEvaluate:
         P = (CORPUS + [families.random_presentation(4, 3, 3, seed=7)])[pidx]
         rng = random.Random(seed)
         ws = all_cocycles(P) + [
-            CocycleLemmaX(f=[rng.randint(-5, 5) for _ in ordered_pairs(P.n)]),
+            CocycleLemmaX(f=[rng.randint(-5, 5) for _ in range(comb(P.n, 2))]),
             CocycleLemmaY(phi=[[rng.randint(-5, 5) for _ in range(P.m)]
                                for _ in range(P.n)])]
         w = sum((rng.randint(-3, 3) * v for v in ws), CocycleSum(()))
@@ -395,13 +393,45 @@ def _mono_value(mono, g):
     return val
 
 
+def _solve_mod_p(rows, rhs):
+    """One integer solution x of rows @ x = rhs, or None.
+
+    Gauss-Jordan elimination modulo the prime 2^61 - 1, every free unknown
+    set to 0, lifted to the symmetric range. The lift is accepted only if
+    it solves every row over Z; otherwise the lattice solve decides.
+    """
+    p, width = (1 << 61) - 1, len(rows[0])
+    pivots = []  # (lead, row of [rows | rhs]): 1 at its lead, 0 at every other lead
+    for vec, y in zip(rows, rhs):
+        row = [e % p for e in vec] + [y % p]
+        for c, prow in pivots:
+            f = row[c]
+            if f:
+                row = [(e - f * g) % p for e, g in zip(row, prow)]
+        lead = next((c for c, e in enumerate(row) if e), None)
+        if lead == width:
+            break  # no solution modulo p
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            row = [e * inv % p for e in row]
+            pivots = [(c, [(e - prow[lead] * g) % p for e, g in zip(prow, row)])
+                      for c, prow in pivots] + [(lead, row)]
+    else:
+        x = [0] * width
+        for c, prow in pivots:
+            x[c] = prow[width] - p if prow[width] > p // 2 else prow[width]
+        if all(sum(a * v for a, v in zip(vec, x)) == y for vec, y in zip(rows, rhs)):
+            return tuple(x)
+    return solve_in_lattice(IntMatrix.from_rows(rows, cols=width), rhs)
+
+
 def sampled_witness(P, w, max_weight, trials=1000, seed=0):
     """The sampled ansatz search: an oracle independent of the closed form.
 
     Every integer-coefficient monomial in (a, b) of weighted degree
     <= max_weight (a_i weighs 1, b_l weighs 2) is a candidate column. The
-    linear system over sampled pairs is solved in the integer lattice, and
-    the candidate is validated on ``trials`` fresh pairs. Returns the
+    linear system over sampled pairs is solved over Z by ``_solve_mod_p``,
+    and the candidate is validated on ``trials`` fresh pairs. Returns the
     nonzero coefficients as {monomial: coeff}, or None; unlike the closed
     form, None is not a proof.
     """
@@ -418,7 +448,7 @@ def sampled_witness(P, w, max_weight, trials=1000, seed=0):
             rows.append([_mono_value(mu, g) + _mono_value(mu, h)
                          - _mono_value(mu, gh) for mu in monos])
             rhs.append(value(g, h))
-        sol = solve_in_lattice(IntMatrix.from_rows(rows, cols=len(monos)), rhs)
+        sol = _solve_mod_p(rows, rhs)
         if sol is None:
             return None
         poly = {mu: c for mu, c in zip(monos, sol) if c}
@@ -553,40 +583,20 @@ class TestCountConsistency:
 
 
 class TestCocycleJson:
-    def test_lemmax_round_trip(self):
+    """The documents ``cocycles --format json`` writes, one per kind."""
+
+    def test_lemmax_document(self):
         w = CocycleLemmaX(f=(1, -2, 0), order=4)
-        assert cocycle_from_json(cocycle_to_json(w)) == w
+        assert cocycle_to_json(w) == {"kind": "lemmax", "data": [1, -2, 0], "order": 4}
 
-    def test_lemmay_round_trip(self):
-        assert cocycle_from_json(cocycle_to_json(E11)) == E11
+    def test_lemmay_document(self):
+        assert cocycle_to_json(E11) == {"kind": "lemmay", "data": [[1], [0]]}
 
-    def test_sum_round_trip(self):
+    def test_sum_document(self):
         w = 3 * E11 - 2 * CocycleLemmaX(f=(5,))
-        assert cocycle_from_json(cocycle_to_json(w)) == w
-
-    def test_unknown_kind(self):
-        with pytest.raises(CocycleFormatError, match="kind"):
-            cocycle_from_json({"kind": "mystery", "data": []})
-
-    def test_missing_kind(self):
-        with pytest.raises(CocycleFormatError):
-            cocycle_from_json({"data": [1]})
-
-    @pytest.mark.parametrize("doc", [
-        {"kind": "lemmax", "data": [True, "3"], "order": "2"},
-        {"kind": "lemmax", "data": [1], "order": True},
-        {"kind": "lemmay", "data": [[1], ["0"]]},
-        {"kind": "lemmay", "data": [1, 0]},
-        {"kind": "sum", "data": [{"coeff": "2", "cocycle":
-                                  {"kind": "lemmax", "data": [1]}}]},
-    ])
-    def test_non_integer_entries(self, doc):
-        with pytest.raises(CocycleFormatError):
-            cocycle_from_json(doc)
-
-    def test_bad_sum_term(self):
-        with pytest.raises(CocycleFormatError, match="'coeff'"):
-            cocycle_from_json({"kind": "sum", "data": [{"cocycle": {}}]})
+        assert cocycle_to_json(w) == {"kind": "sum", "data": [
+            {"coeff": 3, "cocycle": {"kind": "lemmay", "data": [[1], [0]]}},
+            {"coeff": -2, "cocycle": {"kind": "lemmax", "data": [5], "order": 0}}]}
 
 
 # Each builder puts x into one integer slot of a value type. A torsion

@@ -110,12 +110,12 @@ class TestSmithNormalForm:
         assert s.invariants == (1, 1, 1)
 
     def test_zero_matrix(self):
-        s = smith_normal_form(IntMatrix.zeros(2, 3))
+        s = smith_normal_form(IntMatrix(2, 3, (0,) * 6))
         assert s.invariants == ()
         assert s.rank == 0
 
     def test_empty_matrix(self):
-        s = smith_normal_form(IntMatrix.zeros(0, 4))
+        s = smith_normal_form(IntMatrix(0, 4))
         assert s.invariants == ()
         assert s.U.rows == 0 and s.V.cols == 4
 
@@ -422,7 +422,8 @@ class TestRankCertificates:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0), (3, 4)])
     def test_zero_and_empty_shapes_need_no_elimination(
             self, rank_branches, shape):
-        assert rank(IntMatrix.zeros(*shape)) == 0
+        rows, cols = shape
+        assert rank(IntMatrix(rows, cols, (0,) * (rows * cols))) == 0
         assert rank_branches == []
 
     @pytest.mark.parametrize("n", range(6, 12))
@@ -440,7 +441,7 @@ class TestQuotientInvariants:
 
     def test_full_quotient(self):
         q = quotient_invariants(1, IntMatrix.from_rows([[1]]))
-        assert q.is_trivial()
+        assert q == AbelianGroupInvariants(0)
 
     def test_two_columns(self):
         gens = IntMatrix.from_cols([(1, 1, 0), (0, 2, 0)], rows=3)
@@ -469,7 +470,7 @@ class TestQuotientInvariants:
 
 class TestSubquotientInvariants:
     def test_zero_out_map_reduces_to_quotient(self):
-        out = IntMatrix.zeros(1, 2)
+        out = IntMatrix(1, 2, (0, 0))
         inn = IntMatrix.column_vector((2, 0))
         assert subquotient_invariants(out, inn) == AbelianGroupInvariants(1, (2,))
 
@@ -480,8 +481,8 @@ class TestSubquotientInvariants:
         assert q == AbelianGroupInvariants(free_rank=0, torsion=(2,))
 
     def test_zero_kernel(self):
-        q = subquotient_invariants(IntMatrix.identity(2), IntMatrix.zeros(2, 0))
-        assert q.is_trivial()
+        q = subquotient_invariants(IntMatrix.identity(2), IntMatrix(2, 0))
+        assert q == AbelianGroupInvariants(0)
 
     def test_rejects_non_complex(self):
         with pytest.raises(ValueError, match="not a complex"):
@@ -490,7 +491,7 @@ class TestSubquotientInvariants:
     @settings(deadline=None, max_examples=100)
     @given(matrices)
     def test_zero_out_map_agrees_with_quotient(self, a):
-        out = IntMatrix.zeros(0, a.rows)
+        out = IntMatrix(0, a.rows)
         assert subquotient_invariants(out, a) == quotient_invariants(a.rows, a)
 
 
@@ -558,15 +559,14 @@ class TestAbelianGroupInvariants:
     def test_repeat(self):
         a = AbelianGroupInvariants(2, (4,))
         assert a.repeat(2) == AbelianGroupInvariants(4, (4, 4))
-        assert a.repeat(0).is_trivial()
+        assert a.repeat(0) == AbelianGroupInvariants(0)
 
     def test_str_forms(self):
-        assert str(AbelianGroupInvariants.trivial()) == "0"
+        assert str(AbelianGroupInvariants(0)) == "0"
         assert str(AbelianGroupInvariants.free(1)) == "Z"
         assert str(AbelianGroupInvariants(5, (2,))) == "Z^5 (+) Z_2"
         assert str(AbelianGroupInvariants(0, (2, 4))) == "Z_2 (+) Z_4"
 
-    def test_json_round_trip(self):
+    def test_json_document(self):
         a = AbelianGroupInvariants(3, (2, 6))
-        assert AbelianGroupInvariants.from_json(a.to_json()) == a
         assert a.to_json() == {"free": 3, "torsion": [2, 6]}

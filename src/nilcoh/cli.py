@@ -118,11 +118,11 @@ def _cmd_cocycles(args):
 
 def _cmd_verify(args):
     from .cocycles import (cocycle_to_json, lemmax_generators, lemmay_basis,
-                           verify_cocycle)
+                           verify_cocycles)
     P = _read_presentation(args)
     ws = lemmax_generators(P) + lemmay_basis(P)
-    results = [verify_cocycle(P, w, trials=args.trials, bound=args.bound,
-                              seed=args.seed) for w in ws]
+    results = verify_cocycles(P, ws, trials=args.trials, bound=args.bound,
+                              seed=args.seed)
     ok = all(r.ok for r in results)
     if args.format == "json":
         text = dump_json({"group": presentation_to_json(P),

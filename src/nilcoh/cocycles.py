@@ -23,10 +23,13 @@ the two summands of H^2:
 
 Integer linear combinations (``CocycleSum``) are cocycles again. Each of
 the three shapes is expanded into one polynomial table, monomials in
-(a, b, a', b') with integer coefficients; evaluation, rendering,
-verification, extension building and the validation of coboundary
-witnesses all read that table, and no other copy of the formulas above
-exists.
+(a, b, a', b') with integer coefficients, and no other copy of the
+formulas above exists. ``render`` prints that table. Everything else
+evaluates a family table: the sorted union of the monomials of a list of
+cocycles, with one coefficient row per cocycle. A point costs one vector
+of monomial values, and each cocycle's value there is a dot product, so
+verification checks all cocycles on the same draws, and an extension
+multiplies all its fibers at once.
 
 A LemmaX class has a closed-form primitive: when C^T lambda = f, the
 coboundary of u(g) = -lambda . b is w_f, because the group law subtracts
@@ -41,7 +44,7 @@ import random
 from collections import Counter
 from itertools import combinations
 from math import comb
-from operator import index
+from operator import index, mul
 
 from .exactlinalg import (_Value, _set, cokernel_generators, kernel_basis,
                           solve_in_lattice)
@@ -153,12 +156,6 @@ def lemmay_basis(P):
     return out
 
 
-def _phi_bracket(P, phi, t, p, q):
-    # phi(x_t (x) c(x_p ^ x_q)), antisymmetric in (p, q)
-    vec = P.bracket_vector(p, q)
-    return sum(vec[l] * phi[t][l] for l in range(P.m) if vec[l])
-
-
 def _check_lemmax(P, w):
     if len(w.f) != comb(P.n, 2):
         raise ValueError("dimension mismatch: f has %d coordinates, expected %d"
@@ -197,26 +194,27 @@ def _lemmax_poly(P, w, poly, scale):
         _poly_add(poly, -scale * f, (("a", 0, j, 0), ("a", 1, i, 0)))
 
 
-def _lemmay_poly(P, w, poly, scale):
+def _lemmay_poly(P, brackets, w, poly, scale):
     _check_lemmay(P, w)
     n, m = P.n, P.m
     phi = w.phi
+    # phi(x_t (x) c(x_p ^ x_q)) is _dot(brackets[p, q], phi[t]), for p > q
     for j in range(n):
         for i in range(j + 1, n):
-            k1 = _phi_bracket(P, phi, i, i, j)
+            k1 = _dot(brackets[i, j], phi[i])
             _poly_add(poly, -scale * k1, (("a", 0, i, 1), ("a", 1, j, 0)))
-            k2 = _phi_bracket(P, phi, j, i, j)
+            k2 = _dot(brackets[i, j], phi[j])
             _poly_add(poly, -scale * k2, (("a", 0, i, 0), ("a", 1, j, 1)))
     for k in range(n):
         for i in range(k + 1, n):
             for j in range(i + 1, n):
-                wgt = _phi_bracket(P, phi, j, i, k)
+                wgt = _dot(brackets[i, k], phi[j])
                 _poly_add(poly, -scale * wgt,
                           (("a", 0, i, 0), ("a", 0, j, 0), ("a", 1, k, 0)))
     for j in range(n):
         for k in range(j + 1, n):
             for i in range(j + 1, n):
-                wgt = _phi_bracket(P, phi, k, i, j)
+                wgt = _dot(brackets[i, j], phi[k])
                 _poly_add(poly, -scale * wgt,
                           (("a", 0, i, 0), ("a", 1, j, 0), ("a", 1, k, 0)))
     for i in range(n):
@@ -225,54 +223,67 @@ def _lemmay_poly(P, w, poly, scale):
                       (("a", 1, i, 0), ("b", 0, l, 0)))
 
 
-def _cocycle_poly(P, w, poly, scale=1):
+def _cocycle_poly(P, brackets, w, poly, scale):
     if isinstance(w, CocycleLemmaX):
         _lemmax_poly(P, w, poly, scale)
     elif isinstance(w, CocycleLemmaY):
-        _lemmay_poly(P, w, poly, scale)
+        _lemmay_poly(P, brackets, w, poly, scale)
     elif isinstance(w, CocycleSum):
         for c, p in w.terms:
-            _cocycle_poly(P, p, poly, scale * c)
+            _cocycle_poly(P, brackets, p, poly, scale * c)
     else:
         raise TypeError("not a cocycle: %r" % (w,))
 
 
-def _compile(P, w):
-    """The table of w as a function (g, h) -> w(g, h).
+def _polys(P, ws):
+    """The polynomial table of each cocycle in ws, one bracket read per pair."""
+    brackets = {(p, q): P.bracket_vector(p, q)
+                for q, p in combinations(range(P.n), 2)}
+    polys = [{} for _ in ws]
+    for w, poly in zip(ws, polys):
+        _cocycle_poly(P, brackets, w, poly, 1)
+    return polys
 
-    Each factor becomes a slot in the coordinate vector that the function
-    builds: a, b, a', b', then C(x,2) of each of those in the same order.
-    Compiling costs a few evaluations, so callers that evaluate one
-    cocycle many times compile it once.
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _family(P, ws):
+    """The tables of the cocycles ws as one table, (values, rows).
+
+    ``values(g, h)`` lists the values at (g, h) of the sorted union of the
+    cocycles' monomials, and w_k(g, h) = _dot(rows[k], values(g, h)). Each
+    factor is a slot in the coordinate vector that ``values`` builds once
+    per point: a, b, a', b', then C(x,2) of each, then the 1 at slot -1
+    that pads every monomial, of at most three factors, to three.
     """
-    poly = {}
-    _cocycle_poly(P, w, poly)
+    polys = _polys(P, ws)
+    monos = sorted(set().union(*polys))
     width = P.n + P.m
     start = {"a": 0, "b": P.n}
-    terms = [(coeff, tuple(start[letter] + primed * width + idx
-                           + binom * 2 * width
-                           for (letter, primed, idx, binom), power in mono
-                           for _ in range(power)))
-             for mono, coeff in poly.items()]
+    slots = []
+    for mono in monos:
+        s = tuple(start[letter] + primed * width + idx + binom * 2 * width
+                  for (letter, primed, idx, binom), power in mono
+                  for _ in range(power))
+        slots.append(s + (-1,) * (3 - len(s)))
+    rows = [[poly.get(mono, 0) for mono in monos] for poly in polys]
 
-    def value(g, h):
+    def values(g, h):
         x = g.a + g.b + h.a + h.b
-        x += tuple([v * (v - 1) // 2 for v in x])
-        total = 0
-        for coeff, slots in terms:
-            for s in slots:
-                coeff *= x[s]
-            total += coeff
-        return total
+        x += tuple([v * (v - 1) // 2 for v in x]) + (1,)
+        return [x[i] * x[j] * x[k] for i, j, k in slots]
 
-    return value
+    return values, rows
 
 
 def evaluate(P, w, g, h):
     """Value of the cocycle at (g, h). Assumes P already validated."""
     _check_element(P, g)
     _check_element(P, h)
-    return _compile(P, w)(g, h)
+    values, (row,) = _family(P, [w])
+    return _dot(row, values(g, h))
 
 
 def _join_terms(terms):
@@ -305,8 +316,7 @@ def render(P, w):
     integer points agrees with evaluate().
     """
     require_valid(P)
-    poly = {}
-    _cocycle_poly(P, w, poly)
+    (poly,) = _polys(P, [w])
     return _join_terms((poly[mono], "*".join(_factor_str(f, p) for f, p in mono))
                        for mono in sorted(poly))
 
@@ -322,37 +332,59 @@ class VerificationReport(_Value):
 
 
 def verify_cocycle(P, w, trials=1000, bound=10, seed=0):
-    """Sampled check of the 2-cocycle identity and normalization.
+    """Sampled check of the 2-cocycle identity and normalization of w.
 
-    Per-trial randomness is derived from (seed, trial index), so the
-    sequence is reproducible and independent of evaluation order. Passing
-    is evidence, not proof; failing returns the first counterexample.
+    The report ``verify_cocycles`` gives w, on the same draws.
+    """
+    return verify_cocycles(P, [w], trials, bound, seed)[0]
+
+
+def verify_cocycles(P, ws, trials=1000, bound=10, seed=0):
+    """One report per cocycle in ws, from one sampled check of them all.
+
+    Trial t draws g, h, k from a generator seeded by (seed, t) alone, so a
+    cocycle's report does not depend on the others in ws. Passing is
+    evidence, not proof; failing reports the first counterexample.
     """
     require_valid(P)
     if trials < 1 or bound < 1:
         raise ValueError("need trials >= 1 and bound >= 1")
-    value = _compile(P, w)
+    return _check_family(P, *_family(P, ws), trials, bound, seed)
+
+
+def _check_family(P, values, rows, trials, bound, seed):
+    """The reports of ``verify_cocycles`` for the rows of a family table.
+
+    The identity for every row is row . D = 0 with D the one vector
+    values(g,h) + values(gh,k) - values(h,k) - values(g,hk).
+    """
+    reports = [None] * len(rows)
+    live = range(len(rows))
     e = identity(P)
     for t in range(trials):
+        if not live:
+            break
         rng = random.Random("%s:%d" % (seed, t))
         g = draw_element(P, bound, rng)
         h = draw_element(P, bound, rng)
         k = draw_element(P, bound, rng)
-        lhs = value(g, h) + value(multiply(P, g, h), k)
-        rhs = value(h, k) + value(g, multiply(P, h, k))
-        if lhs != rhs:
-            return VerificationReport(
-                ok=False, trials=t + 1,
-                message="cocycle identity fails at trial %d: lhs %d != rhs %d"
-                        % (t, lhs, rhs),
-                counterexample=(g, h, k))
-        if value(g, e) or value(e, g):
-            return VerificationReport(
-                ok=False, trials=t + 1,
-                message="normalization fails at trial %d" % t,
-                counterexample=(g,))
-    return VerificationReport(ok=True, trials=trials,
-                              message="no violation in %d trials" % trials)
+        lhs = values(g, h), values(multiply(P, g, h), k)
+        rhs = values(h, k), values(g, multiply(P, h, k))
+        delta = [p + q - r - s for p, q, r, s in zip(*lhs, *rhs)]
+        ge, eg = values(g, e), values(e, g)
+        for i in live:
+            row = rows[i]
+            if _dot(row, delta):
+                msg = "cocycle identity fails at trial %d: lhs %d != rhs %d" % (
+                    t, sum(_dot(row, v) for v in lhs), sum(_dot(row, v) for v in rhs))
+                reports[i] = VerificationReport(False, t + 1, msg, (g, h, k))
+            elif _dot(row, ge) or _dot(row, eg):
+                reports[i] = VerificationReport(
+                    False, t + 1, "normalization fails at trial %d" % t, (g,))
+        live = [i for i in live if reports[i] is None]
+    passed = VerificationReport(ok=True, trials=trials,
+                                message="no violation in %d trials" % trials)
+    return [rep or passed for rep in reports]
 
 
 class ExtElement(_Value):
@@ -371,13 +403,15 @@ class ExtensionGroup(_Value):
         (g, t) (g', t') = (g g', t + t' + (w_1(g,g'), ..., w_r(g,g'))).
     """
 
-    __slots__ = ("base", "fibers", "_values")
+    __slots__ = ("base", "fibers", "_values", "_rows")
 
     def __init__(self, base, fibers):
         _set(self, "base", base)
         _set(self, "fibers", fibers)
-        # compiled fibers: a cache of the fields, outside equality and repr
-        _set(self, "_values", tuple(_compile(base, w) for w in fibers))
+        # the fibers' family table: a cache outside equality and repr
+        values, rows = _family(base, fibers)
+        _set(self, "_values", values)
+        _set(self, "_rows", rows)
 
     @property
     def fiber_rank(self):
@@ -388,19 +422,21 @@ class ExtensionGroup(_Value):
 
     def multiply(self, e1, e2):
         g = multiply(self.base, e1.g, e2.g)
-        t = tuple(x + y + value(e1.g, e2.g)
-                  for x, y, value in zip(e1.t, e2.t, self._values))
+        vals = self._values(e1.g, e2.g)
+        t = tuple(x + y + _dot(row, vals)
+                  for x, y, row in zip(e1.t, e2.t, self._rows))
         return ExtElement._trusted(g, t)
 
     def inverse(self, e):
         gi = inverse(self.base, e.g)
-        t = tuple(-x - value(e.g, gi) for x, value in zip(e.t, self._values))
+        vals = self._values(e.g, gi)
+        t = tuple(-x - _dot(row, vals) for x, row in zip(e.t, self._rows))
         return ExtElement._trusted(gi, t)
 
     def random_element(self, bound, seed):
         rng = seed if isinstance(seed, random.Random) else random.Random(seed)
         g = draw_element(self.base, bound, rng)
-        t = tuple(rng.randint(-bound, bound) for _ in range(self.fiber_rank))
+        t = tuple(rng.randrange(-bound, bound + 1) for _ in self.fibers)
         return ExtElement._trusted(g, t)
 
     def first_law_failure(self, trials, bound, rng):
@@ -426,19 +462,21 @@ class ExtensionGroup(_Value):
 def build_extension(P, fibers):
     """Extension group from verified cocycle fibers.
 
-    Each fiber is spot-verified first, on 32 sampled triples with
-    coordinates in [-5, 5]; a fiber that fails the cocycle identity raises
-    ValueError rather than producing a broken multiplication table. An
-    empty fiber list gives arithmetic identical to the base group.
+    All fibers are spot-verified first, together, on one sequence of 32
+    sampled triples with coordinates in [-5, 5]; a fiber that fails the
+    cocycle identity raises ValueError rather than producing a broken
+    multiplication table. An empty fiber list gives arithmetic identical
+    to the base group.
     """
     require_valid(P)
-    fibers = tuple(fibers)
-    for k, w in enumerate(fibers):
-        rep = verify_cocycle(P, w, trials=32, bound=5, seed="spot:%d:0" % k)
+    E = ExtensionGroup(base=P, fibers=tuple(fibers))
+    reports = _check_family(P, E._values, E._rows, trials=32, bound=5,
+                            seed="spot")
+    for k, rep in enumerate(reports):
         if not rep.ok:
             raise ValueError("fiber %d failed spot verification: %s"
                              % (k, rep.message))
-    return ExtensionGroup(base=P, fibers=fibers)
+    return E
 
 
 class Primitive(_Value):
@@ -488,13 +526,13 @@ def coboundary_witness(P, w, trials=1000, seed=0):
     if lam is None:
         return None
     u = Primitive(-x for x in lam)
-    value = _compile(P, w)
+    values, (row,) = _family(P, [w])
     for t in range(trials):
         vr = random.Random("%s:val:%d" % (seed, t))
         g = draw_element(P, 10, vr)
         h = draw_element(P, 10, vr)
         if (u.evaluate(g) + u.evaluate(h)
-                - u.evaluate(multiply(P, g, h))) != value(g, h):
+                - u.evaluate(multiply(P, g, h))) != _dot(row, values(g, h)):
             raise ArithmeticError("witness fails validation at trial %d" % t)
     return u
 

@@ -176,8 +176,8 @@ def random_element(P, bound, seed):
 
 
 def draw_element(P, bound, rng):
-    a = tuple(rng.randint(-bound, bound) for _ in range(P.n))
-    b = tuple(rng.randint(-bound, bound) for _ in range(P.m))
+    a = tuple(rng.randrange(-bound, bound + 1) for _ in range(P.n))
+    b = tuple(rng.randrange(-bound, bound + 1) for _ in range(P.m))
     return GroupElement._trusted(a, b)
 
 

@@ -2,6 +2,7 @@
 process through ``cli.main`` where hypothesis fuzzes documents and flags."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -14,9 +15,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import cli, families
+from nilcoh import cli, cocycles, families
 from nilcoh.cocycles import lemmax_generators
-from nilcoh.grouplaw import presentation_to_json
+from nilcoh.grouplaw import GroupPresentation, presentation_to_json
 
 
 def run_cli(args, stdin_text=None):
@@ -159,6 +160,52 @@ class TestJsonOutput:
         res = run_cli(["validate", "--input", heisenberg_file,
                        "--format", "json"])
         assert json.loads(res.stdout)["valid"] is True
+
+
+# SHA-256 of the stdout of COMMAND --format FORMAT --trials 40 --seed 1,
+# each with exit code 0
+PINNED_GROUPS = {"heisenberg": families.heisenberg(),
+                 "near-free-n3": families.random_presentation(3, 3, 3, 1003),
+                 "near-free-n4": families.random_presentation(4, 6, 3, 1004)}
+PINNED_REPORTS = [
+    ("heisenberg", "verify", "text", "1b17759db84588a6ae670592c21a941b1719dd9f0c70665f00a7c074bb506776"),
+    ("heisenberg", "verify", "json", "131d22390141637709e00f4c6183357fdaef8635f27f617d2c3c7b56174096b7"),
+    ("heisenberg", "extend", "text", "0eadca13affe31e666bfaca3cd7c64d3cf1201ee77ff805f0be20d0fcd2eab2f"),
+    ("heisenberg", "extend", "json", "9ca8ec8782bf1a96830adf1bec05888e92c1f5a8fc5ca624a312ecfd8fe48b52"),
+    ("near-free-n3", "verify", "text", "1984f654a87d9d9c4ec3b821c836a63e12729f8ee0525650e9bb0d07d1a5c173"),
+    ("near-free-n3", "verify", "json", "6909cea18dbf482200453fc40f9297a490a85e6c4f4964b55d7ec63541d025f1"),
+    ("near-free-n3", "extend", "text", "a605d912395aedd9ee332482d48af2c90c14f572f6ae9c4e3a1abb2a64a98dd4"),
+    ("near-free-n3", "extend", "json", "bbcb7a74d2a0753c0d2aceea3636a577624b96c7a96ab09f02e197411495f712"),
+    ("near-free-n4", "verify", "text", "01a2fa6274183715ac1fdec8f179be89f44954c0433f98bb3b056cff4e2c6443"),
+    ("near-free-n4", "verify", "json", "3f336fb861342b1e56726d486c612a56a60f816ef317c4b7bc4d0a4f99ac2786"),
+    ("near-free-n4", "extend", "text", "00e1b5250f486aecf116a4366a7268c472e1fd71f297781536e71b7e9af13f27"),
+    ("near-free-n4", "extend", "json", "45b2d57333409437aa2faf6e1de745a370be7738db0db957c6b899ba3d82cee3"),
+]
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("group, command, fmt, sha", PINNED_REPORTS,
+                             ids=["-".join(r[:3]) for r in PINNED_REPORTS])
+    def test_stdout_bytes(self, group, command, fmt, sha):
+        doc = json.dumps(presentation_to_json(PINNED_GROUPS[group])).encode()
+        code, out, err = run_in_process(
+            [command, "--format", fmt, "--trials", "40", "--seed", "1"], doc)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    def test_extend_builds_each_table_once(self):
+        P = PINNED_GROUPS["near-free-n4"]
+        doc = json.dumps(presentation_to_json(P)).encode()
+        poly = mock.patch.object(cocycles, "_cocycle_poly",
+                                 wraps=cocycles._cocycle_poly)
+        brackets = mock.patch.object(GroupPresentation, "bracket_vector",
+                                     autospec=True,
+                                     side_effect=GroupPresentation.bracket_vector)
+        with poly as poly_calls, brackets as bracket_calls:
+            code, _, _ = run_in_process(["extend", "--trials", "5"], doc)
+        assert code == 0
+        assert poly_calls.call_count == 21   # one per fiber, none of them a sum
+        assert bracket_calls.call_count == comb(P.n, 2)
 
 
 class TestExitCodes:

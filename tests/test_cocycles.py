@@ -29,7 +29,9 @@ from nilcoh.cocycles import (
     lemmay_basis,
     render,
     verify_cocycle,
-    _compile,
+    verify_cocycles,
+    _dot,
+    _family,
 )
 
 HEIS = families.heisenberg()
@@ -303,6 +305,18 @@ class TestVerifyCocycle:
         with pytest.raises(ValueError, match="trials >= 1"):
             verify_cocycle(CHAIN, bad, trials=trials, bound=10, seed=0)
 
+    def test_family_reports_equal_single_reports(self):
+        bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
+        good = lemmax_generators(CHAIN) + lemmay_basis(CHAIN)
+        ws = good[:2] + [bad] + good[2:] + [good[0] + 2 * bad]
+        reports = verify_cocycles(CHAIN, ws, trials=300, bound=10, seed=0)
+        assert [r.ok for r in reports] == [w in good for w in ws]
+        assert reports == [verify_cocycle(CHAIN, w, trials=300, bound=10,
+                                          seed=0) for w in ws]
+
+    def test_empty_family(self):
+        assert verify_cocycles(CHAIN, [], trials=5, bound=3, seed=0) == []
+
 
 class TestExtensions:
     def test_heisenberg_extension_associative(self):
@@ -350,6 +364,42 @@ class TestExtensions:
         bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
         with pytest.raises(ValueError, match="spot verification"):
             build_extension(CHAIN, [bad])
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_rejection_names_the_bad_fiber(self, k):
+        bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
+        good = lemmax_generators(CHAIN) + lemmay_basis(CHAIN)
+        with pytest.raises(ValueError,
+                           match="^fiber %d failed spot verification" % k):
+            build_extension(CHAIN, good[:k] + [bad] + good[k:] + [bad])
+
+    def test_many_fibers_are_the_one_fiber_groups_componentwise(self):
+        P = families.random_presentation(4, 6, 3, 1004)
+        ws = lemmax_generators(P) + lemmay_basis(P)
+        assert len(ws) == 21
+        ext = build_extension(P, ws)
+        singles = [build_extension(P, [w]) for w in ws]
+        rng = random.Random(6)
+        for _ in range(50):
+            x, y = ext.random_element(6, rng), ext.random_element(6, rng)
+            xy = ext.multiply(x, y)
+            assert xy.g == multiply(P, x.g, y.g)
+            assert xy.t == tuple(
+                E.multiply(ExtElement(x.g, (s,)), ExtElement(y.g, (u,))).t[0]
+                for E, s, u in zip(singles, x.t, y.t))
+        for _ in range(50):
+            x = ext.random_element(6, rng)
+            xi = ext.inverse(x)
+            assert xi.t == tuple(E.inverse(ExtElement(x.g, (s,))).t[0]
+                                 for E, s in zip(singles, x.t))
+
+    def test_draws_are_pinned(self):
+        ext = build_extension(HEIS, lemmay_basis(HEIS))
+        rng = random.Random("ext-draws")
+        assert [(e.g.a, e.g.b, e.t) for e in (ext.random_element(5, rng)
+                                              for _ in range(3))] == [
+            ((0, 0), (-5,), (-2, 1)), ((3, -4), (4,), (-5, 0)),
+            ((2, -3), (4,), (-4, -4))]
 
     def test_non_cocycle_fiber_fails_associativity(self):
         # built directly, past the spot verification of build_extension
@@ -436,7 +486,11 @@ def sampled_witness(P, w, max_weight, trials=1000, seed=0):
     form, None is not a proof.
     """
     monos = _weighted_monomials(P.n, P.m, max_weight)
-    value = _compile(P, w)
+    values, (row,) = _family(P, [w])
+
+    def value(g, h):
+        return _dot(row, values(g, h))
+
     for attempt, (count, tbound) in enumerate(
             ((3 * len(monos) + 16, 3), (5 * len(monos) + 32, 4))):
         rng = random.Random("%s:train:%d" % (seed, attempt))

@@ -185,6 +185,15 @@ class TestRandomElement:
         with pytest.raises(ValueError):
             random_element(families.heisenberg(), 0, 0)
 
+    def test_draws_are_pinned(self):
+        # the exponents a seeded generator yields, a then b, element by element
+        P = families.divisor_chain_group((2, 4))
+        rng = random.Random("draws")
+        assert [(g.a, g.b) for g in (random_element(P, 7, rng)
+                                     for _ in range(3))] == [
+            ((0, 4, 3, -2), (1,)), ((-4, 7, -6, 6), (-3,)),
+            ((5, -2, -3, 7), (2,))]
+
 
 class TestPresentationJson:
     def test_round_trip(self):

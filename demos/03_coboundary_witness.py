@@ -6,9 +6,10 @@ trivial in cohomology, so 2w must be a coboundary: 2w(g, g') = u(g) +
 u(g') - u(g g') for some u: G -> Z. The primitive has a closed form: the
 group law subtracts the collection term sum_{i<j} a_j a'_i c(i, j) from
 b, so any lambda with C^T lambda = 2f gives u = -lambda . b. One lattice
-solve finds lambda, and u is then validated on fresh random pairs. For w
-itself the same solve has no solution: f lies outside im(c^*), which
-proves that w is not a coboundary.
+solve finds lambda, and u is certified by the exact identity delta u =
+2w, checked monomial by monomial. For w itself the same solve has no
+solution: f lies outside im(c^*), which proves that w is not a
+coboundary.
 
 Run:  python3 demos/03_coboundary_witness.py
 """
@@ -35,7 +36,7 @@ w = torsion[0]
 print("\norder-%d class, represented by  w(g, g') = %s" % (w.order, render(P, w)))
 
 # --- the double is a coboundary ------------------------------------------
-u = coboundary_witness(P, 2 * w, trials=1000, seed=0)
+u = coboundary_witness(P, 2 * w)
 print("\nwitness for 2w:  u =", u.render())
 
 rng = random.Random(17)
@@ -50,5 +51,5 @@ print("delta(u) == 2w on fresh pairs: %d/500" % checks)
 # --- the class itself is not a coboundary --------------------------------
 # None means C^T lambda = f has no integer solution: a proof, which the
 # Z_2 summand above confirms.
-missing = coboundary_witness(P, w, trials=200, seed=0)
+missing = coboundary_witness(P, w)
 print("\nwitness for w itself:", missing, "(a proof that w is not a coboundary)")

@@ -175,8 +175,7 @@ def _cmd_witness(args):
         return 0, "no torsion classes; nothing to search\n"
     lines, records, ok = [], [], True
     for w in finite:
-        u = coboundary_witness(P, w.order * w, trials=args.trials,
-                               seed=args.seed)
+        u = coboundary_witness(P, w.order * w)
         if u is None:
             # the order is wrong: d * f lies outside im(c^*)
             ok = False
@@ -317,8 +316,7 @@ def _build_parser():
         type=_int_at_least(0, _MAX_COEFF_RANK), default=1,
         help="rank r of the trivial coefficient module Z^r, "
              "0 <= r <= %d" % _MAX_COEFF_RANK)
-    add("--trials", ("verify", "extend", "witness"), type=_int_at_least(1),
-        default=1000)
+    add("--trials", ("verify", "extend"), type=_int_at_least(1), default=1000)
     add("--bound", ("verify", "extend", "gen"), type=_int_at_least(1),
         default=10)
     add("--out", _COMMANDS, dest="out_path", metavar="FILE")

@@ -35,7 +35,8 @@ A LemmaX class has a closed-form primitive: when C^T lambda = f, the
 coboundary of u(g) = -lambda . b is w_f, because the group law subtracts
 the collection term sum_{i<j} a_j a'_i c(i, j) from b. So
 ``coboundary_witness`` is one lattice solve, and no solution proves that
-w_f is not a coboundary.
+w_f is not a coboundary. A returned u is certified by the exact identity
+delta u = w, an equality of two bilinear tables in (a, a').
 """
 
 from __future__ import annotations
@@ -255,16 +256,19 @@ def _family(P, ws):
     ``values(g, h)`` lists the values at (g, h) of the sorted union of the
     cocycles' monomials, and w_k(g, h) = _dot(rows[k], values(g, h)). Each
     factor is a slot in the coordinate vector that ``values`` builds once
-    per point: a, b, a', b', then C(x,2) of each, then the 1 at slot -1
-    that pads every monomial, of at most three factors, to three.
+    per point: a, b, a', b', then C(x,2) of a and a' when some monomial
+    has one (only a and a' ever appear under C(x,2)), then the 1 at slot
+    -1 that pads every monomial, of at most three factors, to three.
     """
     polys = _polys(P, ws)
     monos = sorted(set().union(*polys))
-    width = P.n + P.m
-    start = {"a": 0, "b": P.n}
+    n, width = P.n, P.n + P.m
+    start = {"a": 0, "b": n}
+    binoms = any(factor[3] for mono in monos for factor, _ in mono)
     slots = []
     for mono in monos:
-        s = tuple(start[letter] + primed * width + idx + binom * 2 * width
+        s = tuple(2 * width + primed * n + idx if binom
+                  else start[letter] + primed * width + idx
                   for (letter, primed, idx, binom), power in mono
                   for _ in range(power))
         slots.append(s + (-1,) * (3 - len(s)))
@@ -272,7 +276,9 @@ def _family(P, ws):
 
     def values(g, h):
         x = g.a + g.b + h.a + h.b
-        x += tuple([v * (v - 1) // 2 for v in x]) + (1,)
+        if binoms:
+            x += tuple([v * (v - 1) // 2 for v in g.a + h.a])
+        x += (1,)
         return [x[i] * x[j] * x[k] for i, j, k in slots]
 
     return values, rows
@@ -308,6 +314,10 @@ def _factor_str(factor, power):
     return s
 
 
+def _mono_str(mono):
+    return "*".join(_factor_str(f, p) for f, p in mono)
+
+
 def render(P, w):
     """Canonical polynomial string in a1.., b1.., a1'.., b1'.. for the cocycle.
 
@@ -317,8 +327,7 @@ def render(P, w):
     """
     require_valid(P)
     (poly,) = _polys(P, [w])
-    return _join_terms((poly[mono], "*".join(_factor_str(f, p) for f, p in mono))
-                       for mono in sorted(poly))
+    return _join_terms((poly[mono], _mono_str(mono)) for mono in sorted(poly))
 
 
 class VerificationReport(_Value):
@@ -499,7 +508,7 @@ class Primitive(_Value):
                            if self.coeffs[l])
 
 
-def coboundary_witness(P, w, trials=1000, seed=0):
+def coboundary_witness(P, w):
     """The primitive u of w, with u(g) + u(h) - u(gh) = w(g, h) and u(e) = 0.
 
     ``w`` is a LemmaX cocycle w_f or an integer combination of them, and f
@@ -509,12 +518,10 @@ def coboundary_witness(P, w, trials=1000, seed=0):
     exactly w. The lattice solve either returns such a lambda, and then u
     is returned as ``Primitive(-lambda)``, or proves that none exists:
     None means f is not in im(c^*), so w is not a coboundary. A returned
-    u has also been validated on ``trials`` fresh pairs through the group
-    law; a failure there raises ArithmeticError.
+    u is certified by the exact identity delta u = w, compared monomial by
+    monomial with F read from ``P.bracket``, or raises ArithmeticError.
     """
     require_valid(P)
-    if trials < 1:
-        raise ValueError("need trials >= 1")
     f = [0] * comb(P.n, 2)
     for c, term in _terms(w):
         if not isinstance(term, CocycleLemmaX):
@@ -526,14 +533,16 @@ def coboundary_witness(P, w, trials=1000, seed=0):
     if lam is None:
         return None
     u = Primitive(-x for x in lam)
-    values, (row,) = _family(P, [w])
-    for t in range(trials):
-        vr = random.Random("%s:val:%d" % (seed, t))
-        g = draw_element(P, 10, vr)
-        h = draw_element(P, 10, vr)
-        if (u.evaluate(g) + u.evaluate(h)
-                - u.evaluate(multiply(P, g, h))) != _dot(row, values(g, h)):
-            raise ArithmeticError("witness fails validation at trial %d" % t)
+    # delta u = u . F(a, a'), F read from the group law, not from the solve
+    delta = {}
+    for (i, j), vec in P.bracket.items():
+        _poly_add(delta, _dot(u.coeffs, vec), (("a", 0, j, 0), ("a", 1, i, 0)))
+    (poly,) = _polys(P, [w])
+    for mono in sorted(set(delta) | set(poly)):
+        x, y = delta.get(mono, 0), poly.get(mono, 0)
+        if x != y:
+            raise ArithmeticError("witness fails validation at %s: delta u "
+                                  "has %d, w has %d" % (_mono_str(mono), x, y))
     return u
 
 

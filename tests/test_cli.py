@@ -88,7 +88,7 @@ class TestReports:
         assert res.stdout == "no torsion classes; nothing to search\n"
 
     def test_witness_on_torsion(self, chain_file):
-        res = run_cli(["witness", "--input", chain_file, "--trials", "200"])
+        res = run_cli(["witness", "--input", chain_file])
         assert res.returncode == 0
         assert "order-2 class: 2 * cocycle = coboundary of u =" in res.stdout
 
@@ -162,11 +162,19 @@ class TestJsonOutput:
         assert json.loads(res.stdout)["valid"] is True
 
 
-# SHA-256 of the stdout of COMMAND --format FORMAT --trials 40 --seed 1,
-# each with exit code 0
+# SHA-256 of the stdout of COMMAND --format FORMAT --trials 40 --seed 1
+# (witness: COMMAND --format FORMAT --seed 1), each with exit code 0
 PINNED_GROUPS = {"heisenberg": families.heisenberg(),
                  "near-free-n3": families.random_presentation(3, 3, 3, 1003),
-                 "near-free-n4": families.random_presentation(4, 6, 3, 1004)}
+                 "near-free-n4": families.random_presentation(4, 6, 3, 1004),
+                 "dheis-2": families.discrete_heisenberg(2),
+                 "dheis-3": families.discrete_heisenberg(3),
+                 "dheis-4": families.discrete_heisenberg(4),
+                 "dheis-5": families.discrete_heisenberg(5),
+                 "chain-2-6": families.divisor_chain_group((2, 6)),
+                 "chain-3-3-6": families.divisor_chain_group((3, 3, 6)),
+                 "near-free-n3-2026003":
+                     families.random_presentation(3, 3, 3, 2026003)}
 PINNED_REPORTS = [
     ("heisenberg", "verify", "text", "1b17759db84588a6ae670592c21a941b1719dd9f0c70665f00a7c074bb506776"),
     ("heisenberg", "verify", "json", "131d22390141637709e00f4c6183357fdaef8635f27f617d2c3c7b56174096b7"),
@@ -180,6 +188,20 @@ PINNED_REPORTS = [
     ("near-free-n4", "verify", "json", "3f336fb861342b1e56726d486c612a56a60f816ef317c4b7bc4d0a4f99ac2786"),
     ("near-free-n4", "extend", "text", "00e1b5250f486aecf116a4366a7268c472e1fd71f297781536e71b7e9af13f27"),
     ("near-free-n4", "extend", "json", "45b2d57333409437aa2faf6e1de745a370be7738db0db957c6b899ba3d82cee3"),
+    ("dheis-2", "witness", "text", "79fbed824794fd7b8ef105cf2c41b77149269d52a3b002ccee4b195a4de6cffa"),
+    ("dheis-2", "witness", "json", "bc7e6e4449cbff2cf64139dc113ea07e25aa7983e3e7d78b358e4faa7853204b"),
+    ("dheis-3", "witness", "text", "1353b0dae8fdd05a46ee4416a4f5670dcb0f3d1af9d7fb06b96f8322e19d8a63"),
+    ("dheis-3", "witness", "json", "7e8c536d72a2b8a37f733bf891df41433b653841d8c4695f103f5c176fed3572"),
+    ("dheis-4", "witness", "text", "e2f579bc252b30dedc3110d33fe06ee39daf25f9551f52a972d86cfb924e945e"),
+    ("dheis-4", "witness", "json", "e02aa41e79ab7dbee9fd96e93de4caaa1c62f0a56f2b0b4481cbf34ddbde26e0"),
+    ("dheis-5", "witness", "text", "ad7430363a08e213a9f232cf9c49c21176970751d53c8db232247fc223b7e53f"),
+    ("dheis-5", "witness", "json", "3dc7bf71add69ff4ec770ef649e8a8ab15e6f0cd9af6ace899737027e8d43b01"),
+    ("chain-2-6", "witness", "text", "79fbed824794fd7b8ef105cf2c41b77149269d52a3b002ccee4b195a4de6cffa"),
+    ("chain-2-6", "witness", "json", "63d21e0c1a7988343525b7d875a87f8d870df7c027c12e2d60e712a6533e2908"),
+    ("chain-3-3-6", "witness", "text", "1353b0dae8fdd05a46ee4416a4f5670dcb0f3d1af9d7fb06b96f8322e19d8a63"),
+    ("chain-3-3-6", "witness", "json", "84c73ace38a5ed8d61d63e02337e37adc479299f0bb93c7110dc288e1cb4b61b"),
+    ("near-free-n3-2026003", "witness", "text", "d12ad260441406dc29997e419b88199244fc725ab83025297e12f665b4bece39"),
+    ("near-free-n3-2026003", "witness", "json", "7be4a74757213227078b7b75c9dec8f76862f97d0c497615a358b7ef687268b3"),
 ]
 
 
@@ -188,8 +210,9 @@ class TestPinnedReports:
                              ids=["-".join(r[:3]) for r in PINNED_REPORTS])
     def test_stdout_bytes(self, group, command, fmt, sha):
         doc = json.dumps(presentation_to_json(PINNED_GROUPS[group])).encode()
+        trials = [] if command == "witness" else ["--trials", "40"]
         code, out, err = run_in_process(
-            [command, "--format", fmt, "--trials", "40", "--seed", "1"], doc)
+            [command, "--format", fmt, "--seed", "1"] + trials, doc)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
@@ -280,7 +303,6 @@ class TestExitCodes:
         ["gen", "--family", "random", "--n", "2", "--m", "3"],
         ["gen", "--family", "paper-example", "--d", "0,2"],
         ["gen", "--family", "abelian", "--n", "-1"],
-        ["witness", "--trials", "0"],
     ], ids=" ".join)
     def test_out_of_range_flag_is_exit_2(self, args):
         doc = json.dumps(presentation_to_json(families.heisenberg()))
@@ -297,6 +319,7 @@ class TestExitCodes:
         ["h2", "--max-weight", "5"],
         ["witness", "--max-weight", "13"],
         ["witness", "--bound", "3"],
+        ["witness", "--trials", "0"],
         ["cocycles", "--trials", "5"],
         ["validate", "--coeff-rank", "2"],
         ["verify", "--coeff-rank", "2"],
@@ -320,8 +343,8 @@ class TestExitCodes:
     def test_every_command_that_reads_input_takes_seed(self, command,
                                                        chain_file):
         res = run_cli([command, "--input", chain_file, "--seed", "3"]
-                      + (["--trials", "5"] if command in ("verify", "extend",
-                                                          "witness") else []))
+                      + (["--trials", "5"] if command in ("verify", "extend")
+                         else []))
         assert res.returncode == 0, res.stderr
 
     @pytest.mark.parametrize("source", ["stdin", "file"])

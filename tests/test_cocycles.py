@@ -7,7 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import cocycles, families
+from nilcoh import cocycles, families, grouplaw
 from nilcoh.cohomology import _jacobi_transpose, bracket_matrix, h2
 from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix, rank,
                                 smith_normal_form, solve_in_lattice)
@@ -59,6 +59,9 @@ def prime_factors(d):
 
 
 CORPUS_IDS = ["heisenberg", "abelian3", "dheis3", "chain2-4", "chain3-3-6"]
+NEAR_FREE_CORPUS = CORPUS + [families.random_presentation(n, comb(n, 2), 5, 1)
+                             for n in range(3, 7)]
+NEAR_FREE_IDS = CORPUS_IDS + ["near-free-n%d" % n for n in range(3, 7)]
 
 
 def all_cocycles(P):
@@ -133,9 +136,7 @@ class TestLemmaXGenerators:
         assert orders.count(2) == 1
         assert len(gens) == 6
 
-    @pytest.mark.parametrize("P", CORPUS + [
-        families.random_presentation(n, comb(n, 2), 5, 1) for n in range(3, 7)],
-        ids=CORPUS_IDS + ["near-free-n%d" % n for n in range(3, 7)])
+    @pytest.mark.parametrize("P", NEAR_FREE_CORPUS, ids=NEAR_FREE_IDS)
     def test_torsion_orders_are_exact(self, P):
         # order d: d*f is in im(C^T), and (d/p)*f is not for each prime p | d
         CT = bracket_matrix(P).transpose()
@@ -523,19 +524,19 @@ def sampled_witness(P, w, max_weight, trials=1000, seed=0):
 
 class TestCoboundaryWitness:
     def test_zero_cocycle(self):
-        wit = coboundary_witness(HEIS, 0 * E11, trials=50, seed=0)
+        wit = coboundary_witness(HEIS, 0 * E11)
         assert wit is not None and wit.is_zero()
 
     def test_zero_scaled_lemmax_on_abelian(self):
         P = families.abelian(2)
         w = 0 * CocycleLemmaX(f=(1,))
-        wit = coboundary_witness(P, w, trials=50, seed=0)
+        wit = coboundary_witness(P, w)
         assert wit is not None and wit.is_zero()
 
     def test_doubled_torsion_class_has_a_witness_linear_in_b(self):
         torsion = [w for w in lemmax_generators(CHAIN) if w.order == 2]
         assert len(torsion) == 1
-        wit = coboundary_witness(CHAIN, 2 * torsion[0], trials=1000, seed=0)
+        wit = coboundary_witness(CHAIN, 2 * torsion[0])
         assert wit is not None
         # independent re-validation on fresh samples
         rng = random.Random(99)
@@ -582,7 +583,7 @@ class TestCoboundaryWitness:
     def test_nontrivial_class_has_no_witness(self):
         # None from the closed form is a proof; the search agrees
         torsion = [w for w in lemmax_generators(CHAIN) if w.order == 2]
-        assert coboundary_witness(CHAIN, torsion[0], trials=200, seed=0) is None
+        assert coboundary_witness(CHAIN, torsion[0]) is None
         assert sampled_witness(CHAIN, torsion[0], max_weight=3,
                                trials=200) is None
 
@@ -591,7 +592,7 @@ class TestCoboundaryWitness:
         P = families.divisor_chain_group((3, 3, 6))
         torsion = torsion_generators(P)
         assert [w.order for w in torsion] == [3]
-        wit = coboundary_witness(P, 3 * torsion[0], 1000, 0)
+        wit = coboundary_witness(P, 3 * torsion[0])
         assert wit is not None and wit.render() == "-b1"
 
     def test_wrong_primitive_raises(self, monkeypatch):
@@ -605,10 +606,54 @@ class TestCoboundaryWitness:
         with pytest.raises(ArithmeticError, match="fails validation"):
             coboundary_witness(CHAIN, 2 * w)
 
-    def test_no_validation_trials_is_rejected(self):
-        # a primitive must not come back unvalidated
-        with pytest.raises(ValueError, match="trials >= 1"):
-            coboundary_witness(HEIS, 0 * E11, trials=0, seed=0)
+    def test_certificate_reads_the_group_law_not_the_solve_input(
+            self, monkeypatch):
+        # with C = [2] read as [1], the solve returns lambda = 2 for 2f = 2,
+        # and the table of u = -2*b1 in the true group law refutes it
+        P = families.discrete_heisenberg(2)
+        (w,) = torsion_generators(P)
+        rows = [list(row) for row in bracket_matrix(P).to_rows()]
+        assert rows == [[2]]
+        rows[0][0] -= 1
+        monkeypatch.setattr(cocycles, "bracket_matrix",
+                            lambda Q: IntMatrix.from_rows(rows))
+        with pytest.raises(ArithmeticError,
+                           match=r"fails validation at a2\*a1': delta u has "
+                                 r"-4, w has -2$"):
+            coboundary_witness(P, 2 * w)
+
+    def test_witness_makes_no_group_law_calls(self, monkeypatch):
+        # the certificate compares tables; it multiplies and draws nothing
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            return counted
+
+        for module in (cocycles, grouplaw):
+            for name in ("multiply", "draw_element"):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+        for P in CORPUS:
+            for w in torsion_generators(P):
+                assert coboundary_witness(P, w.order * w) is not None
+        assert calls == []
+
+    @pytest.mark.parametrize("P", NEAR_FREE_CORPUS, ids=NEAR_FREE_IDS)
+    def test_witness_passes_the_sampled_oracle(self, P):
+        # delta u = w on 200 pairs through grouplaw.multiply
+        for w in torsion_generators(P):
+            u = coboundary_witness(P, w.order * w)
+            values, (row,) = _family(P, [w.order * w])
+            rng = random.Random("oracle")
+            for _ in range(200):
+                g = random_element(P, 10, rng)
+                h = random_element(P, 10, rng)
+                assert (u.evaluate(g) + u.evaluate(h)
+                        - u.evaluate(multiply(P, g, h))
+                        == _dot(row, values(g, h)))
 
     @pytest.mark.parametrize("w", [E11, CocycleLemmaX(f=(1,)) + E11,
                                    "not a cocycle"],

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from math import comb
 
-from . import cocycles, cohomology, families, passi
+from . import cocycles, cohomology, families
 from .exactlinalg import AbelianGroupInvariants, IntMatrix, smith_normal_form
 from .grouplaw import draw_element, multiply
 
@@ -162,24 +162,8 @@ def check_cocycle_identity():
     return True, "%d cocycles x 1000 trials, bound 10, seed 0" % total
 
 
-def check_passi_product_rule():
-    """p2(gh) = p2(g) + p2(h) + p2_mul(p2(g), p2(h)) on 1000 pairs per group."""
-    for name, P in corpus():
-        rng = random.Random("passi:%s" % name)
-        for _ in range(1000):
-            g = draw_element(P, 10, rng)
-            h = draw_element(P, 10, rng)
-            lhs = passi.p2(P, multiply(P, g, h))
-            rhs = passi.p2(P, g) + passi.p2(P, h) + passi.p2_mul(
-                P, passi.p2(P, g), passi.p2(P, h))
-            if lhs != rhs:
-                return False, "%s: fails at g=%s h=%s" % (name, g, h)
-    return True, "1000 pairs per corpus presentation, exact"
-
-
 def check_extension_soundness():
     """Extensions are associative with two-sided inverses, 1000 triples each."""
-    built = 0
     jobs = []
     for name, P in corpus():
         for idx, w in enumerate(_all_cocycles(P)):
@@ -191,8 +175,7 @@ def check_extension_soundness():
         failure = E.first_law_failure(1000, 10, random.Random("ext:%s" % label))
         if failure is not None:
             return False, "%s: %s fails" % (label, failure[0])
-        built += 1
-    return True, "%d extensions x 1000 triples" % built
+    return True, "%d extensions x 1000 triples" % len(jobs)
 
 
 def check_count_consistency():
@@ -269,12 +252,13 @@ def check_coboundary_witness():
                   "(a proof)" % u.render())
 
 
+# Number 5 is retired and the others keep theirs, which the docs and the
+# test ids cite.
 CRITERIA = (
     ("1 divisor-chain H^2 regression", check_divisor_chain_regression),
     ("2 dual-path agreement on 200 random groups", check_dual_path_agreement),
     ("3 known cohomology values", check_known_values),
     ("4 cocycle identity for produced cocycles", check_cocycle_identity),
-    ("5 degree-2 coordinate product rule", check_passi_product_rule),
     ("6 extension soundness", check_extension_soundness),
     ("7 cocycle counts match h2", check_count_consistency),
     ("8 smith normal form property suite", check_snf_properties),

@@ -251,14 +251,14 @@ def _dot(u, v):
 
 
 def _family(P, ws):
-    """The tables of the cocycles ws as one table, (values, rows).
+    """The tables of the cocycles ws as one table, (values, rows, monos).
 
-    ``values(g, h)`` lists the values at (g, h) of the sorted union of the
-    cocycles' monomials, and w_k(g, h) = _dot(rows[k], values(g, h)). Each
-    factor is a slot in the coordinate vector that ``values`` builds once
-    per point: a, b, a', b', then C(x,2) of a and a' when some monomial
-    has one (only a and a' ever appear under C(x,2)), then the 1 at slot
-    -1 that pads every monomial, of at most three factors, to three.
+    ``values(g, h)`` lists the values at (g, h) of monos, the sorted union
+    of the cocycles' monomials, and w_k(g, h) = rows[k] . values(g, h).
+    Each factor is a slot in the coordinate vector that ``values`` builds
+    once per point: a, b, a', b', then C(x,2) of a and a' when some
+    monomial has one (only a and a' ever appear under C(x,2)), then the 1
+    at slot -1 that pads every monomial, of at most three factors, to 3.
     """
     polys = _polys(P, ws)
     monos = sorted(set().union(*polys))
@@ -281,14 +281,14 @@ def _family(P, ws):
         x += (1,)
         return [x[i] * x[j] * x[k] for i, j, k in slots]
 
-    return values, rows
+    return values, rows, monos
 
 
 def evaluate(P, w, g, h):
     """Value of the cocycle at (g, h). Assumes P already validated."""
     _check_element(P, g)
     _check_element(P, h)
-    values, (row,) = _family(P, [w])
+    values, (row,), _ = _family(P, [w])
     return _dot(row, values(g, h))
 
 
@@ -341,7 +341,7 @@ class VerificationReport(_Value):
 
 
 def verify_cocycle(P, w, trials=1000, bound=10, seed=0):
-    """Sampled check of the 2-cocycle identity and normalization of w.
+    """The 2-cocycle identity of w, sampled, and its normalization, exact.
 
     The report ``verify_cocycles`` gives w, on the same draws.
     """
@@ -351,9 +351,9 @@ def verify_cocycle(P, w, trials=1000, bound=10, seed=0):
 def verify_cocycles(P, ws, trials=1000, bound=10, seed=0):
     """One report per cocycle in ws, from one sampled check of them all.
 
-    Trial t draws g, h, k from a generator seeded by (seed, t) alone, so a
-    cocycle's report does not depend on the others in ws. Passing is
-    evidence, not proof; failing reports the first counterexample.
+    Normalization is exact. Trial t draws g, h, k from a generator seeded
+    by (seed, t) alone, so a cocycle's report does not depend on the
+    others in ws. A sampled pass is evidence, not proof.
     """
     require_valid(P)
     if trials < 1 or bound < 1:
@@ -361,35 +361,37 @@ def verify_cocycles(P, ws, trials=1000, bound=10, seed=0):
     return _check_family(P, *_family(P, ws), trials, bound, seed)
 
 
-def _check_family(P, values, rows, trials, bound, seed):
+def _check_family(P, values, rows, monos, trials, bound, seed):
     """The reports of ``verify_cocycles`` for the rows of a family table.
 
-    The identity for every row is row . D = 0 with D the one vector
+    Normalization is decided exactly: each monomial of a row needs a
+    primed factor, zero at h = e, and an unprimed one, zero at g = e (the
+    monomials built here are independent functions). The sampled identity
+    for every row is row . D = 0 with D the one vector
     values(g,h) + values(gh,k) - values(h,k) - values(g,hk).
     """
     reports = [None] * len(rows)
-    live = range(len(rows))
-    e = identity(P)
+    for k, mono in enumerate(monos):
+        if {primed for (_, primed, _, _), _ in mono} != {0, 1}:
+            msg = "normalization fails at monomial %s" % _mono_str(mono)
+            for i, row in enumerate(rows):
+                if row[k] and reports[i] is None:
+                    reports[i] = VerificationReport(False, 0, msg)
+    live = [i for i, rep in enumerate(reports) if rep is None]
     for t in range(trials):
         if not live:
             break
         rng = random.Random("%s:%d" % (seed, t))
-        g = draw_element(P, bound, rng)
-        h = draw_element(P, bound, rng)
-        k = draw_element(P, bound, rng)
+        g, h, k = (draw_element(P, bound, rng) for _ in range(3))
         lhs = values(g, h), values(multiply(P, g, h), k)
         rhs = values(h, k), values(g, multiply(P, h, k))
         delta = [p + q - r - s for p, q, r, s in zip(*lhs, *rhs)]
-        ge, eg = values(g, e), values(e, g)
         for i in live:
             row = rows[i]
             if _dot(row, delta):
                 msg = "cocycle identity fails at trial %d: lhs %d != rhs %d" % (
                     t, sum(_dot(row, v) for v in lhs), sum(_dot(row, v) for v in rhs))
                 reports[i] = VerificationReport(False, t + 1, msg, (g, h, k))
-            elif _dot(row, ge) or _dot(row, eg):
-                reports[i] = VerificationReport(
-                    False, t + 1, "normalization fails at trial %d" % t, (g,))
         live = [i for i in live if reports[i] is None]
     passed = VerificationReport(ok=True, trials=trials,
                                 message="no violation in %d trials" % trials)
@@ -418,7 +420,7 @@ class ExtensionGroup(_Value):
         _set(self, "base", base)
         _set(self, "fibers", fibers)
         # the fibers' family table: a cache outside equality and repr
-        values, rows = _family(base, fibers)
+        values, rows, _ = _family(base, fibers)
         _set(self, "_values", values)
         _set(self, "_rows", rows)
 
@@ -451,19 +453,25 @@ class ExtensionGroup(_Value):
     def first_law_failure(self, trials, bound, rng):
         """The first (law, trial) at which the group laws fail, or None.
 
-        Each trial draws x, y, z from ``rng`` with coordinates in
-        [-bound, bound], then checks (x y) z = x (y z) ("associativity")
-        and x x^-1 = x^-1 x = e ("inverse law").
+        Each trial draws x, y, z with ``random_element(bound, rng)`` and
+        decides (x y) z = x (y z) ("associativity") and x x^-1 = x^-1 x =
+        e ("inverse law") on the base group and the family table, where
+        the fiber coordinates cancel: row . D = 0 with D = v(g,h) +
+        v(gh,k) - v(h,k) - v(g,hk), and row . (v(g^-1,g) - v(g,g^-1)) = 0.
         """
+        P, values, rows = self.base, self._values, self._rows
+        e = identity(P)
         for t in range(trials):
-            x = self.random_element(bound, rng)
-            y = self.random_element(bound, rng)
-            z = self.random_element(bound, rng)
-            if self.multiply(self.multiply(x, y), z) != \
-                    self.multiply(x, self.multiply(y, z)):
+            g, h, k = (self.random_element(bound, rng).g for _ in range(3))
+            gh, hk, gi = multiply(P, g, h), multiply(P, h, k), inverse(P, g)
+            delta = [p + q - r - s for p, q, r, s in zip(
+                values(g, h), values(gh, k), values(h, k), values(g, hk))]
+            if multiply(P, gh, k) != multiply(P, g, hk) or \
+                    any(_dot(row, delta) for row in rows):
                 return "associativity", t
-            xi, e = self.inverse(x), self.identity()
-            if self.multiply(x, xi) != e or self.multiply(xi, x) != e:
+            skew = [p - q for p, q in zip(values(gi, g), values(g, gi))]
+            if multiply(P, g, gi) != e or multiply(P, gi, g) != e or \
+                    any(_dot(row, skew) for row in rows):
                 return "inverse law", t
         return None
 
@@ -471,21 +479,22 @@ class ExtensionGroup(_Value):
 def build_extension(P, fibers):
     """Extension group from verified cocycle fibers.
 
-    All fibers are spot-verified first, together, on one sequence of 32
-    sampled triples with coordinates in [-5, 5]; a fiber that fails the
-    cocycle identity raises ValueError rather than producing a broken
+    All fibers are checked first, together: normalization exactly, the
+    identity on one sequence of 32 sampled triples in [-5, 5]. A fiber
+    that fails either raises ValueError rather than producing a broken
     multiplication table. An empty fiber list gives arithmetic identical
     to the base group.
     """
     require_valid(P)
-    E = ExtensionGroup(base=P, fibers=tuple(fibers))
-    reports = _check_family(P, E._values, E._rows, trials=32, bound=5,
+    fibers = tuple(fibers)
+    values, rows, monos = _family(P, fibers)
+    reports = _check_family(P, values, rows, monos, trials=32, bound=5,
                             seed="spot")
     for k, rep in enumerate(reports):
         if not rep.ok:
             raise ValueError("fiber %d failed spot verification: %s"
                              % (k, rep.message))
-    return E
+    return ExtensionGroup._trusted(P, fibers, values, rows)  # no rebuild
 
 
 class Primitive(_Value):

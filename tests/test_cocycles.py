@@ -1,19 +1,19 @@
 """Cocycle construction, evaluation, rendering, extensions, coboundary witnesses."""
 
 import random
+import re
 from itertools import combinations, product
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import cocycles, families, grouplaw
+from nilcoh import acceptance, cocycles, families, grouplaw
 from nilcoh.cohomology import _jacobi_transpose, bracket_matrix, h2
 from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix, rank,
                                 smith_normal_form, solve_in_lattice)
 from nilcoh.grouplaw import (GroupElement, GroupPresentation, identity,
                              multiply, random_element)
-from nilcoh.passi import PassiElement
 from nilcoh.cocycles import (
     CocycleLemmaX,
     CocycleLemmaY,
@@ -21,6 +21,7 @@ from nilcoh.cocycles import (
     ExtElement,
     ExtensionGroup,
     Primitive,
+    VerificationReport,
     build_extension,
     coboundary_witness,
     cocycle_to_json,
@@ -37,6 +38,8 @@ from nilcoh.cocycles import (
 HEIS = families.heisenberg()
 CHAIN = families.divisor_chain_group((2, 4))
 E11 = CocycleLemmaY(phi=((1,), (0,)))
+# not a cocycle: S has full rank on CHAIN, so no nonzero phi annihilates it
+CHAIN_BAD = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
 
 CORPUS = [
     HEIS,
@@ -62,6 +65,8 @@ CORPUS_IDS = ["heisenberg", "abelian3", "dheis3", "chain2-4", "chain3-3-6"]
 NEAR_FREE_CORPUS = CORPUS + [families.random_presentation(n, comb(n, 2), 5, 1)
                              for n in range(3, 7)]
 NEAR_FREE_IDS = CORPUS_IDS + ["near-free-n%d" % n for n in range(3, 7)]
+ACCEPTANCE_CORPUS = [P for _, P in acceptance.corpus()]
+ACCEPTANCE_IDS = [name for name, _ in acceptance.corpus()]
 
 
 def all_cocycles(P):
@@ -187,6 +192,21 @@ class TestEvaluate:
             assert evaluate(HEIS, w, g, identity(HEIS)) == 0
             assert evaluate(HEIS, w, identity(HEIS), g) == 0
 
+    @pytest.mark.parametrize("P", ACCEPTANCE_CORPUS, ids=ACCEPTANCE_IDS)
+    def test_built_monomials_are_normalized(self, P):
+        # every monomial the package builds has a primed and an unprimed
+        # factor, so the exact normalization check passes on its tables
+        values, rows, monos = _family(P, all_cocycles(P))
+        for k, mono in enumerate(monos):
+            if any(row[k] for row in rows):
+                assert {primed for (_, primed, _, _), _ in mono} == {0, 1}
+        # sampled oracle: w(g, e) = w(e, g) = 0
+        e, rng = identity(P), random.Random(0)
+        for _ in range(50):
+            g = random_element(P, 10, rng)
+            for v in (values(g, e), values(e, g)):
+                assert [_dot(row, v) for row in rows] == [0] * len(rows)
+
     def test_lemmay_central_term(self):
         g = GroupElement((0, 0), (1,))
         h = GroupElement((1, 0), (0,))
@@ -272,6 +292,39 @@ class TestRender:
             assert eval_rendered(P, text, g, h) == evaluate(P, w, g, h)
 
 
+def law_failure_oracle(E, trials, bound, rng):
+    """``E.first_law_failure`` computed with extension products."""
+    for t in range(trials):
+        x, y, z = (E.random_element(bound, rng) for _ in range(3))
+        if E.multiply(E.multiply(x, y), z) != E.multiply(x, E.multiply(y, z)):
+            return "associativity", t
+        xi, e = E.inverse(x), E.identity()
+        if E.multiply(x, xi) != e or E.multiply(xi, x) != e:
+            return "inverse law", t
+    return None
+
+
+def assert_law_check_is_the_oracle(E, trials, bound, seed):
+    """Same result as the oracle, and the same draws from the generator."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    result = E.first_law_failure(trials, bound, rng)
+    assert result == law_failure_oracle(E, trials, bound, oracle_rng)
+    assert rng.getstate() == oracle_rng.getstate()
+    return result
+
+
+def add_monomial(monkeypatch, k, mono):
+    """Make every family table give cocycle k one more term, 3 * mono."""
+    polys = cocycles._polys
+
+    def mutant(P, ws):
+        out = polys(P, ws)
+        out[k][mono] = 3
+        return out
+
+    monkeypatch.setattr(cocycles, "_polys", mutant)
+
+
 class TestVerifyCocycle:
     def test_lemmay_on_heisenberg(self):
         rep = verify_cocycle(HEIS, E11, trials=1000, bound=10, seed=0)
@@ -317,6 +370,21 @@ class TestVerifyCocycle:
 
     def test_empty_family(self):
         assert verify_cocycles(CHAIN, [], trials=5, bound=3, seed=0) == []
+
+    @pytest.mark.parametrize("mono, text", [
+        (((("a", 0, 0, 0), 1), (("a", 0, 1, 0), 1)), "a1*a2"),
+        (((("a", 1, 0, 0), 1), (("b", 1, 0, 0), 1)), "a1'*b1'"),
+    ], ids=["no-primed-factor", "no-unprimed-factor"])
+    def test_unnormalized_monomial_is_named(self, monkeypatch, mono, text):
+        add_monomial(monkeypatch, 1, mono)
+        ws = [E11, CocycleLemmaY(phi=((0,), (1,))), E11]
+        reports = verify_cocycles(HEIS, ws, trials=50, bound=10, seed=0)
+        message = "normalization fails at monomial %s" % text
+        assert reports[1] == VerificationReport(False, 0, message)
+        assert reports[0].ok and reports[2].ok
+        with pytest.raises(ValueError, match="^fiber 1 failed spot "
+                           "verification: %s$" % re.escape(message)):
+            build_extension(HEIS, ws)
 
 
 class TestExtensions:
@@ -401,6 +469,47 @@ class TestExtensions:
                                               for _ in range(3))] == [
             ((0, 0), (-5,), (-2, 1)), ((3, -4), (4,), (-5, 0)),
             ((2, -3), (4,), (-4, -4))]
+
+    @pytest.mark.parametrize("P", ACCEPTANCE_CORPUS, ids=ACCEPTANCE_IDS)
+    def test_law_check_is_the_oracle_on_one_fiber_extensions(self, P):
+        for w in all_cocycles(P):
+            E = build_extension(P, [w])
+            for seed, trials in (("a", 1), ("b", 7), (3, 20)):
+                assert assert_law_check_is_the_oracle(
+                    E, trials, 10, seed) is None, w
+
+    @pytest.mark.parametrize("fibers", [
+        lambda good: [CHAIN_BAD],
+        lambda good: good[:2] + [CHAIN_BAD] + good[2:],
+        lambda good: [good[0], 2 * CHAIN_BAD + good[1], good[3]],
+    ], ids=["bad", "mixed", "sum"])
+    def test_law_check_is_the_oracle_with_a_non_cocycle(self, fibers):
+        E = ExtensionGroup(CHAIN, tuple(fibers(all_cocycles(CHAIN))))
+        results = {assert_law_check_is_the_oracle(E, trials, bound, seed)
+                   for seed in range(6) for trials in (1, 5, 40)
+                   for bound in (1, 10)}
+        assert any(r and r[1] > 0 for r in results)
+
+    def test_law_check_is_the_oracle_on_the_inverse_law(self, monkeypatch):
+        # w(g, h) = 3 a1': row . D = -3 a1(k), and x^-1 x has t = 6 a1(g)
+        add_monomial(monkeypatch, 0, ((("a", 1, 0, 0), 1),))
+        E = ExtensionGroup(HEIS, (CocycleLemmaX(f=(0,)),))
+        results = {assert_law_check_is_the_oracle(E, 20, 1, seed)
+                   for seed in range(10)}
+        assert {law for law, _ in results} == {"associativity", "inverse law"}
+
+    def test_law_check_makes_no_extension_products(self, monkeypatch):
+        calls = []
+        for name in ("multiply", "inverse"):
+            fn = getattr(ExtensionGroup, name)
+            monkeypatch.setattr(ExtensionGroup, name,
+                                lambda self, *args, fn=fn, name=name:
+                                calls.append(name) or fn(self, *args))
+        good = build_extension(HEIS, lemmay_basis(HEIS))
+        assert good.first_law_failure(100, 10, random.Random(0)) is None
+        bad = ExtensionGroup(CHAIN, (CHAIN_BAD,))
+        assert bad.first_law_failure(100, 10, random.Random(0)) is not None
+        assert calls == []
 
     def test_non_cocycle_fiber_fails_associativity(self):
         # built directly, past the spot verification of build_extension
@@ -487,7 +596,7 @@ def sampled_witness(P, w, max_weight, trials=1000, seed=0):
     form, None is not a proof.
     """
     monos = _weighted_monomials(P.n, P.m, max_weight)
-    values, (row,) = _family(P, [w])
+    values, (row,), _ = _family(P, [w])
 
     def value(g, h):
         return _dot(row, values(g, h))
@@ -646,7 +755,7 @@ class TestCoboundaryWitness:
         # delta u = w on 200 pairs through grouplaw.multiply
         for w in torsion_generators(P):
             u = coboundary_witness(P, w.order * w)
-            values, (row,) = _family(P, [w.order * w])
+            values, (row,), _ = _family(P, [w.order * w])
             rng = random.Random("oracle")
             for _ in range(200):
                 g = random_element(P, 10, rng)
@@ -714,9 +823,6 @@ INTEGER_SLOTS = {
     "GroupElement.a": lambda x: GroupElement((x,), (0,)),
     "GroupElement.b": lambda x: GroupElement((0,), (x,)),
     "ExtElement.t": lambda x: ExtElement(GroupElement((0,), ()), (x,)),
-    "PassiElement.lin_x": lambda x: PassiElement((x,), (0,), ()),
-    "PassiElement.quad": lambda x: PassiElement((0,), (x,), ()),
-    "PassiElement.lin_y": lambda x: PassiElement((0,), (0,), (x,)),
     "CocycleLemmaX.f": lambda x: CocycleLemmaX(f=(x,)),
     "CocycleLemmaX.order": lambda x: CocycleLemmaX(f=(1,), order=x),
     "CocycleLemmaY.phi": lambda x: CocycleLemmaY(phi=((x,),)),

@@ -15,14 +15,13 @@ from nilcoh.cohomology import H2Report, h2
 from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix,
                                 SmithDecomposition, _Value, smith_normal_form)
 from nilcoh.grouplaw import GroupElement, GroupPresentation, ValidationReport
-from nilcoh.passi import PassiElement
 
 HEIS = families.heisenberg()
 E11 = CocycleLemmaY(phi=((1,), (0,)))
 Z2 = AbelianGroupInvariants(free_rank=0, torsion=(2,))
 
 # One builder per value class; each call makes a fresh, equal instance,
-# passing every field by keyword.
+# giving every field by keyword.
 SAMPLES = {
     "IntMatrix": lambda: IntMatrix(rows=1, cols=2, entries=(3, -4)),
     "SmithDecomposition": lambda: SmithDecomposition(
@@ -45,7 +44,6 @@ SAMPLES = {
     "ExtElement": lambda: ExtElement(g=GroupElement((1, 0), (0,)), t=(7,)),
     "ExtensionGroup": lambda: ExtensionGroup(base=HEIS, fibers=(E11,)),
     "Primitive": lambda: Primitive(coeffs=(3, 0, -2)),
-    "PassiElement": lambda: PassiElement(lin_x=(1,), quad=(2,), lin_y=()),
 }
 
 
@@ -70,7 +68,7 @@ def build(request):
 
 class TestValueContract:
     def test_every_value_class_has_a_sample(self):
-        modules = ("exactlinalg", "grouplaw", "cohomology", "cocycles", "passi")
+        modules = ("exactlinalg", "grouplaw", "cohomology", "cocycles")
         classes = {name for mod in modules
                    for name, obj in vars(importlib.import_module(
                        "nilcoh." + mod)).items()

@@ -7,8 +7,6 @@ same list, so there is a single source of truth. The oracles used here
 by different algorithms than the code paths they check.
 """
 
-from __future__ import annotations
-
 import random
 import time
 from fractions import Fraction

@@ -3,15 +3,14 @@
 Commands read a presentation document from --input or stdin (``gen`` and
 ``selftest`` take no input) and write text or JSON to stdout or --out.
 Exit codes: 0 success, 1 validation or verification failure, 2 malformed
-input or invocation, or an input too large for memory.
+input or invocation, or an input too large (past ``_MAX_GENERATORS``, or
+for memory).
 
 Each process runs one command, so a command imports the modules only it
 needs (``cocycles``, ``acceptance``, ``families``) when it runs: an ``h2``
 process loads ``cli``, ``grouplaw``, ``exactlinalg`` and ``cohomology``
 and nothing else of the package.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -40,7 +39,13 @@ def _read_presentation(args):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise PresentationFormatError("input is not UTF-8: %s" % exc) from exc
-    return load_presentation(text)
+    P = load_presentation(text)
+    # every command enumerates the C(n,2) pairs before anything can fail
+    if P.n + P.m > _MAX_GENERATORS:
+        raise PresentationFormatError(
+            "presentation too large: n + m = %d generators, the limit is %d"
+            % (P.n + P.m, _MAX_GENERATORS))
+    return P
 
 
 def _cmd_validate(args):
@@ -149,11 +154,17 @@ def _cmd_extend(args):
     try:
         E = build_extension(P, ws)
     except ValueError as exc:
-        return 1, "extension rejected: %s\n" % exc
-    failure = E.first_law_failure(args.trials, args.bound,
-                                  random.Random("cli-extend:%d" % args.seed))
-    if failure is not None:
-        return 1, "%s fails at trial %d\n" % failure
+        message = "extension rejected: %s" % exc
+    else:
+        failure = E.first_law_failure(
+            args.trials, args.bound, random.Random("cli-extend:%d" % args.seed))
+        message = None if failure is None else \
+            "%s fails at trial %d" % failure
+    if message is not None:
+        if args.format == "json":
+            return 1, dump_json({"group": presentation_to_json(P),
+                                 "extend": {"ok": False, "message": message}})
+        return 1, message + "\n"
     if args.format == "json":
         text = dump_json({"group": presentation_to_json(P),
                           "extend": {"fiber_rank": E.fiber_rank,
@@ -275,6 +286,10 @@ def _chain(text):
 
 # H^2(G, Z^r) is reported as r copies, so r bounds the report's size
 _MAX_COEFF_RANK = 4096
+# n + m of an input; past it a command refuses before building a matrix.
+# h2 on the free class-2 group F(16) (n + m = 136) takes about 34 s, and
+# is killed on F(20) (n + m = 210)
+_MAX_GENERATORS = 200
 
 
 def _int_at_least(least, most=None):

@@ -39,10 +39,7 @@ w_f is not a coboundary. A returned u is certified by the exact identity
 delta u = w, an equality of two bilinear tables in (a, a').
 """
 
-from __future__ import annotations
-
 import random
-from collections import Counter
 from itertools import combinations
 from math import comb
 from operator import index, mul
@@ -171,17 +168,24 @@ def _check_lemmay(P, w):
 
 # --- the polynomial table ---------------------------------------------
 #
-# A factor is (letter, primed, index, binom): a2 is ('a', 0, 1, 0), a1'
-# is ('a', 1, 0, 0), C(a1',2) is ('a', 1, 0, 1), b1 is ('b', 0, 0, 0).
-# A monomial is the sorted tuple of (factor, power) pairs; polynomials
-# map monomials to coefficients. Sorting factor tuples gives the fixed
-# monomial order used by render.
+# A factor is a slot in the coordinate vector of a point (g, h), numbered
+# in render order: a_i at 2i and C(a_i,2) at 2i+1, a'_i at 2(n+i) and
+# C(a'_i,2) at 2(n+i)+1, b_l at 4n+l and b'_l at 4n+m+l. A monomial is the
+# sorted tuple of its factors' slots, and a polynomial maps monomials to
+# coefficients, so sorted monomials come in render order. No monomial
+# built here repeats a factor.
 
 
-def _poly_add(poly, coeff, factors):
+def _slot_names(P):
+    """The name of each slot, as render prints it."""
+    a = ["a%d%s" % (i + 1, p) for p in ("", "'") for i in range(P.n)]
+    b = ["b%d%s" % (l + 1, p) for p in ("", "'") for l in range(P.m)]
+    return [name for x in a for name in (x, "C(%s,2)" % x)] + b
+
+
+def _poly_add(poly, coeff, mono):
     if not coeff:
         return
-    mono = tuple(sorted(Counter(factors).items()))
     new = poly.get(mono, 0) + coeff
     if new:
         poly[mono] = new
@@ -192,36 +196,33 @@ def _poly_add(poly, coeff, factors):
 def _lemmax_poly(P, w, poly, scale):
     _check_lemmax(P, w)
     for (i, j), f in zip(combinations(range(P.n), 2), w.f):
-        _poly_add(poly, -scale * f, (("a", 0, j, 0), ("a", 1, i, 0)))
+        _poly_add(poly, -scale * f, (2 * j, 2 * (P.n + i)))
 
 
 def _lemmay_poly(P, brackets, w, poly, scale):
     _check_lemmay(P, w)
-    n, m = P.n, P.m
-    phi = w.phi
+    n, phi = P.n, w.phi
     # phi(x_t (x) c(x_p ^ x_q)) is _dot(brackets[p, q], phi[t]), for p > q
     for j in range(n):
         for i in range(j + 1, n):
             k1 = _dot(brackets[i, j], phi[i])
-            _poly_add(poly, -scale * k1, (("a", 0, i, 1), ("a", 1, j, 0)))
+            _poly_add(poly, -scale * k1, (2 * i + 1, 2 * (n + j)))
             k2 = _dot(brackets[i, j], phi[j])
-            _poly_add(poly, -scale * k2, (("a", 0, i, 0), ("a", 1, j, 1)))
+            _poly_add(poly, -scale * k2, (2 * i, 2 * (n + j) + 1))
     for k in range(n):
         for i in range(k + 1, n):
             for j in range(i + 1, n):
                 wgt = _dot(brackets[i, k], phi[j])
-                _poly_add(poly, -scale * wgt,
-                          (("a", 0, i, 0), ("a", 0, j, 0), ("a", 1, k, 0)))
+                _poly_add(poly, -scale * wgt, (2 * i, 2 * j, 2 * (n + k)))
     for j in range(n):
         for k in range(j + 1, n):
             for i in range(j + 1, n):
                 wgt = _dot(brackets[i, j], phi[k])
                 _poly_add(poly, -scale * wgt,
-                          (("a", 0, i, 0), ("a", 1, j, 0), ("a", 1, k, 0)))
+                          (2 * i, 2 * (n + j), 2 * (n + k)))
     for i in range(n):
-        for l in range(m):
-            _poly_add(poly, -scale * phi[i][l],
-                      (("a", 1, i, 0), ("b", 0, l, 0)))
+        for l in range(P.m):
+            _poly_add(poly, -scale * phi[i][l], (2 * (n + i), 4 * n + l))
 
 
 def _cocycle_poly(P, brackets, w, poly, scale):
@@ -255,30 +256,28 @@ def _family(P, ws):
 
     ``values(g, h)`` lists the values at (g, h) of monos, the sorted union
     of the cocycles' monomials, and w_k(g, h) = rows[k] . values(g, h).
-    Each factor is a slot in the coordinate vector that ``values`` builds
-    once per point: a, b, a', b', then C(x,2) of a and a' when some
-    monomial has one (only a and a' ever appear under C(x,2)), then the 1
-    at slot -1 that pads every monomial, of at most three factors, to 3.
+    ``values`` fills the coordinate vector of the point once, slot by
+    slot as the table comment numbers them, with C(x,2) only when some
+    monomial reads one, and a 1 at slot -1 that pads every monomial, of
+    at most three factors, to three.
     """
     polys = _polys(P, ws)
     monos = sorted(set().union(*polys))
-    n, width = P.n, P.n + P.m
-    start = {"a": 0, "b": n}
-    binoms = any(factor[3] for mono in monos for factor, _ in mono)
-    slots = []
-    for mono in monos:
-        s = tuple(2 * width + primed * n + idx if binom
-                  else start[letter] + primed * width + idx
-                  for (letter, primed, idx, binom), power in mono
-                  for _ in range(power))
-        slots.append(s + (-1,) * (3 - len(s)))
+    four_n = 4 * P.n
+    binoms = any(s % 2 for mono in monos for s in mono if s < four_n)
+    slots = [mono + (-1,) * (3 - len(mono)) for mono in monos]
     rows = [[poly.get(mono, 0) for mono in monos] for poly in polys]
 
+    # one vector, refilled in place at each point (a fresh list per call
+    # costs criterion 6 about 8%), so a table is not for concurrent use
+    x = [1] * (four_n + 2 * P.m + 1)
+
     def values(g, h):
-        x = g.a + g.b + h.a + h.b
+        a = g.a + h.a
+        x[:four_n:2] = a
         if binoms:
-            x += tuple([v * (v - 1) // 2 for v in g.a + h.a])
-        x += (1,)
+            x[1:four_n:2] = [v * (v - 1) // 2 for v in a]
+        x[four_n:-1] = g.b + h.b
         return [x[i] * x[j] * x[k] for i, j, k in slots]
 
     return values, rows, monos
@@ -305,17 +304,8 @@ def _join_terms(terms):
     return " ".join(pieces) or "0"
 
 
-def _factor_str(factor, power):
-    letter, primed, idx, binom = factor
-    name = "%s%d%s" % (letter, idx + 1, "'" if primed else "")
-    s = "C(%s,2)" % name if binom else name
-    if power > 1:
-        s += "^%d" % power
-    return s
-
-
-def _mono_str(mono):
-    return "*".join(_factor_str(f, p) for f, p in mono)
+def _mono_str(names, mono):
+    return "*".join(names[s] for s in mono)
 
 
 def render(P, w):
@@ -327,7 +317,9 @@ def render(P, w):
     """
     require_valid(P)
     (poly,) = _polys(P, [w])
-    return _join_terms((poly[mono], _mono_str(mono)) for mono in sorted(poly))
+    names = _slot_names(P)
+    return _join_terms((poly[mono], _mono_str(names, mono))
+                       for mono in sorted(poly))
 
 
 class VerificationReport(_Value):
@@ -371,9 +363,11 @@ def _check_family(P, values, rows, monos, trials, bound, seed):
     values(g,h) + values(gh,k) - values(h,k) - values(g,hk).
     """
     reports = [None] * len(rows)
+    n2, names = 2 * P.n, _slot_names(P)
     for k, mono in enumerate(monos):
-        if {primed for (_, primed, _, _), _ in mono} != {0, 1}:
-            msg = "normalization fails at monomial %s" % _mono_str(mono)
+        primed = {n2 <= s < 2 * n2 or s >= 2 * n2 + P.m for s in mono}
+        if primed != {False, True}:
+            msg = "normalization fails at monomial %s" % _mono_str(names, mono)
             for i, row in enumerate(rows):
                 if row[k] and reports[i] is None:
                     reports[i] = VerificationReport(False, 0, msg)
@@ -545,13 +539,14 @@ def coboundary_witness(P, w):
     # delta u = u . F(a, a'), F read from the group law, not from the solve
     delta = {}
     for (i, j), vec in P.bracket.items():
-        _poly_add(delta, _dot(u.coeffs, vec), (("a", 0, j, 0), ("a", 1, i, 0)))
+        _poly_add(delta, _dot(u.coeffs, vec), (2 * j, 2 * (P.n + i)))
     (poly,) = _polys(P, [w])
     for mono in sorted(set(delta) | set(poly)):
         x, y = delta.get(mono, 0), poly.get(mono, 0)
         if x != y:
-            raise ArithmeticError("witness fails validation at %s: delta u "
-                                  "has %d, w has %d" % (_mono_str(mono), x, y))
+            raise ArithmeticError(
+                "witness fails validation at %s: delta u has %d, w has %d"
+                % (_mono_str(_slot_names(P), mono), x, y))
     return u
 
 

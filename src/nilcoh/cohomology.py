@@ -31,8 +31,6 @@ in ``itertools.combinations`` order, which is lexicographic; tensor basis
 x_t (x) y_l row-major in (t, l).
 """
 
-from __future__ import annotations
-
 from itertools import combinations
 from math import comb
 
@@ -119,12 +117,13 @@ def h2(P, r=1):
     Every summand and the complex-route cross-check are computed at r = 1;
     the report holds each group repeated r times. One elimination of C
     gives both C-summands: C has rank m on a valid presentation, and C^T
-    has the invariant factors of C. The complex route runs first and
-    validates P for both routes.
+    has the invariant factors of C. The rank r is checked first; then the
+    complex route runs and validates P for both routes.
     """
-    crosscheck = h2_via_complex(P, 1)
     if r < 0:
+        require_valid(P)   # an invalid P is reported first, as h1 does
         raise ValueError("coefficient rank must be nonnegative")
+    crosscheck = h2_via_complex(P, 1)
     C = bracket_matrix(P)
     ext_part = quotient_invariants(P.m, C)
     ker_c_rank = C.cols - P.m

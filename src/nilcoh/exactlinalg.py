@@ -38,8 +38,6 @@ same class and equal public fields, and the hash and repr read the same
 fields; a slot whose name starts with ``_`` is a cache outside all three.
 """
 
-from __future__ import annotations
-
 from operator import attrgetter, index
 
 _set = object.__setattr__

@@ -1,7 +1,5 @@
 """Stock presentations used by the command line, the tests, and the demos."""
 
-from __future__ import annotations
-
 import random
 from operator import index
 

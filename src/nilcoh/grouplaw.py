@@ -10,8 +10,6 @@ form of concatenating two such words, with [g, h] = g h g^-1 h^-1 as the
 commutator convention.
 """
 
-from __future__ import annotations
-
 import json
 import random
 from itertools import combinations

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from math import comb
 from unittest import mock
 
@@ -81,6 +82,48 @@ class TestReports:
         assert res.returncode == 0
         assert "central extension by Z^2 built from 2 cocycles" in res.stdout
         assert "PASS (100 trials)" in res.stdout
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_extend_rejected_fiber_is_exit_1(self, monkeypatch, fmt):
+        # the table of cocycle 0 gains 3*a1', which is not normalized
+        polys = cocycles._polys
+
+        def mutant(P, ws):
+            out = polys(P, ws)
+            out[0][(4,)] = 3   # the slot of a1' on the Heisenberg group
+            return out
+
+        monkeypatch.setattr(cocycles, "_polys", mutant)
+        P = families.heisenberg()
+        doc = json.dumps(presentation_to_json(P)).encode()
+        code, out, err = run_in_process(
+            ["extend", "--trials", "5", "--format", fmt], doc)
+        message = ("extension rejected: fiber 0 failed spot verification: "
+                   "normalization fails at monomial a1'")
+        assert (code, err) == (1, "")
+        if fmt == "text":
+            assert out == message + "\n"
+        else:
+            assert out == cli.dump_json({
+                "group": presentation_to_json(P),
+                "extend": {"ok": False, "message": message}})
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_extend_law_failure_is_exit_1(self, monkeypatch, fmt):
+        monkeypatch.setattr(cocycles.ExtensionGroup, "first_law_failure",
+                            lambda self, trials, bound, rng: ("inverse law", 7))
+        P = families.heisenberg()
+        doc = json.dumps(presentation_to_json(P)).encode()
+        code, out, err = run_in_process(
+            ["extend", "--trials", "5", "--format", fmt], doc)
+        assert (code, err) == (1, "")
+        if fmt == "text":
+            assert out == "inverse law fails at trial 7\n"
+        else:
+            assert out == cli.dump_json({
+                "group": presentation_to_json(P),
+                "extend": {"ok": False,
+                           "message": "inverse law fails at trial 7"}})
 
     def test_witness_without_torsion(self, heisenberg_file):
         res = run_cli(["witness", "--input", heisenberg_file])
@@ -163,7 +206,8 @@ class TestJsonOutput:
 
 
 # SHA-256 of the stdout of COMMAND --format FORMAT --trials 40 --seed 1
-# (witness: COMMAND --format FORMAT --seed 1), each with exit code 0
+# (cocycles, h2 and witness: COMMAND --format FORMAT --seed 1), each with
+# exit code 0
 PINNED_GROUPS = {"heisenberg": families.heisenberg(),
                  "near-free-n3": families.random_presentation(3, 3, 3, 1003),
                  "near-free-n4": families.random_presentation(4, 6, 3, 1004),
@@ -202,6 +246,46 @@ PINNED_REPORTS = [
     ("chain-3-3-6", "witness", "json", "84c73ace38a5ed8d61d63e02337e37adc479299f0bb93c7110dc288e1cb4b61b"),
     ("near-free-n3-2026003", "witness", "text", "d12ad260441406dc29997e419b88199244fc725ab83025297e12f665b4bece39"),
     ("near-free-n3-2026003", "witness", "json", "7be4a74757213227078b7b75c9dec8f76862f97d0c497615a358b7ef687268b3"),
+    ("heisenberg", "cocycles", "text", "416a828e670f20ffc28e65586e8d5b9f5a3e9f06cb8a406b4c0302b44cf37b9a"),
+    ("heisenberg", "cocycles", "json", "3a8e1c8ba09215cd22d307d57cf5e087a3f28e6c54de8e4c3a10a48a026ff0d4"),
+    ("heisenberg", "h2", "text", "92ae7a98af31baa6f388ab7242b100f071f3d419fd06fc8e5902aa37f0e2c20e"),
+    ("heisenberg", "h2", "json", "51096121c4e30b52c9ac41b914ad204b4a206018856e1e1aeb3ed2722aca768a"),
+    ("near-free-n3", "cocycles", "text", "08ff2e56d35393692fdbc718fd3d19f148a72f6531bc5e92b6b44891dd449c10"),
+    ("near-free-n3", "cocycles", "json", "4ab0f17d15f1779b9baee2a12f44c2250a0a31344ebed274420b93e4ea28219d"),
+    ("near-free-n3", "h2", "text", "26aa4366d868848cbbabfc87842f2096199b34b56cf141fd31f87e5633438263"),
+    ("near-free-n3", "h2", "json", "7a164a3e5cc2ed7d50e1a24917b4f74d5eb500db345c20ee26d4d88c906e08c7"),
+    ("near-free-n4", "cocycles", "text", "f1e58c2e18a233de805262b6d8a15cd391059309b76c8c912e9a115f8d623f4e"),
+    ("near-free-n4", "cocycles", "json", "d525e1026703655d524ac7e8132c5f03f8dbb5db9e2429b1e8ec342c875f7dd1"),
+    ("near-free-n4", "h2", "text", "60dee68fd9e7916d9d5fa2303c44dd9ce8aa6198f9db476285ce78ea1cf2be0d"),
+    ("near-free-n4", "h2", "json", "9859b47733e44d339072955d372d456b1f02d4c62e1663fede2bbf55c4cc7157"),
+    ("dheis-2", "cocycles", "text", "f676a0eda57173e7207c6b2f5bdc565768263c12472f15839238eb5dd88a7af0"),
+    ("dheis-2", "cocycles", "json", "b2721067445d2ff3309965f223236b2bdf22b246bb581d678b7e958791fe1421"),
+    ("dheis-2", "h2", "text", "6031ded4a4c16beeddc74e394e414ae42122c3abd0a90ab2b4b74ca7d5886b16"),
+    ("dheis-2", "h2", "json", "e70347938d465823125567bb2a58f59037a5a1656643ba75b1bc120f3ca909c3"),
+    ("dheis-3", "cocycles", "text", "a01a1c47dbfd67a56889de9659a49c990b0a2d31aef416f90a1b60f99db51759"),
+    ("dheis-3", "cocycles", "json", "b74e6289c55e17c47da20ba6df93eeb72e6b2fd2e525cddf9555b4c8a63c8a28"),
+    ("dheis-3", "h2", "text", "8010f8503724bff1b2b354b848e090b15b7ed818eb934b163e42d86ae0466dd7"),
+    ("dheis-3", "h2", "json", "eef41c6dad6fd96fc1375712efadd5af3b432aefde6752efa820b93f5b975b58"),
+    ("dheis-4", "cocycles", "text", "bc4c4fbac8ddf279e16a686e9cd463119db8ddb788c0b57d44b8eda42e18d8f5"),
+    ("dheis-4", "cocycles", "json", "60e29b168c4d0477768abb0c974d5f5048ce099d6998a181fd2c574688e8976e"),
+    ("dheis-4", "h2", "text", "4ef77ca7f26a77402d86fe00f271d3ea6daa39ff215b3b7dddd0badd7d72ff01"),
+    ("dheis-4", "h2", "json", "f7f08fdb974e944c18a867e273b2f42905d011cccc123e0ef361953256a086fc"),
+    ("dheis-5", "cocycles", "text", "cb57efa6f37eb699c558bb9b6f48f81753901fbb6a251073cdb2218b15a3b1e0"),
+    ("dheis-5", "cocycles", "json", "759d98c4b87332fd4b57d402177acf6f0b55edf174afc1d16277aff9f5b35e89"),
+    ("dheis-5", "h2", "text", "c471adb9080d9737190cf3e300f4f39d23a1fd6a83a76c2fc6c07a0b404c34b8"),
+    ("dheis-5", "h2", "json", "6839254fa695de2bbc5498c14572610de9bc2267bf2d0f6112de22dbbbab37bb"),
+    ("chain-2-6", "cocycles", "text", "dc337b49bdc750a6f2cb766a7f7e11e63c01436a5513826782cd89fce6db5f88"),
+    ("chain-2-6", "cocycles", "json", "08515338f63e21e5f0c403a815ae693c08ce6c64c473d52a6e5ab25248ddff6d"),
+    ("chain-2-6", "h2", "text", "06fe296d7d719fab1fbef8be6fba7f58eecaa5f2abd065a0575df24213633898"),
+    ("chain-2-6", "h2", "json", "facf91f8710ebc7764e40efc842fd7127776bbb650438db5c94b2dbd76e198af"),
+    ("chain-3-3-6", "cocycles", "text", "123ac88dcf0839db1f4587bfbc53c01f31b01cac146ed7122b4b3bfa7ece884b"),
+    ("chain-3-3-6", "cocycles", "json", "8c2d0357b4ca2d34be092f4d29f03a51d69f010b6e61933008f4fdfcd4ecb583"),
+    ("chain-3-3-6", "h2", "text", "25bb367b95eee0e6d754d59f54ca5be2d4d6b8f284b152a7142b4ea9411389c2"),
+    ("chain-3-3-6", "h2", "json", "519d5afdd64b8c6da645b98ea09bf0c54b2b71ed277a0d4579bd2cbfbb50ae86"),
+    ("near-free-n3-2026003", "cocycles", "text", "2ed7a7efc3b87efd7a34d59078e4572973517326f87255c8dd2728bca86cb19f"),
+    ("near-free-n3-2026003", "cocycles", "json", "29ff2c3768ac9673d1e43e178894b78dfe25b2937d43d4a6de546288ed4dd598"),
+    ("near-free-n3-2026003", "h2", "text", "5de79a47fdf7cf5e01de85160041f9a18507542de0338a563b5632682b3000ec"),
+    ("near-free-n3-2026003", "h2", "json", "18171a50c40569b6393b8e79ebf3f821ae82e2b7dc3e2115ef9f98b8ffa39ffa"),
 ]
 
 
@@ -210,7 +294,7 @@ class TestPinnedReports:
                              ids=["-".join(r[:3]) for r in PINNED_REPORTS])
     def test_stdout_bytes(self, group, command, fmt, sha):
         doc = json.dumps(presentation_to_json(PINNED_GROUPS[group])).encode()
-        trials = [] if command == "witness" else ["--trials", "40"]
+        trials = ["--trials", "40"] if command in ("verify", "extend") else []
         code, out, err = run_in_process(
             [command, "--format", fmt, "--seed", "1"] + trials, doc)
         assert (code, err) == (0, "")
@@ -367,6 +451,21 @@ class TestExitCodes:
         assert res.stdout == b""
         assert "Traceback" not in err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, n", [("h2", 3000000),
+                                            ("cocycles", 3000)])
+    def test_huge_input_is_refused_up_front(self, command, n):
+        # enumerating the C(n,2) pairs alone would run for minutes
+        start = time.perf_counter()
+        res = subprocess.run([sys.executable, "-m", "nilcoh", command],
+                             input='{"n": %d, "m": 0}' % n, capture_output=True,
+                             text=True, timeout=20)
+        assert time.perf_counter() - start < 2
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: presentation too large: n + m = %d "
+                              "generators, the limit is %d\n"
+                              % (n, cli._MAX_GENERATORS))
 
     def test_out_of_memory_is_exit_2(self):
         # as h2 on an input too large for memory would

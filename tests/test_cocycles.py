@@ -199,7 +199,9 @@ class TestEvaluate:
         values, rows, monos = _family(P, all_cocycles(P))
         for k, mono in enumerate(monos):
             if any(row[k] for row in rows):
-                assert {primed for (_, primed, _, _), _ in mono} == {0, 1}
+                # h's slots: a' and C(a',2) in [2n, 4n), b' from 4n + m
+                assert {2 * P.n <= s < 4 * P.n or s >= 4 * P.n + P.m
+                        for s in mono} == {0, 1}
         # sampled oracle: w(g, e) = w(e, g) = 0
         e, rng = identity(P), random.Random(0)
         for _ in range(50):
@@ -372,8 +374,8 @@ class TestVerifyCocycle:
         assert verify_cocycles(CHAIN, [], trials=5, bound=3, seed=0) == []
 
     @pytest.mark.parametrize("mono, text", [
-        (((("a", 0, 0, 0), 1), (("a", 0, 1, 0), 1)), "a1*a2"),
-        (((("a", 1, 0, 0), 1), (("b", 1, 0, 0), 1)), "a1'*b1'"),
+        ((0, 2), "a1*a2"),        # slots of a1, a2 on HEIS (n=2, m=1)
+        ((4, 9), "a1'*b1'"),      # slots of a1', b1'
     ], ids=["no-primed-factor", "no-unprimed-factor"])
     def test_unnormalized_monomial_is_named(self, monkeypatch, mono, text):
         add_monomial(monkeypatch, 1, mono)
@@ -492,7 +494,7 @@ class TestExtensions:
 
     def test_law_check_is_the_oracle_on_the_inverse_law(self, monkeypatch):
         # w(g, h) = 3 a1': row . D = -3 a1(k), and x^-1 x has t = 6 a1(g)
-        add_monomial(monkeypatch, 0, ((("a", 1, 0, 0), 1),))
+        add_monomial(monkeypatch, 0, (4,))   # the slot of a1' on HEIS
         E = ExtensionGroup(HEIS, (CocycleLemmaX(f=(0,)),))
         results = {assert_law_check_is_the_oracle(E, 20, 1, seed)
                    for seed in range(10)}

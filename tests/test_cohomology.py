@@ -147,6 +147,14 @@ class TestH2:
         with pytest.raises(ValueError, match="coefficient rank"):
             h2(families.heisenberg(), -1)
 
+    def test_negative_rank_is_refused_before_computing(self, monkeypatch):
+        def fail(P, r):
+            raise AssertionError("the complex route ran")
+
+        monkeypatch.setattr(cohomology, "h2_via_complex", fail)
+        with pytest.raises(ValueError, match="coefficient rank"):
+            h2(families.heisenberg(), -1)
+
 
 class TestH2ViaComplex:
     def test_heisenberg(self):

@@ -5,10 +5,11 @@ class is represented by a LemmaX cocycle w = w_f, whose double is
 trivial in cohomology, so 2w must be a coboundary: 2w(g, g') = u(g) +
 u(g') - u(g g') for some u: G -> Z. The primitive has a closed form: the
 group law subtracts the collection term sum_{i<j} a_j a'_i c(i, j) from
-b, so any lambda with C^T lambda = 2f gives u = -lambda . b. One lattice
-solve finds lambda, and u is certified by the exact identity delta u =
-2w, checked monomial by monomial. For w itself the same solve has no
-solution: f lies outside im(c^*), which proves that w is not a
+b, so any lambda with C^T lambda = 2f gives u = -lambda . b. lambda is
+read off the Smith coordinates of 2f, from the same elimination of C^T
+that gave the generators, and u is certified by the exact identity
+delta u = 2w, checked monomial by monomial. For w itself the coordinates
+admit no lambda: f lies outside im(c^*), which proves that w is not a
 coboundary.
 
 Run:  python3 demos/03_coboundary_witness.py

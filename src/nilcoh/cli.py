@@ -40,12 +40,16 @@ def _read_presentation(args):
     except UnicodeDecodeError as exc:
         raise PresentationFormatError("input is not UTF-8: %s" % exc) from exc
     P = load_presentation(text)
+    _refuse_too_large(P.n, P.m)
+    return P
+
+
+def _refuse_too_large(n, m):
     # every command enumerates the C(n,2) pairs before anything can fail
-    if P.n + P.m > _MAX_GENERATORS:
+    if n + m > _MAX_GENERATORS:
         raise PresentationFormatError(
             "presentation too large: n + m = %d generators, the limit is %d"
-            % (P.n + P.m, _MAX_GENERATORS))
-    return P
+            % (n + m, _MAX_GENERATORS))
 
 
 def _cmd_validate(args):
@@ -222,16 +226,19 @@ def _gen_family(args):
     if args.family == "abelian":
         if args.n is None:
             raise PresentationFormatError("family 'abelian' needs --n")
+        _refuse_too_large(args.n, 0)
         return families.abelian(args.n)
     if args.family == "paper-example":
         if not args.d:
             raise PresentationFormatError("family 'paper-example' needs --d d1,d2,...")
         if args.n is not None and args.n != len(args.d):
             raise PresentationFormatError("--n disagrees with the length of --d")
+        _refuse_too_large(2 * len(args.d), 1)
         return families.divisor_chain_group(args.d)
     if args.family == "random":
         if args.n is None or args.m is None:
             raise PresentationFormatError("family 'random' needs --n and --m")
+        _refuse_too_large(args.n, args.m)
         return families.random_presentation(args.n, args.m, args.bound, args.seed)
     raise PresentationFormatError("unknown family %r" % (args.family,))
 
@@ -286,7 +293,8 @@ def _chain(text):
 
 # H^2(G, Z^r) is reported as r copies, so r bounds the report's size
 _MAX_COEFF_RANK = 4096
-# n + m of an input; past it a command refuses before building a matrix.
+# n + m of an input; past it a command refuses before building a matrix,
+# and gen before building a bracket.
 # h2 on the free class-2 group F(16) (n + m = 136) takes about 34 s, and
 # is killed on F(20) (n + m = 210)
 _MAX_GENERATORS = 200

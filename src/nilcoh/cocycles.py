@@ -33,10 +33,10 @@ multiplies all its fibers at once.
 
 A LemmaX class has a closed-form primitive: when C^T lambda = f, the
 coboundary of u(g) = -lambda . b is w_f, because the group law subtracts
-the collection term sum_{i<j} a_j a'_i c(i, j) from b. So
-``coboundary_witness`` is one lattice solve, and no solution proves that
-w_f is not a coboundary. A returned u is certified by the exact identity
-delta u = w, an equality of two bilinear tables in (a, a').
+the collection term sum_{i<j} a_j a'_i c(i, j) from b. One Smith form
+U C^T V = D per presentation gives the generators (columns of U^-1) and
+lambda = V (x_t / d_t) from x = U f, or proves that none exists. A
+returned u is certified by the exact identity delta u = w.
 """
 
 import random
@@ -44,8 +44,8 @@ from itertools import combinations
 from math import comb
 from operator import index, mul
 
-from .exactlinalg import (_Value, _set, cokernel_generators, kernel_basis,
-                          solve_in_lattice)
+from .exactlinalg import (_Value, _lattice_solution, _set, cokernel,
+                          kernel_basis)
 from .grouplaw import _check_element, draw_element, identity, inverse, multiply
 from .cohomology import _jacobi_transpose, bracket_matrix, require_valid
 
@@ -125,16 +125,20 @@ class CocycleSum(Cocycle, _Value):
 
 
 def lemmax_generators(P):
-    """Lifts of a generating set of Coker(c^*) = Coker(bracket_matrix^T).
+    """Lifts of a generating set of Coker(c^*), those of ``cokernel`` of C^T.
 
-    Returns infinite-order generators first (one per kernel dimension of
-    c), then one generator of order d for each invariant factor d > 1 of
-    the bracket matrix. One Smith elimination of C^T gives both, through
-    ``cokernel_generators``.
+    Infinite-order generators come first (one per kernel dimension of c),
+    then one of order d for each invariant factor d > 1 of C.
     """
+    return [CocycleLemmaX._trusted(f, d) for d, f in _cokernel(P)[2]]
+
+
+def _cokernel(P):
+    """``cokernel`` of C^T for a valid P, computed once and kept on P."""
     require_valid(P)
-    return [CocycleLemmaX(f=f, order=d)
-            for d, f in cokernel_generators(bracket_matrix(P).transpose())]
+    if P._cokernel is None:
+        _set(P, "_cokernel", cokernel(bracket_matrix(P).transpose()))
+    return P._cokernel
 
 
 def lemmay_basis(P):
@@ -518,8 +522,8 @@ def coboundary_witness(P, w):
     is the sum of their coordinates. The group law subtracts
     F(a, a') = sum_{i<j} a_j a'_i c(i, j) from b, so for any lambda with
     C^T lambda = f the polynomial u = -sum_l lambda_l b_l has coboundary
-    exactly w. The lattice solve either returns such a lambda, and then u
-    is returned as ``Primitive(-lambda)``, or proves that none exists:
+    exactly w. The coordinates U f of ``_cokernel`` either give such a
+    lambda, and u = ``Primitive(-lambda)``, or prove that none exists:
     None means f is not in im(c^*), so w is not a coboundary. A returned
     u is certified by the exact identity delta u = w, compared monomial by
     monomial with F read from ``P.bracket``, or raises ArithmeticError.
@@ -532,7 +536,8 @@ def coboundary_witness(P, w):
                             % (term,))
         _check_lemmax(P, term)
         f = [x + c * y for x, y in zip(f, term.f)]
-    lam = solve_in_lattice(bracket_matrix(P).transpose(), f)
+    invariants, ops, _, v = _cokernel(P)
+    lam = _lattice_solution(invariants, ops, v, f)
     if lam is None:
         return None
     u = Primitive(-x for x in lam)

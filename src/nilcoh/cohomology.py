@@ -47,9 +47,10 @@ def tensor_index(n, m, t, l):
 
 
 def require_valid(P):
-    report = validate(P)
-    if not report.ok:
-        raise InvalidPresentationError(report)
+    if P._report is None:
+        _set(P, "_report", validate(P))
+    if not P._report.ok:
+        raise InvalidPresentationError(P._report)
 
 
 def _jacobi_transpose(P):

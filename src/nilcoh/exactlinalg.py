@@ -3,18 +3,18 @@
 Smith normal form with unimodular transforms, ranks, integer kernel
 bases, lattice solves, and invariant factors of subquotients of Z^k.
 
-One elimination (``_smith``) serves every caller, and it carries only the
-transforms the caller reads, since those transforms are where the
-integer entries grow:
+One elimination (``_smith``) serves every caller. It records its row
+operations instead of carrying U, which ``_replay`` and ``_undo`` apply
+to any rows, and carries V only when asked:
 
 - invariants only: ``quotient_invariants`` (the closed form of
   ``cohomology.h2``, and the torsion in ``subquotient_invariants``, so in
   the complex route of ``h2``), and ``rank`` when the modular
   certificate below does not answer;
 - V only: ``kernel_basis`` (``cocycles.lemmay_basis``);
-- V plus the right-hand side in place of U: ``_solve_many`` and
-  ``solve_in_lattice`` (``cocycles.coboundary_witness``);
-- U^-1 only: ``cokernel_generators`` (``cocycles.lemmax_generators``);
+- V and the record: ``_solve_many`` and ``solve_in_lattice``;
+- V, the record and columns of U^-1: ``cokernel`` (``cocycles``' LemmaX
+  generators and witnesses, from one elimination of C^T);
 - U and V: ``smith_normal_form`` (the SNF acceptance criterion).
 
 All arithmetic uses Python's arbitrary-precision integers; there are no
@@ -38,7 +38,7 @@ same class and equal public fields, and the hash and repr read the same
 fields; a slot whose name starts with ``_`` is a cache outside all three.
 """
 
-from operator import attrgetter, index
+from operator import attrgetter, index, mul
 
 _set = object.__setattr__
 
@@ -219,22 +219,19 @@ class SmithDecomposition(_Value):
         return len(self.invariants)
 
 
-def _smith(A, rows=None, track_v=False, inverse=None):
-    """Smith elimination of A, carrying only the transforms the caller reads.
+def _smith(A, track_v=False):
+    """Smith elimination of A, recording its row operations.
 
-    Every row operation on A is repeated on ``rows``, a list of A.rows
-    companion rows that is modified in place (the identity gives U, the
-    rows of a right-hand side B give U @ B). ``inverse``, a list of A.rows
-    rows starting as the identity, receives the inverse of each row
-    operation from the right, so row i ends as column i of U^-1. Every
-    column operation is repeated on V when ``track_v`` is set. Returns
-    (invariants, d, v): the invariant factors, the reduced matrix as a
-    list of rows, and V as a list of rows or None.
+    Returns (invariants, d, v, ops): the invariant factors, the reduced
+    matrix as a list of rows, V as a list of rows when ``track_v`` is set
+    (else None), and ops, the row operations in order as triples
+    (dst, src, q): row dst -= q * row src, where (r, r, 2) negates row r
+    and (r0, r1, None) swaps two rows. ``_replay`` of ops on the rows of B
+    gives U @ B, and ``_undo`` gives U^-1 @ B, so no caller carries U.
 
     Pivots are chosen by least absolute value, which keeps coefficient
     growth tame on the sparse matrices the cohomology routines produce.
-    The pivot sequence depends on A alone, so every combination of
-    companions yields the same d and the same V. At stage t the rows and
+    The pivot sequence depends on A alone. At stage t the rows and
     columns before t are already cleared, so operations on d touch only
     the trailing block and, for a column operation, only the rows that
     are nonzero in the pivot column.
@@ -242,13 +239,7 @@ def _smith(A, rows=None, track_v=False, inverse=None):
     m, n = A.rows, A.cols
     d = A.to_rows()
     v = [[int(i == j) for j in range(n)] for i in range(n)] if track_v else None
-
-    def swap_rows(r0, r1):
-        d[r0], d[r1] = d[r1], d[r0]
-        if rows is not None:
-            rows[r0], rows[r1] = rows[r1], rows[r0]
-        if inverse is not None:
-            inverse[r0], inverse[r1] = inverse[r1], inverse[r0]
+    ops = []
 
     def swap_cols(c0, c1):
         for row in d:
@@ -257,26 +248,16 @@ def _smith(A, rows=None, track_v=False, inverse=None):
             for row in v:
                 row[c0], row[c1] = row[c1], row[c0]
 
-    def negate_row(r):
-        d[r] = [-x for x in d[r]]
-        if rows is not None:
-            rows[r] = [-x for x in rows[r]]
-        if inverse is not None:
-            inverse[r] = [-x for x in inverse[r]]
-
-    def row_axpy(dst, src, q):
-        # row dst -= q * row src, mirrored on the companion rows; both rows
-        # are zero before column t, the current stage. Its inverse adds
-        # q * column dst of U^-1 to column src.
-        drow, srow = d[dst], d[src]
-        for k in range(t, n):
-            drow[k] -= q * srow[k]
-        if rows is not None:
-            crow, csrc = rows[dst], rows[src]
-            for k in range(len(crow)):
-                crow[k] -= q * csrc[k]
-        if inverse is not None:
-            inverse[src] = [x + q * y for x, y in zip(inverse[src], inverse[dst])]
+    def row_op(dst, src, q):
+        # one operation of the record, done on d; both rows are zero
+        # before column t, the current stage
+        ops.append((dst, src, q))
+        if q is None:
+            d[dst], d[src] = d[src], d[dst]
+        else:
+            drow, srow = d[dst], d[src]
+            for k in range(t, n):
+                drow[k] -= q * srow[k]
 
     def col_axpy(dst, src, q, live):
         # col dst -= q * col src, mirrored on V; live: rows of d nonzero at src
@@ -309,16 +290,16 @@ def _smith(A, rows=None, track_v=False, inverse=None):
         while True:
             i0, j0 = pos
             if i0 != t:
-                swap_rows(t, i0)
+                row_op(t, i0, None)
             if j0 != t:
                 swap_cols(t, j0)
             if d[t][t] < 0:
-                negate_row(t)
+                row_op(t, t, 2)
             p = d[t][t]
             for i in range(t + 1, m):
                 x = d[i][t]
                 if x:
-                    row_axpy(i, t, x // p)
+                    row_op(i, t, x // p)
             live = [row for row in d[t:] if row[t]]
             for j in range(t + 1, n):
                 x = d[t][j]
@@ -342,12 +323,28 @@ def _smith(A, rows=None, track_v=False, inverse=None):
             if bad is None:
                 break
             # fold the offending row into the cross so the next pass shrinks the pivot
-            row_axpy(t, bad[0], -1)
+            row_op(t, bad[0], -1)
             pos = (t, t)
         t += 1
 
     invariants = tuple(d[k][k] for k in range(lim) if d[k][k] != 0)
-    return invariants, d, v
+    return invariants, d, v, ops
+
+
+def _replay(ops, rows):
+    """U @ B in place, for B a list of rows and ops recorded by ``_smith``."""
+    for dst, src, q in ops:
+        if q is None:
+            rows[dst], rows[src] = rows[src], rows[dst]
+        else:
+            rows[dst] = [x - q * y for x, y in zip(rows[dst], rows[src])]
+
+
+def _undo(ops, rows):
+    """U^-1 @ B in place: each recorded operation inverted, last first."""
+    # a swap, or a negation (r, r, 2), is its own inverse
+    _replay([(d, s, q if q is None or d == s else -q)
+             for d, s, q in reversed(ops)], rows)
 
 
 def smith_normal_form(A):
@@ -355,18 +352,15 @@ def smith_normal_form(A):
 
     For callers that read U and V: the SNF acceptance criterion. Callers
     that need less use ``rank``, ``quotient_invariants`` (no transform),
-    ``kernel_basis`` (V only) or ``cokernel_generators`` (U^-1 only).
-    Works for any shape including empty ones.
+    ``kernel_basis`` (V only) or ``cokernel`` (the record, U^-1 lifts and
+    V). Works for any shape including empty ones.
     """
-    m, n = A.rows, A.cols
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    invariants, d, v = _smith(A, u, track_v=True)
-    return SmithDecomposition(
-        U=IntMatrix.from_rows(u, cols=m),
-        D=IntMatrix.from_rows(d, cols=n),
-        V=IntMatrix.from_rows(v, cols=n),
-        invariants=invariants,
-    )
+    invariants, d, v, ops = _smith(A, track_v=True)
+    u = IntMatrix.identity(A.rows).to_rows()
+    _replay(ops, u)
+    return SmithDecomposition(IntMatrix.from_rows(u, cols=A.rows),
+                              IntMatrix.from_rows(d, cols=A.cols),
+                              IntMatrix.from_rows(v, cols=A.cols), invariants)
 
 
 # The prime of the rank certificate, the only modular step in this module
@@ -442,20 +436,24 @@ def rank(A):
     return len(_smith(IntMatrix.from_rows(vectors, cols=full))[0])
 
 
-def cokernel_generators(A):
-    """Lifts of generators of Z^A.rows / im(A), as (order, vector) pairs.
+def cokernel(A):
+    """Z^A.rows / im(A) in Smith coordinates, from one elimination.
 
     With U A V = D in Smith form, U carries Z^rows / im(A) onto
-    Z^rows / im(D), so column t of U^-1 lifts the generator e_t of the
-    latter. The free generators come first (order 0, one per t = rank ..
-    rows - 1), then one of order d for each invariant factor d > 1, in
-    the order of the invariant factors. One elimination, carrying U^-1
-    and no other transform, gives all of them.
+    Z^rows / im(D): Z_d for each invariant factor d, Z for each t = rank
+    .. rows - 1. Returns the tuples (invariants, ops, lifts, V): ops, the
+    record, gives the coordinates U b; lifts are (order, column t of U^-1)
+    pairs lifting e_t, free first (order 0), then one per d > 1; V is by
+    rows, and A (V e_t) = d_t (column t of U^-1).
     """
-    inv = [[int(i == j) for j in range(A.rows)] for i in range(A.rows)]
-    invariants = _smith(A, inverse=inv)[0]
-    return ([(0, tuple(inv[t])) for t in range(len(invariants), A.rows)]
-            + [(d, tuple(inv[t])) for t, d in enumerate(invariants) if d > 1])
+    invariants, _, v, ops = _smith(A, track_v=True)
+    picks = [(0, t) for t in range(len(invariants), A.rows)] + [
+        (d, t) for t, d in enumerate(invariants) if d > 1]
+    cols = [[int(i == t) for _, t in picks] for i in range(A.rows)]
+    _undo(ops, cols)
+    return (invariants, tuple(ops),
+            tuple(zip([d for d, _ in picks], zip(*cols))),
+            tuple(map(tuple, v)))
 
 
 def kernel_basis(A):
@@ -466,7 +464,7 @@ def kernel_basis(A):
     the ambient lattice because it consists of columns of a unimodular
     matrix).
     """
-    invariants, _, v = _smith(A, track_v=True)
+    invariants, _, v, _ = _smith(A, track_v=True)
     return IntMatrix.from_cols([[row[j] for row in v]
                                 for j in range(len(invariants), A.cols)],
                                rows=A.cols)
@@ -530,34 +528,35 @@ def quotient_invariants(ambient_rank, gens):
                                   tuple(x for x in invariants if x > 1))
 
 
+def _lattice_solution(invariants, ops, v, b):
+    """The integer x with A x = b, or None, from the record and V of A.
+
+    A x = b iff D (V^-1 x) = U b: (U b)_t must be divisible by d_t below
+    the rank and zero beyond it; the quotients mapped through V give x.
+    """
+    c = [[y] for y in b]
+    _replay(ops, c)
+    r = len(invariants)
+    if any(y for y, in c[r:]) or any(y % d for (y,), d in zip(c, invariants)):
+        return None
+    w = [y // d for (y,), d in zip(c, invariants)]
+    return tuple(sum(map(mul, row, w)) for row in v)
+
+
 def _solve_many(A, B):
     """Integer solutions X of A @ X = B, or None if some column has none.
 
-    One Smith elimination of A carries V and, in place of U, the rows of
-    B, so C = U @ B. Then A X = B iff D (V^-1 X) = C: each entry of C
-    above the rank must be divisible by its invariant factor, and each
-    entry below it must be zero; the quotients mapped through V give X.
+    One Smith elimination of A, carrying V, serves every column of B
+    through ``_lattice_solution``.
     """
     if A.rows != B.rows:
         raise ValueError("dimension mismatch: %d equations, rhs has %d rows"
                          % (A.rows, B.rows))
-    C = B.to_rows()
-    invariants, _, v = _smith(A, C, track_v=True)
-    r = len(invariants)
-    V = IntMatrix.from_rows(v, cols=A.cols)
-    cols = []
-    for j in range(B.cols):
-        w = [0] * A.cols
-        for i in range(A.rows):
-            ci = C[i][j]
-            if i < r:
-                di = invariants[i]
-                if ci % di:
-                    return None
-                w[i] = ci // di
-            elif ci:
-                return None
-        cols.append(V.mul_vec(w))
+    invariants, _, v, ops = _smith(A, track_v=True)
+    cols = [_lattice_solution(invariants, ops, v, B.col(j))
+            for j in range(B.cols)]
+    if None in cols:
+        return None
     return IntMatrix.from_cols(cols, rows=A.cols)
 
 

@@ -40,7 +40,7 @@ class GroupPresentation(_Value):
     presentations can still be constructed in negative tests.
     """
 
-    __slots__ = ("n", "m", "bracket")
+    __slots__ = ("n", "m", "bracket", "_report", "_cokernel")
 
     def __init__(self, n, m, bracket=None):
         n, m = index(n), index(m)
@@ -51,6 +51,8 @@ class GroupPresentation(_Value):
         _set(self, "n", n)
         _set(self, "m", m)
         _set(self, "bracket", MappingProxyType(data))
+        _set(self, "_report", None)     # cohomology.require_valid's cache
+        _set(self, "_cokernel", None)   # cocycles._cokernel's cache
 
     def bracket_vector(self, i, j):
         """Exponents of [x_i, x_j], extended antisymmetrically to all i, j."""

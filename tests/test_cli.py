@@ -16,9 +16,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import cli, cocycles, families
+from nilcoh import cli, cocycles, cohomology, exactlinalg, families
 from nilcoh.cocycles import lemmax_generators
-from nilcoh.grouplaw import GroupPresentation, presentation_to_json
+from nilcoh.grouplaw import (GroupPresentation, bracket_matrix,
+                             presentation_to_json)
 
 
 def run_cli(args, stdin_text=None):
@@ -315,6 +316,64 @@ class TestPinnedReports:
         assert bracket_calls.call_count == comb(P.n, 2)
 
 
+class TestOneEliminationOfCT:
+    """A command eliminates C^T at most once, and validates its input once."""
+
+    @pytest.fixture
+    def eliminated(self, monkeypatch):
+        # every matrix that _smith eliminates, in order
+        calls = []
+        smith = exactlinalg._smith
+
+        def spy(A, *args, **kwargs):
+            calls.append(A)
+            return smith(A, *args, **kwargs)
+
+        monkeypatch.setattr(exactlinalg, "_smith", spy)
+        return calls
+
+    GROUPS = {"chain2-4-8": families.divisor_chain_group((2, 4, 8)),
+              "near-free-n5": families.random_presentation(5, 10, 5, 1),
+              "dheis6": families.discrete_heisenberg(6)}
+
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    @pytest.mark.parametrize("command", ["witness", "cocycles", "verify",
+                                         "extend"])
+    def test_command(self, eliminated, group, command):
+        P = self.GROUPS[group]
+        CT = bracket_matrix(P).transpose()
+        doc = json.dumps(presentation_to_json(P)).encode()
+        trials = ["--trials", "5"] if command in ("verify", "extend") else []
+        code, out, err = run_in_process([command] + trials, doc)
+        assert (code, err) == (0, "")
+        count = sum(A == CT for A in eliminated)
+        if command == "witness":
+            # every torsion class got its certified witness
+            assert count == 1
+            assert out.count("= coboundary of u =") == len(
+                [w for w in lemmax_generators(P) if w.order]) > 0
+        else:
+            assert count <= 1
+
+    @pytest.mark.parametrize("command", ["cocycles", "verify", "extend",
+                                         "witness", "h2"])
+    def test_validates_once(self, monkeypatch, command):
+        calls = []
+        real = cohomology.validate
+
+        def counted(P):
+            calls.append(P)
+            return real(P)
+
+        monkeypatch.setattr(cohomology, "validate", counted)
+        doc = json.dumps(presentation_to_json(
+            families.random_presentation(5, 10, 5, 1))).encode()
+        trials = ["--trials", "5"] if command in ("verify", "extend") else []
+        code, _, _ = run_in_process([command] + trials, doc)
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestExitCodes:
     def test_validation_failure_is_exit_1(self):
         res = run_cli(["validate"], stdin_text='{"n": 1, "m": 1}')
@@ -466,6 +525,27 @@ class TestExitCodes:
         assert res.stderr == ("error: presentation too large: n + m = %d "
                               "generators, the limit is %d\n"
                               % (n, cli._MAX_GENERATORS))
+
+    @pytest.mark.parametrize("flags, size", [
+        (["abelian", "--n", "300"], 300),
+        (["random", "--n", "400", "--m", "1"], 401),
+        (["paper-example", "--d", ",".join(["1"] * 100)], 201)])
+    def test_gen_refuses_a_presentation_too_large(self, flags, size):
+        # refused before any bracket is built or validated
+        start = time.perf_counter()
+        res = run_cli(["gen", "--family"] + flags)
+        assert time.perf_counter() - start < 2
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == ("error: presentation too large: n + m = %d "
+                              "generators, the limit is %d\n"
+                              % (size, cli._MAX_GENERATORS))
+
+    def test_gen_at_the_limit_is_accepted(self):
+        gen = run_cli(["gen", "--family", "abelian", "--n", "200"])
+        assert gen.returncode == 0
+        res = run_cli(["validate"], stdin_text=gen.stdout)
+        assert (res.returncode, res.stdout) == (0, "valid\n")
 
     def test_out_of_memory_is_exit_2(self):
         # as h2 on an input too large for memory would

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from nilcoh import acceptance, cocycles, families, grouplaw
 from nilcoh.cohomology import _jacobi_transpose, bracket_matrix, h2
-from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix, rank,
+from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix,
+                                _lattice_solution, _replay, rank,
                                 smith_normal_form, solve_in_lattice)
 from nilcoh.grouplaw import (GroupElement, GroupPresentation, identity,
                              multiply, random_element)
@@ -633,6 +634,52 @@ def sampled_witness(P, w, max_weight, trials=1000, seed=0):
     return None
 
 
+def class_coordinates(P, f):
+    """The Smith coordinates of f in Coker(C^T): x_t mod d_t, then free x_t."""
+    invariants, ops, _, _ = cocycles._cokernel(P)
+    x = [[y] for y in f]
+    _replay(ops, x)
+    r = len(invariants)
+    return (tuple(y % d for (y,), d in zip(x, invariants))
+            + tuple(y for y, in x[r:]))
+
+
+class TestCokernelCoordinates:
+    """Generators, class coordinates and witnesses read one Smith form."""
+
+    GROUPS = ACCEPTANCE_CORPUS + [families.random_presentation(n, comb(n, 2), 5, 1)
+                                  for n in range(3, 7)]
+    IDS = ACCEPTANCE_IDS + ["near-free-n%d" % n for n in range(3, 7)]
+
+    @pytest.mark.parametrize("P", GROUPS, ids=IDS)
+    def test_coordinates_round_trip(self, P):
+        invariants = cocycles._cokernel(P)[0]
+        rows, r = comb(P.n, 2), len(invariants)
+        gens = lemmax_generators(P)
+        # generator k is the lift of e_t, free t first, then torsion t
+        slots = list(range(r, rows)) + [t for t, d in enumerate(invariants)
+                                        if d > 1]
+        assert [w.order for w in gens] == [0] * (rows - r) + [
+            d for d in invariants if d > 1]
+        for w, t in zip(gens, slots):
+            assert class_coordinates(P, w.f) == tuple(
+                int(i == t) for i in range(rows))
+        rng = random.Random("coordinates:%d:%d" % (P.n, P.m))
+        for trial in range(12):
+            # every third combination is a multiple of the orders: zero
+            ks = [rng.randint(-7, 7) for _ in gens]
+            if trial % 3 == 0:
+                ks = [k * w.order for k, w in zip(ks, gens)]
+            expect = [0] * rows
+            for k, w, t in zip(ks, gens, slots):
+                expect[t] = k % w.order if w.order else k
+            combo = CocycleSum([(k, w) for k, w in zip(ks, gens)])
+            f = [sum(k * w.f[i] for k, w in zip(ks, gens)) for i in range(rows)]
+            assert class_coordinates(P, f) == tuple(expect)
+            # the witness certificate runs inside; None iff the class is not 0
+            assert (coboundary_witness(P, combo) is None) == any(expect)
+
+
 class TestCoboundaryWitness:
     def test_zero_cocycle(self):
         wit = coboundary_witness(HEIS, 0 * E11)
@@ -708,11 +755,11 @@ class TestCoboundaryWitness:
 
     def test_wrong_primitive_raises(self, monkeypatch):
         # a u that fails validation is never returned
-        def off_by_one(A, b):
-            x = solve_in_lattice(A, b)
+        def off_by_one(*args):
+            x = _lattice_solution(*args)
             return (x[0] + 1,) + x[1:]
 
-        monkeypatch.setattr(cocycles, "solve_in_lattice", off_by_one)
+        monkeypatch.setattr(cocycles, "_lattice_solution", off_by_one)
         w = torsion_generators(CHAIN)[0]
         with pytest.raises(ArithmeticError, match="fails validation"):
             coboundary_witness(CHAIN, 2 * w)
@@ -720,7 +767,8 @@ class TestCoboundaryWitness:
     def test_certificate_reads_the_group_law_not_the_solve_input(
             self, monkeypatch):
         # with C = [2] read as [1], the solve returns lambda = 2 for 2f = 2,
-        # and the table of u = -2*b1 in the true group law refutes it
+        # and the table of u = -2*b1 in the true group law refutes it; a
+        # fresh P, since a presentation keeps the cokernel it computed
         P = families.discrete_heisenberg(2)
         (w,) = torsion_generators(P)
         rows = [list(row) for row in bracket_matrix(P).to_rows()]
@@ -731,7 +779,7 @@ class TestCoboundaryWitness:
         with pytest.raises(ArithmeticError,
                            match=r"fails validation at a2\*a1': delta u has "
                                  r"-4, w has -2$"):
-            coboundary_witness(P, 2 * w)
+            coboundary_witness(families.discrete_heisenberg(2), 2 * w)
 
     def test_witness_makes_no_group_law_calls(self, monkeypatch):
         # the certificate compares tables; it multiplies and draws nothing

@@ -10,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 from nilcoh import exactlinalg, families
 from nilcoh.cohomology import h2
 from nilcoh.exactlinalg import (
+    _replay,
     _smith,
     _solve_many,
+    _undo,
     AbelianGroupInvariants,
     IntMatrix,
-    cokernel_generators,
+    cokernel,
     kernel_basis,
     quotient_invariants,
     rank,
@@ -204,36 +206,42 @@ def random_matrix(rng, rows, cols, lo=-3, hi=3):
 
 
 class TestTransformTracking:
-    """_smith with any companion and V choice matches smith_normal_form."""
+    """The record of _smith, replayed, gives the transforms of smith_normal_form."""
 
     @settings(deadline=None, max_examples=100)
-    @given(matrices, st.sampled_from(["none", "identity", "rhs"]),
-           st.booleans(), st.data())
+    @given(matrices, st.booleans(), st.data())
     def test_every_combination_matches_full_decomposition(
-            self, a, companion, track_v, data):
+            self, a, track_v, data):
         full = smith_normal_form(a)
-        if companion == "identity":
-            rows = IntMatrix.identity(a.rows).to_rows()
-            expect = full.U
-        elif companion == "rhs":
-            B = data.draw(st.integers(0, 3).flatmap(
-                lambda k: st.lists(
-                    st.lists(st.integers(-9, 9), min_size=k, max_size=k),
-                    min_size=a.rows, max_size=a.rows).map(
-                        lambda r: IntMatrix.from_rows(r, cols=k))))
-            rows = B.to_rows()
-            expect = full.U @ B
-        else:
-            rows, expect = None, None
-        invariants, d, v = _smith(a, rows, track_v=track_v)
+        B = data.draw(st.integers(0, 3).flatmap(
+            lambda k: st.lists(
+                st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+                min_size=a.rows, max_size=a.rows).map(
+                    lambda r: IntMatrix.from_rows(r, cols=k))))
+        invariants, d, v, ops = _smith(a, track_v=track_v)
         assert invariants == full.invariants
         assert IntMatrix.from_rows(d, cols=a.cols) == full.D
         if track_v:
             assert IntMatrix.from_rows(v, cols=a.cols) == full.V
         else:
             assert v is None
-        if expect is not None:
-            assert IntMatrix.from_rows(rows, cols=expect.cols) == expect
+        # the record does not depend on the V choice
+        assert _smith(a, track_v=not track_v)[3] == ops
+        # replay on the identity gives U, and U A V = D
+        u = IntMatrix.identity(a.rows).to_rows()
+        _replay(ops, u)
+        U = IntMatrix.from_rows(u, cols=a.rows)
+        assert U == full.U
+        assert U @ a @ full.V == full.D
+        # replay on B gives U @ B
+        rows = B.to_rows()
+        _replay(ops, rows)
+        assert IntMatrix.from_rows(rows, cols=B.cols) == full.U @ B
+        # the inverse replay gives U^-1
+        inv = IntMatrix.identity(a.rows).to_rows()
+        _undo(ops, inv)
+        inv = IntMatrix.from_rows(inv, cols=a.rows)
+        assert inv @ full.U == full.U @ inv == IntMatrix.identity(a.rows)
 
     @settings(deadline=None, max_examples=100)
     @given(matrices, st.integers(0, 3), st.integers(0, 10**6))
@@ -367,9 +375,9 @@ def smith_callers(monkeypatch):
     callers = []
     inner = exactlinalg._smith
 
-    def recording(A, rows=None, track_v=False):
+    def recording(A, track_v=False):
         callers.append(sys._getframe(1).f_code.co_name)
-        return inner(A, rows, track_v)
+        return inner(A, track_v)
 
     monkeypatch.setattr(exactlinalg, "_smith", recording)
     return callers
@@ -543,9 +551,14 @@ class TestCokernelGenerators:
         s = smith_normal_form(a)
         expect = [(0, t) for t in range(s.rank, a.rows)] + [
             (d, t) for t, d in enumerate(s.invariants) if d > 1]
-        gens = cokernel_generators(a)
-        assert [d for d, _ in gens] == [d for d, _ in expect]
-        for (_, f), (_, t) in zip(gens, expect):
+        invariants, ops, lifts, V = cokernel(a)
+        assert invariants == s.invariants
+        assert IntMatrix.from_rows(V, cols=a.cols) == s.V
+        u = IntMatrix.identity(a.rows).to_rows()
+        _replay(ops, u)
+        assert IntMatrix.from_rows(u, cols=a.rows) == s.U
+        assert [d for d, _ in lifts] == [d for d, _ in expect]
+        for (_, f), (_, t) in zip(lifts, expect):
             assert s.U.mul_vec(f) == tuple(int(i == t) for i in range(a.rows))
 
 

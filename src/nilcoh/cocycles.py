@@ -28,8 +28,8 @@ formulas above exists. ``render`` prints that table. Everything else
 evaluates a family table: the sorted union of the monomials of a list of
 cocycles, with one coefficient row per cocycle. A point costs one vector
 of monomial values, and each cocycle's value there is a dot product, so
-verification checks all cocycles on the same draws, and an extension
-multiplies all its fibers at once.
+an extension multiplies all its fibers at once. ``prove_cocycles`` proves
+the cocycle identity on a table, and the sampled checks are its oracles.
 
 A LemmaX class has a closed-form primitive: when C^T lambda = f, the
 coboundary of u(g) = -lambda . b is w_f, because the group law subtracts
@@ -40,6 +40,7 @@ returned u is certified by the exact identity delta u = w.
 """
 
 import random
+from functools import cache, reduce
 from itertools import combinations
 from math import comb
 from operator import index, mul
@@ -203,25 +204,25 @@ def _lemmax_poly(P, w, poly, scale):
         _poly_add(poly, -scale * f, (2 * j, 2 * (P.n + i)))
 
 
-def _lemmay_poly(P, brackets, w, poly, scale):
+def _lemmay_poly(P, bracket, w, poly, scale):
     _check_lemmay(P, w)
     n, phi = P.n, w.phi
-    # phi(x_t (x) c(x_p ^ x_q)) is _dot(brackets[p, q], phi[t]), for p > q
+    # phi(x_t (x) c(x_p ^ x_q)) is _dot(bracket(p, q), phi[t]), for p > q
     for j in range(n):
         for i in range(j + 1, n):
-            k1 = _dot(brackets[i, j], phi[i])
+            k1 = _dot(bracket(i, j), phi[i])
             _poly_add(poly, -scale * k1, (2 * i + 1, 2 * (n + j)))
-            k2 = _dot(brackets[i, j], phi[j])
+            k2 = _dot(bracket(i, j), phi[j])
             _poly_add(poly, -scale * k2, (2 * i, 2 * (n + j) + 1))
     for k in range(n):
         for i in range(k + 1, n):
             for j in range(i + 1, n):
-                wgt = _dot(brackets[i, k], phi[j])
+                wgt = _dot(bracket(i, k), phi[j])
                 _poly_add(poly, -scale * wgt, (2 * i, 2 * j, 2 * (n + k)))
     for j in range(n):
         for k in range(j + 1, n):
             for i in range(j + 1, n):
-                wgt = _dot(brackets[i, j], phi[k])
+                wgt = _dot(bracket(i, j), phi[k])
                 _poly_add(poly, -scale * wgt,
                           (2 * i, 2 * (n + j), 2 * (n + k)))
     for i in range(n):
@@ -229,25 +230,24 @@ def _lemmay_poly(P, brackets, w, poly, scale):
             _poly_add(poly, -scale * phi[i][l], (2 * (n + i), 4 * n + l))
 
 
-def _cocycle_poly(P, brackets, w, poly, scale):
+def _cocycle_poly(P, bracket, w, poly, scale):
     if isinstance(w, CocycleLemmaX):
         _lemmax_poly(P, w, poly, scale)
     elif isinstance(w, CocycleLemmaY):
-        _lemmay_poly(P, brackets, w, poly, scale)
+        _lemmay_poly(P, bracket, w, poly, scale)
     elif isinstance(w, CocycleSum):
         for c, p in w.terms:
-            _cocycle_poly(P, brackets, p, poly, scale * c)
+            _cocycle_poly(P, bracket, p, poly, scale * c)
     else:
         raise TypeError("not a cocycle: %r" % (w,))
 
 
 def _polys(P, ws):
-    """The polynomial table of each cocycle in ws, one bracket read per pair."""
-    brackets = {(p, q): P.bracket_vector(p, q)
-                for q, p in combinations(range(P.n), 2)}
+    """The polynomial table of each cocycle in ws; brackets are read lazily."""
+    bracket = cache(P.bracket_vector)
     polys = [{} for _ in ws]
     for w, poly in zip(ws, polys):
-        _cocycle_poly(P, brackets, w, poly, 1)
+        _cocycle_poly(P, bracket, w, poly, 1)
     return polys
 
 
@@ -345,27 +345,17 @@ def verify_cocycle(P, w, trials=1000, bound=10, seed=0):
 
 
 def verify_cocycles(P, ws, trials=1000, bound=10, seed=0):
-    """One report per cocycle in ws, from one sampled check of them all.
+    """One report per cocycle in ws, sampled: the oracle of ``prove_cocycles``.
 
-    Normalization is exact. Trial t draws g, h, k from a generator seeded
-    by (seed, t) alone, so a cocycle's report does not depend on the
-    others in ws. A sampled pass is evidence, not proof.
+    Normalization is exact: a monomial needs a primed and an unprimed factor.
+    Trial t draws g, h, k seeded by (seed, t) alone, so reports are independent,
+    and checks row . (values(g,h) + values(gh,k) - values(h,k) - values(g,hk)) = 0.
+    A sampled pass is evidence, not proof.
     """
     require_valid(P)
     if trials < 1 or bound < 1:
         raise ValueError("need trials >= 1 and bound >= 1")
-    return _check_family(P, *_family(P, ws), trials, bound, seed)
-
-
-def _check_family(P, values, rows, monos, trials, bound, seed):
-    """The reports of ``verify_cocycles`` for the rows of a family table.
-
-    Normalization is decided exactly: each monomial of a row needs a
-    primed factor, zero at h = e, and an unprimed one, zero at g = e (the
-    monomials built here are independent functions). The sampled identity
-    for every row is row . D = 0 with D the one vector
-    values(g,h) + values(gh,k) - values(h,k) - values(g,hk).
-    """
+    values, rows, monos = _family(P, ws)
     reports = [None] * len(rows)
     n2, names = 2 * P.n, _slot_names(P)
     for k, mono in enumerate(monos):
@@ -394,6 +384,65 @@ def _check_family(P, values, rows, monos, trials, bound, seed):
     passed = VerificationReport(ok=True, trials=trials,
                                 message="no violation in %d trials" % trials)
     return [rep or passed for rep in reports]
+
+
+def prove_cocycles(P, ws):
+    """The reports of ``verify_cocycles``, proved: a pass has ``trials`` 0."""
+    require_valid(P)
+    return _prove_family(P, *_family(P, ws)[1:])
+
+
+def _prove_family(P, rows, monos):
+    """The reports of ``prove_cocycles`` for the rows of a family table.
+
+    With gh = (a + a', b + b' - F(a, a')), F read from ``P.bracket``, w(g, e),
+    w(e, h) and delta w = w(h,k) - w(gh,k) + w(g,hk) - w(g,h) are polynomials
+    in g, h, k, expanded once per table monomial, times 8 to stay integral.
+    A row passes when it combines all three to zero.
+    """
+    n, N = P.n, P.n + P.m
+
+    def mul(p, q):   # a polynomial is a list of (monomial, coefficient)
+        return [(tuple(sorted(m1 + m2)), c1 * c2) for m1, c1 in p for m2, c2 in q]
+
+    def slots(x, y):   # at the point (x, y), as the table comment orders them
+        return [s for z in x[:n] + y[:n]
+                for s in (z, mul(z, z + [((), -1)]))] + x[n:] + y[n:]
+
+    # variable p*N + t is coordinate t (a_t, then b_{t-n}) of g, h, k, gh, hk
+    g, h, k = pts = [[[((p * N + t,), 1)] for t in range(N)] for p in range(3)]
+    gh, hk = ([u + v + [((p * N + j, q * N + i), -vec[t - n])
+                        for (i, j), vec in P.bracket.items() if t >= n and vec[t - n]]
+               for t, (u, v) in enumerate(zip(pts[p], pts[q]))]
+              for p, q in ((0, 1), (1, 2)))
+    # the marker variables -2 and -1 set w(g, e) and w(e, h) apart
+    sides = [(m, sign, slots(x, y)) for m, sign, x, y in (
+        ((), 1, h, k), ((), -1, gh, k), ((), 1, g, hk), ((), -1, g, h),
+        ((-2,), 1, g, [[]] * N), ((-1,), 1, [[]] * N, h))]
+    cols = {}   # each monomial of the three -> (table position, coefficient)
+    for i, mono in enumerate(monos):
+        total, scale = {}, 8 >> sum(s < 4 * n and s % 2 for s in mono)
+        for m, sign, vals in sides:
+            for key, c in reduce(mul, (vals[s] for s in mono), [(m, sign * scale)]):
+                total[key] = total.get(key, 0) + c
+        for key in filter(total.get, total):
+            cols.setdefault(key, []).append((i, total[key]))
+    names = [("a%d" % (t + 1) if t < n else "b%d" % (t - n + 1)) + "'" * p
+             for p in range(3) for t in range(N)]
+    keys, reports = sorted(cols), []
+    for row in rows:
+        bad = next((key for key in keys
+                    if sum(row[i] * c for i, c in cols[key])), None)
+        if bad is None:
+            msg = "delta w = 0 proved exactly"
+        elif bad[0] < 0:   # named by its table monomial, as the oracle names it
+            msg = "normalization fails at monomial " + _mono_str(
+                _slot_names(P), monos[next(i for i, _ in cols[bad] if row[i])])
+        else:
+            msg = "cocycle identity fails: delta w has the monomial " + \
+                "*".join(names[v] for v in bad)
+        reports.append(VerificationReport(bad is None, 0, msg))
+    return reports
 
 
 class ExtElement(_Value):
@@ -475,23 +524,19 @@ class ExtensionGroup(_Value):
 
 
 def build_extension(P, fibers):
-    """Extension group from verified cocycle fibers.
+    """Extension group from cocycle fibers proved on their one table.
 
-    All fibers are checked first, together: normalization exactly, the
-    identity on one sequence of 32 sampled triples in [-5, 5]. A fiber
-    that fails either raises ValueError rather than producing a broken
-    multiplication table. An empty fiber list gives arithmetic identical
-    to the base group.
+    A fiber that fails the proof raises ValueError. Otherwise (e, 0) is the
+    identity as w is normalized, the product is associative as delta w = 0,
+    and ``inverse`` is two-sided as delta w(g, g^-1, g) = 0, the laws that
+    ``first_law_failure`` samples. No fiber gives the base group.
     """
     require_valid(P)
     fibers = tuple(fibers)
     values, rows, monos = _family(P, fibers)
-    reports = _check_family(P, values, rows, monos, trials=32, bound=5,
-                            seed="spot")
-    for k, rep in enumerate(reports):
+    for k, rep in enumerate(_prove_family(P, rows, monos)):
         if not rep.ok:
-            raise ValueError("fiber %d failed spot verification: %s"
-                             % (k, rep.message))
+            raise ValueError("fiber %d failed verification: %s" % (k, rep.message))
     return ExtensionGroup._trusted(P, fibers, values, rows)  # no rebuild
 
 

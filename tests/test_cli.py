@@ -16,7 +16,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import cli, cocycles, cohomology, exactlinalg, families
+from nilcoh import (cli, cocycles, cohomology, exactlinalg, families,
+                    grouplaw)
 from nilcoh.cocycles import lemmax_generators
 from nilcoh.grouplaw import (GroupPresentation, bracket_matrix,
                              presentation_to_json)
@@ -75,14 +76,14 @@ class TestReports:
     def test_verify(self, heisenberg_file):
         res = run_cli(["verify", "--input", heisenberg_file, "--trials", "50"])
         assert res.returncode == 0
-        assert "cocycle 1: PASS (50 trials)" in res.stdout
+        assert "cocycle 1: PASS (proved)" in res.stdout
         assert res.stdout.rstrip().endswith("all passed")
 
     def test_extend(self, heisenberg_file):
         res = run_cli(["extend", "--input", heisenberg_file, "--trials", "100"])
         assert res.returncode == 0
         assert "central extension by Z^2 built from 2 cocycles" in res.stdout
-        assert "PASS (100 trials)" in res.stdout
+        assert "associativity and inverse laws: PASS (proved)" in res.stdout
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_extend_rejected_fiber_is_exit_1(self, monkeypatch, fmt):
@@ -99,7 +100,7 @@ class TestReports:
         doc = json.dumps(presentation_to_json(P)).encode()
         code, out, err = run_in_process(
             ["extend", "--trials", "5", "--format", fmt], doc)
-        message = ("extension rejected: fiber 0 failed spot verification: "
+        message = ("extension rejected: fiber 0 failed verification: "
                    "normalization fails at monomial a1'")
         assert (code, err) == (1, "")
         if fmt == "text":
@@ -111,20 +112,29 @@ class TestReports:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_extend_law_failure_is_exit_1(self, monkeypatch, fmt):
-        monkeypatch.setattr(cocycles.ExtensionGroup, "first_law_failure",
-                            lambda self, trials, bound, rng: ("inverse law", 7))
+        # the table of cocycle 1 gains C(a1,2)*a2', which is normalized
+        # but not a cocycle, so the proof of delta w = 0 fails
+        polys = cocycles._polys
+
+        def mutant(P, ws):
+            out = polys(P, ws)
+            out[1][(1, 6)] = 1   # the slots of C(a1,2), a2' on Heisenberg
+            return out
+
+        monkeypatch.setattr(cocycles, "_polys", mutant)
         P = families.heisenberg()
         doc = json.dumps(presentation_to_json(P)).encode()
         code, out, err = run_in_process(
             ["extend", "--trials", "5", "--format", fmt], doc)
+        message = ("extension rejected: fiber 1 failed verification: cocycle "
+                   "identity fails: delta w has the monomial a1*a1'*a2''")
         assert (code, err) == (1, "")
         if fmt == "text":
-            assert out == "inverse law fails at trial 7\n"
+            assert out == message + "\n"
         else:
             assert out == cli.dump_json({
                 "group": presentation_to_json(P),
-                "extend": {"ok": False,
-                           "message": "inverse law fails at trial 7"}})
+                "extend": {"ok": False, "message": message}})
 
     def test_witness_without_torsion(self, heisenberg_file):
         res = run_cli(["witness", "--input", heisenberg_file])
@@ -221,18 +231,18 @@ PINNED_GROUPS = {"heisenberg": families.heisenberg(),
                  "near-free-n3-2026003":
                      families.random_presentation(3, 3, 3, 2026003)}
 PINNED_REPORTS = [
-    ("heisenberg", "verify", "text", "1b17759db84588a6ae670592c21a941b1719dd9f0c70665f00a7c074bb506776"),
-    ("heisenberg", "verify", "json", "131d22390141637709e00f4c6183357fdaef8635f27f617d2c3c7b56174096b7"),
-    ("heisenberg", "extend", "text", "0eadca13affe31e666bfaca3cd7c64d3cf1201ee77ff805f0be20d0fcd2eab2f"),
-    ("heisenberg", "extend", "json", "9ca8ec8782bf1a96830adf1bec05888e92c1f5a8fc5ca624a312ecfd8fe48b52"),
-    ("near-free-n3", "verify", "text", "1984f654a87d9d9c4ec3b821c836a63e12729f8ee0525650e9bb0d07d1a5c173"),
-    ("near-free-n3", "verify", "json", "6909cea18dbf482200453fc40f9297a490a85e6c4f4964b55d7ec63541d025f1"),
-    ("near-free-n3", "extend", "text", "a605d912395aedd9ee332482d48af2c90c14f572f6ae9c4e3a1abb2a64a98dd4"),
-    ("near-free-n3", "extend", "json", "bbcb7a74d2a0753c0d2aceea3636a577624b96c7a96ab09f02e197411495f712"),
-    ("near-free-n4", "verify", "text", "01a2fa6274183715ac1fdec8f179be89f44954c0433f98bb3b056cff4e2c6443"),
-    ("near-free-n4", "verify", "json", "3f336fb861342b1e56726d486c612a56a60f816ef317c4b7bc4d0a4f99ac2786"),
-    ("near-free-n4", "extend", "text", "00e1b5250f486aecf116a4366a7268c472e1fd71f297781536e71b7e9af13f27"),
-    ("near-free-n4", "extend", "json", "45b2d57333409437aa2faf6e1de745a370be7738db0db957c6b899ba3d82cee3"),
+    ("heisenberg", "verify", "text", "dd5839fc185058076cbff79c90f34bfca4a94e2c2de8199fe1cb8afbd8eba431"),
+    ("heisenberg", "verify", "json", "659173abf250e53b6ad4387bbed1e956f553381ae7fa2c6f8df109c5b8dd880e"),
+    ("heisenberg", "extend", "text", "b9adbf7206f63297545be7c71fea0c686d3e4c43685d5bb9335e3db59fd747db"),
+    ("heisenberg", "extend", "json", "f7e584e87251bd2d37749d0b26bf3b9eb50a59a5238aa23ca29252c124128664"),
+    ("near-free-n3", "verify", "text", "45cab2b8e44e0c3057227eb6ab42c6daa137781e965d898c1a55c9ea82752d3a"),
+    ("near-free-n3", "verify", "json", "560ae8cce75d57acf1202fec4861deaf52912b27288a6ba7ec608131ddef0770"),
+    ("near-free-n3", "extend", "text", "363619b439c649e04bb416eb4f85e2353f838f95be40b09b33bb73ddfe2af050"),
+    ("near-free-n3", "extend", "json", "f75319ce6491e07a9c80a302c915605fec8c8e12e9e5b2fb56270716985958c7"),
+    ("near-free-n4", "verify", "text", "325d4426469e6a826eb0fd462cd0cd634d5eea3bb8d758213dd59a24ea3ce58f"),
+    ("near-free-n4", "verify", "json", "fd13e0928faf23e735b2ed27611c83a6dfcd5d1f34b868b419db1dd22a0ffa0a"),
+    ("near-free-n4", "extend", "text", "097cb7f62b61d0ab368cbad05d1889cbe3fc6e2b4b2cbc69e8a1d5388045da51"),
+    ("near-free-n4", "extend", "json", "a9706d1a1eb0af00af8178710333aada1e8e5ae3460f0eb33bbf96046b318ee3"),
     ("dheis-2", "witness", "text", "79fbed824794fd7b8ef105cf2c41b77149269d52a3b002ccee4b195a4de6cffa"),
     ("dheis-2", "witness", "json", "bc7e6e4449cbff2cf64139dc113ea07e25aa7983e3e7d78b358e4faa7853204b"),
     ("dheis-3", "witness", "text", "1353b0dae8fdd05a46ee4416a4f5670dcb0f3d1af9d7fb06b96f8322e19d8a63"),
@@ -314,6 +324,35 @@ class TestPinnedReports:
         assert code == 0
         assert poly_calls.call_count == 21   # one per fiber, none of them a sum
         assert bracket_calls.call_count == comb(P.n, 2)
+
+    def test_lemmax_tables_read_no_bracket(self):
+        doc = json.dumps(presentation_to_json(families.abelian(6))).encode()
+        with mock.patch.object(GroupPresentation, "bracket_vector",
+                               autospec=True,
+                               side_effect=GroupPresentation.bracket_vector
+                               ) as bracket_calls:
+            code, out, _ = run_in_process(["cocycles"], doc)
+        assert code == 0 and out.count("[lemmax, infinite order]") == 15
+        assert bracket_calls.call_count == 0
+
+    @pytest.mark.parametrize("command", ["verify", "extend"])
+    def test_proofs_sample_nothing(self, monkeypatch, command):
+        calls = []
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.append(name)
+                                or fn(*args))
+
+        for owner in (grouplaw, cocycles):   # cocycles imports them by name
+            spy(owner, "multiply")
+            spy(owner, "draw_element")
+        spy(cocycles.ExtensionGroup, "first_law_failure")
+        doc = json.dumps(presentation_to_json(PINNED_GROUPS["near-free-n4"]))
+        code, out, _ = run_in_process([command, "--trials", "100"],
+                                      doc.encode())
+        assert code == 0 and "PASS (proved)" in out
+        assert calls == []
 
 
 class TestOneEliminationOfCT:
@@ -439,9 +478,7 @@ class TestExitCodes:
         ["h2", "--coeff-rank", "4097"],
         ["h2", "--coeff-rank", "1000000"],
         ["h1", "--coeff-rank", "1000000000"],
-        ["verify", "--bound", "0"],
         ["verify", "--trials", "-1"],
-        ["extend", "--bound", "0"],
         ["extend", "--trials", "-1"],
         ["gen", "--family", "random", "--n", "2", "--m", "3"],
         ["gen", "--family", "paper-example", "--d", "0,2"],
@@ -462,6 +499,8 @@ class TestExitCodes:
         ["h2", "--max-weight", "5"],
         ["witness", "--max-weight", "13"],
         ["witness", "--bound", "3"],
+        ["verify", "--bound", "3"],
+        ["extend", "--bound", "3"],
         ["witness", "--trials", "0"],
         ["cocycles", "--trials", "5"],
         ["validate", "--coeff-rank", "2"],
@@ -631,18 +670,44 @@ class TestFuzz:
             assert run_in_process(["validate"], out.encode()) == (0, "valid\n", "")
 
 
+def load_perfbench(name):
+    """The benchmark script perfbench/NAME.py, loaded as a module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", name + ".py")
+    spec = importlib.util.spec_from_file_location("nilcoh_perfbench_" + name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracer_targets_resolve():
     # perfbench/tracer.py wraps these names; one that is gone would crash
     # every traced run
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "tracer.py")
-    spec = importlib.util.spec_from_file_location("nilcoh_perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
     assert tracer.TARGETS
     missing = [(getattr(owner, "__name__", owner), attr)
                for owner, attr, _ in tracer.TARGETS if not hasattr(owner, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["ladder-h2", "near-free-sampling",
+                                      "torsion-witness"])
+def test_benchmark_reports_pass_their_checks(monkeypatch, tmp_path, workload):
+    # every operation of the benchmark's seed-2026 plan, in process: a
+    # report that perfbench/run.py's check_report refuses fails the run
+    workloads = load_perfbench("workloads")
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # run.py's import
+    bench = load_perfbench("run")
+    plan = workloads.plan(workload, 2026)
+    workloads.write_inputs(workload, 2026, str(tmp_path))
+    chains = {p["name"]: tuple(p["args"]["d"])
+              for p in plan["presentations"] if p["family"] == "chain"}
+    facts = {}
+    for op in plan["ops"]:
+        path = str(tmp_path / (op["pres"] + ".json"))
+        code, out, err = run_in_process(op["args"] + ["--input", path])
+        assert (code, err) == (0, ""), op["id"]
+        assert bench.check_report(op, out, facts, chains) is None, op["id"]
 
 
 # Runs ``python -m nilcoh`` in this process through runpy, then prints the

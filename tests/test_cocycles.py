@@ -29,6 +29,7 @@ from nilcoh.cocycles import (
     evaluate,
     lemmax_generators,
     lemmay_basis,
+    prove_cocycles,
     render,
     verify_cocycle,
     verify_cocycles,
@@ -385,9 +386,125 @@ class TestVerifyCocycle:
         message = "normalization fails at monomial %s" % text
         assert reports[1] == VerificationReport(False, 0, message)
         assert reports[0].ok and reports[2].ok
-        with pytest.raises(ValueError, match="^fiber 1 failed spot "
+        with pytest.raises(ValueError, match="^fiber 1 failed "
                            "verification: %s$" % re.escape(message)):
             build_extension(HEIS, ws)
+
+
+def lemmay_sum(P, mono):
+    """Which of the five LemmaY sums of the module docstring builds mono.
+
+    0 for the bilinear monomials a_j a'_i of LemmaX: each sum has its own
+    shape of slots (a at even, C(a,2) at odd slots below 4n, b from 4n).
+    """
+    n = P.n
+    if any(s >= 4 * n for s in mono):
+        return 5
+    if len(mono) == 3:
+        return 3 if mono[1] < 2 * n else 4
+    return 1 if mono[0] % 2 else 2 if mono[1] % 2 else 0
+
+
+def flip_sum(s):
+    return lambda P, poly: {mono: -c if lemmay_sum(P, mono) == s else c
+                            for mono, c in poly.items()}
+
+
+def skip_first_i(P, poly):
+    # the third sum runs i over range(k + 2, n): a_i a_j a'_k with i = k+1 goes
+    return {mono: c for mono, c in poly.items()
+            if not (lemmay_sum(P, mono) == 3
+                    and mono[0] // 2 == mono[2] // 2 - P.n + 1)}
+
+
+def stray_term(P, poly):
+    out = dict(poly)   # plus C(a1,2)*a2'
+    out[(1, 2 * (P.n + 1))] = out.get((1, 2 * (P.n + 1)), 0) + 1
+    return out
+
+
+MUTANTS = [flip_sum(s) for s in range(1, 6)] + [skip_first_i, stray_term]
+MUTANT_IDS = ["flip-sum-%d" % s for s in range(1, 6)] + [
+    "range-k-plus-2", "stray-C(a1,2)*a2'"]
+
+
+def mutate_tables(monkeypatch, mutant):
+    """Make every family table pass each cocycle's polynomial through mutant."""
+    polys = cocycles._polys
+    monkeypatch.setattr(cocycles, "_polys", lambda P, ws: [
+        mutant(P, poly) for poly in polys(P, ws)])
+
+
+class TestProveCocycles:
+    def test_proves_the_heisenberg_basis(self):
+        reports = prove_cocycles(HEIS, lemmay_basis(HEIS))
+        assert reports == [VerificationReport(True, 0,
+                                              "delta w = 0 proved exactly")] * 2
+
+    def test_names_the_first_monomial_of_delta_w(self):
+        # w = 2*a3*C(a1',2) - a1'*b1, so delta w = -4*a4*a2'*a1''
+        (rep,) = prove_cocycles(CHAIN, [CHAIN_BAD])
+        assert rep == VerificationReport(
+            False, 0, "cocycle identity fails: delta w has the monomial "
+            "a4*a2'*a1''")
+
+    def test_empty_family(self):
+        assert prove_cocycles(CHAIN, []) == []
+
+    @pytest.mark.parametrize("P", ACCEPTANCE_CORPUS, ids=ACCEPTANCE_IDS)
+    def test_agrees_with_the_sampled_oracle(self, P):
+        # the cocycles, and non-cocycles: a random phi and a sum holding it
+        rng = random.Random(P.n * 100 + P.m)
+        good = all_cocycles(P)
+        bad = CocycleLemmaY(phi=[[rng.randint(-3, 3) for _ in range(P.m)]
+                                 for _ in range(P.n)])
+        ws = good + [bad] + [w - 2 * bad for w in good[:1]]
+        proved = [r.ok for r in prove_cocycles(P, ws)]
+        sampled = [r.ok for r in verify_cocycles(P, ws, trials=300, bound=10,
+                                                 seed=0)]
+        assert proved == sampled
+        assert proved[:len(good)] == [True] * len(good)
+
+    @pytest.mark.parametrize("mutant", MUTANTS, ids=MUTANT_IDS)
+    def test_refutes_each_mutant_as_the_oracle_does(self, monkeypatch, mutant):
+        P = families.random_presentation(4, 6, 5, 1)   # near-free n=4
+        ws = all_cocycles(P)
+        lemmay = [isinstance(w, CocycleLemmaY) for w in ws]
+        assert sum(lemmay) == 20 and len(ws) == 21
+        mutate_tables(monkeypatch, mutant)
+        proved = [r.ok for r in prove_cocycles(P, ws)]
+        sampled = [r.ok for r in verify_cocycles(P, ws, trials=300, bound=10,
+                                                 seed=0)]
+        assert proved == sampled
+        # each mutant breaks every LemmaY cocycle; the stray term, the LemmaX one too
+        expected = [False] * 21 if mutant is stray_term else \
+            [not y for y in lemmay]
+        assert proved == expected
+
+    def test_refutes_a_stray_term_on_heisenberg(self, monkeypatch):
+        mutate_tables(monkeypatch, stray_term)
+        ws = lemmay_basis(HEIS)
+        assert [r.ok for r in prove_cocycles(HEIS, ws)] == [False, False]
+        assert [r.ok for r in verify_cocycles(HEIS, ws, trials=300, bound=10,
+                                              seed=0)] == [False, False]
+
+    def test_refutes_a_constant_term(self, monkeypatch):
+        # delta of a constant is 0, but w(e, e) = 3 breaks normalization
+        add_monomial(monkeypatch, 0, ())
+        assert not prove_cocycles(HEIS, [E11])[0].ok
+        assert not verify_cocycles(HEIS, [E11], trials=5, bound=3,
+                                   seed=0)[0].ok
+
+    # 3*a1' and 3*C(a1,2) on HEIS; the proof expands C(a1,2) to a1^2 - a1
+    # but names the table's monomial, as the oracle does
+    @pytest.mark.parametrize("mono, name", [((4,), "a1'"), ((1,), "C(a1,2)")])
+    def test_normalization_is_decided_first(self, monkeypatch, mono, name):
+        add_monomial(monkeypatch, 0, mono)
+        rep = prove_cocycles(HEIS, [E11])[0]
+        msg = "normalization fails at monomial " + name
+        assert rep == VerificationReport(False, 0, msg)
+        assert verify_cocycles(HEIS, [E11], trials=5, bound=3,
+                               seed=0)[0].message == msg
 
 
 class TestExtensions:
@@ -434,7 +551,8 @@ class TestExtensions:
 
     def test_rejects_non_cocycle_fiber(self):
         bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
-        with pytest.raises(ValueError, match="spot verification"):
+        with pytest.raises(ValueError, match="^fiber 0 failed verification: "
+                           "cocycle identity fails"):
             build_extension(CHAIN, [bad])
 
     @pytest.mark.parametrize("k", [1, 3, 6])
@@ -442,7 +560,7 @@ class TestExtensions:
         bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
         good = lemmax_generators(CHAIN) + lemmay_basis(CHAIN)
         with pytest.raises(ValueError,
-                           match="^fiber %d failed spot verification" % k):
+                           match="^fiber %d failed verification" % k):
             build_extension(CHAIN, good[:k] + [bad] + good[k:] + [bad])
 
     def test_many_fibers_are_the_one_fiber_groups_componentwise(self):
@@ -515,7 +633,7 @@ class TestExtensions:
         assert calls == []
 
     def test_non_cocycle_fiber_fails_associativity(self):
-        # built directly, past the spot verification of build_extension
+        # built directly, past the proof in build_extension
         bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
         ext = ExtensionGroup(CHAIN, (bad,))
         law, trial = ext.first_law_failure(1000, 10, random.Random(0))

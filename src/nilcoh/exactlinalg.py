@@ -3,19 +3,17 @@
 Smith normal form with unimodular transforms, ranks, integer kernel
 bases, lattice solves, and invariant factors of subquotients of Z^k.
 
-One elimination (``_smith``) serves every caller. It records its row
-operations instead of carrying U, which ``_replay`` and ``_undo`` apply
-to any rows, and carries V only when asked:
-
-- invariants only: ``quotient_invariants`` (the closed form of
-  ``cohomology.h2``, and the torsion in ``subquotient_invariants``, so in
-  the complex route of ``h2``), and ``rank`` when the modular
-  certificate below does not answer;
-- V only: ``kernel_basis`` (``cocycles.lemmay_basis``);
-- V and the record: ``_solve_many`` and ``solve_in_lattice``;
-- V, the record and columns of U^-1: ``cokernel`` (``cocycles``' LemmaX
-  generators and witnesses, from one elimination of C^T);
-- U and V: ``smith_normal_form`` (the SNF acceptance criterion).
+One elimination, two records: ``_smith`` carries no transform. It
+records its row operations, which give U, and its column operations,
+which give V; ``_replay`` and ``_undo`` apply either record to any rows.
+A caller that needs no transform replays nothing: ``quotient_invariants``
+(the closed form of ``cohomology.h2``, and the torsion in
+``subquotient_invariants``, so in the complex route of ``h2``), and
+``rank`` when the modular certificate below does not answer.
+``kernel_basis`` (``cocycles.lemmay_basis``) replays the column record;
+the lattice solves, ``cokernel`` (``cocycles``' LemmaX generators and
+witnesses, from one elimination of C^T) and ``smith_normal_form`` (the
+SNF acceptance criterion) replay both.
 
 All arithmetic uses Python's arbitrary-precision integers; there are no
 floats. The one modular step is the rank certificate. ``rank`` (behind
@@ -219,15 +217,16 @@ class SmithDecomposition(_Value):
         return len(self.invariants)
 
 
-def _smith(A, track_v=False):
-    """Smith elimination of A, recording its row operations.
+def _smith(A):
+    """Smith elimination of A, recording its row and column operations.
 
-    Returns (invariants, d, v, ops): the invariant factors, the reduced
-    matrix as a list of rows, V as a list of rows when ``track_v`` is set
-    (else None), and ops, the row operations in order as triples
-    (dst, src, q): row dst -= q * row src, where (r, r, 2) negates row r
-    and (r0, r1, None) swaps two rows. ``_replay`` of ops on the rows of B
-    gives U @ B, and ``_undo`` gives U^-1 @ B, so no caller carries U.
+    Returns (invariants, d, ops, cops): the invariant factors, the reduced
+    matrix as a list of rows, and the two records, each a list of triples
+    (dst, src, q) in order. In ops, row dst -= q * row src, where
+    (r, r, 2) negates row r and (r0, r1, None) swaps two rows; ``_replay``
+    of ops on the rows of B gives U @ B, and ``_undo`` gives U^-1 @ B. In
+    cops, column dst -= q * column src, or (c0, c1, None) swaps two
+    columns: the same row operation on V^T, so cops replayed gives V^T.
 
     Pivots are chosen by least absolute value, which keeps coefficient
     growth tame on the sparse matrices the cohomology routines produce.
@@ -238,18 +237,15 @@ def _smith(A, track_v=False):
     """
     m, n = A.rows, A.cols
     d = A.to_rows()
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if track_v else None
-    ops = []
+    ops, cops = [], []
 
     def swap_cols(c0, c1):
+        cops.append((c0, c1, None))
         for row in d:
             row[c0], row[c1] = row[c1], row[c0]
-        if v is not None:
-            for row in v:
-                row[c0], row[c1] = row[c1], row[c0]
 
     def row_op(dst, src, q):
-        # one operation of the record, done on d; both rows are zero
+        # one operation of the row record, done on d; both rows are zero
         # before column t, the current stage
         ops.append((dst, src, q))
         if q is None:
@@ -260,12 +256,10 @@ def _smith(A, track_v=False):
                 drow[k] -= q * srow[k]
 
     def col_axpy(dst, src, q, live):
-        # col dst -= q * col src, mirrored on V; live: rows of d nonzero at src
+        # col dst -= q * col src; live: the rows of d nonzero at src
+        cops.append((dst, src, q))
         for row in live:
             row[dst] -= q * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] -= q * row[src]
 
     def least_nonzero(t):
         best, pos = None, None
@@ -328,11 +322,11 @@ def _smith(A, track_v=False):
         t += 1
 
     invariants = tuple(d[k][k] for k in range(lim) if d[k][k] != 0)
-    return invariants, d, v, ops
+    return invariants, d, ops, cops
 
 
 def _replay(ops, rows):
-    """U @ B in place, for B a list of rows and ops recorded by ``_smith``."""
+    """U @ B in place, for B a list of rows and ops ``_smith``'s row record."""
     for dst, src, q in ops:
         if q is None:
             rows[dst], rows[src] = rows[src], rows[dst]
@@ -347,20 +341,26 @@ def _undo(ops, rows):
              for d, s, q in reversed(ops)], rows)
 
 
+def _replayed(ops, n):
+    """A record replayed on the n x n identity: U from ops, V^T from cops."""
+    rows = IntMatrix.identity(n).to_rows()
+    _replay(ops, rows)
+    return rows
+
+
 def smith_normal_form(A):
     """Smith normal form of an integer matrix, with both transforms.
 
     For callers that read U and V: the SNF acceptance criterion. Callers
     that need less use ``rank``, ``quotient_invariants`` (no transform),
-    ``kernel_basis`` (V only) or ``cokernel`` (the record, U^-1 lifts and
-    V). Works for any shape including empty ones.
+    ``kernel_basis`` (V only) or ``cokernel`` (the row record, U^-1 lifts
+    and V). Works for any shape including empty ones.
     """
-    invariants, d, v, ops = _smith(A, track_v=True)
-    u = IntMatrix.identity(A.rows).to_rows()
-    _replay(ops, u)
-    return SmithDecomposition(IntMatrix.from_rows(u, cols=A.rows),
-                              IntMatrix.from_rows(d, cols=A.cols),
-                              IntMatrix.from_rows(v, cols=A.cols), invariants)
+    invariants, d, ops, cops = _smith(A)
+    return SmithDecomposition(
+        IntMatrix.from_rows(_replayed(ops, A.rows), cols=A.rows),
+        IntMatrix.from_rows(d, cols=A.cols),
+        IntMatrix.from_cols(_replayed(cops, A.cols), rows=A.cols), invariants)
 
 
 # The prime of the rank certificate, the only modular step in this module
@@ -442,31 +442,30 @@ def cokernel(A):
     With U A V = D in Smith form, U carries Z^rows / im(A) onto
     Z^rows / im(D): Z_d for each invariant factor d, Z for each t = rank
     .. rows - 1. Returns the tuples (invariants, ops, lifts, V): ops, the
-    record, gives the coordinates U b; lifts are (order, column t of U^-1)
-    pairs lifting e_t, free first (order 0), then one per d > 1; V is by
-    rows, and A (V e_t) = d_t (column t of U^-1).
+    row record, gives U b; lifts are (order, column t of U^-1) pairs
+    lifting e_t, free first (order 0), then one per d > 1; V, replayed
+    from the column record, is by rows, and A (V e_t) = d_t (U^-1 e_t).
     """
-    invariants, _, v, ops = _smith(A, track_v=True)
+    invariants, _, ops, cops = _smith(A)
     picks = [(0, t) for t in range(len(invariants), A.rows)] + [
         (d, t) for t, d in enumerate(invariants) if d > 1]
     cols = [[int(i == t) for _, t in picks] for i in range(A.rows)]
     _undo(ops, cols)
     return (invariants, tuple(ops),
             tuple(zip([d for d, _ in picks], zip(*cols))),
-            tuple(map(tuple, v)))
+            tuple(zip(*_replayed(cops, A.cols))))
 
 
 def kernel_basis(A):
     """Basis of the integer kernel of A, as columns of a cols x k matrix.
 
-    The returned basis is saturated: it spans ker(A) over Q, and the span
-    over Z is a direct summand of Z^cols (the basis extends to a basis of
-    the ambient lattice because it consists of columns of a unimodular
-    matrix).
+    The basis is the columns rank .. cols - 1 of V, replayed from the
+    column record. It is saturated: it spans ker(A) over Q, and as columns
+    of a unimodular matrix it extends to a basis of Z^cols, so its span
+    over Z is a direct summand.
     """
-    invariants, _, v, _ = _smith(A, track_v=True)
-    return IntMatrix.from_cols([[row[j] for row in v]
-                                for j in range(len(invariants), A.cols)],
+    invariants, _, _, cops = _smith(A)
+    return IntMatrix.from_cols(_replayed(cops, A.cols)[len(invariants):],
                                rows=A.cols)
 
 
@@ -529,7 +528,7 @@ def quotient_invariants(ambient_rank, gens):
 
 
 def _lattice_solution(invariants, ops, v, b):
-    """The integer x with A x = b, or None, from the record and V of A.
+    """The integer x with A x = b, or None, from the row record and V of A.
 
     A x = b iff D (V^-1 x) = U b: (U b)_t must be divisible by d_t below
     the rank and zero beyond it; the quotients mapped through V give x.
@@ -546,13 +545,14 @@ def _lattice_solution(invariants, ops, v, b):
 def _solve_many(A, B):
     """Integer solutions X of A @ X = B, or None if some column has none.
 
-    One Smith elimination of A, carrying V, serves every column of B
-    through ``_lattice_solution``.
+    One Smith elimination of A serves every column of B through
+    ``_lattice_solution``; V's rows are built once from the column record.
     """
     if A.rows != B.rows:
         raise ValueError("dimension mismatch: %d equations, rhs has %d rows"
                          % (A.rows, B.rows))
-    invariants, _, v, ops = _smith(A, track_v=True)
+    invariants, _, ops, cops = _smith(A)
+    v = list(zip(*_replayed(cops, A.cols)))
     cols = [_lattice_solution(invariants, ops, v, B.col(j))
             for j in range(B.cols)]
     if None in cols:

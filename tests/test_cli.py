@@ -229,7 +229,9 @@ PINNED_GROUPS = {"heisenberg": families.heisenberg(),
                  "chain-2-6": families.divisor_chain_group((2, 6)),
                  "chain-3-3-6": families.divisor_chain_group((3, 3, 6)),
                  "near-free-n3-2026003":
-                     families.random_presentation(3, 3, 3, 2026003)}
+                     families.random_presentation(3, 3, 3, 2026003),
+                 "near-free-n5-2026005":
+                     families.random_presentation(5, 10, 3, 2026005)}
 PINNED_REPORTS = [
     ("heisenberg", "verify", "text", "dd5839fc185058076cbff79c90f34bfca4a94e2c2de8199fe1cb8afbd8eba431"),
     ("heisenberg", "verify", "json", "659173abf250e53b6ad4387bbed1e956f553381ae7fa2c6f8df109c5b8dd880e"),
@@ -257,6 +259,10 @@ PINNED_REPORTS = [
     ("chain-3-3-6", "witness", "json", "84c73ace38a5ed8d61d63e02337e37adc479299f0bb93c7110dc288e1cb4b61b"),
     ("near-free-n3-2026003", "witness", "text", "d12ad260441406dc29997e419b88199244fc725ab83025297e12f665b4bece39"),
     ("near-free-n3-2026003", "witness", "json", "7be4a74757213227078b7b75c9dec8f76862f97d0c497615a358b7ef687268b3"),
+    ("near-free-n4", "witness", "text", "6660cebabd756261393211720c201c2c33437eca1059a778d76914bfce55ec64"),
+    ("near-free-n4", "witness", "json", "def2bf5042a57478f334c1b7bbe1f945dc8951146232ae78f1e3f4ecbb5dac92"),
+    ("near-free-n5-2026005", "witness", "text", "7747bd692734ca2cd047200c279489a5372a200ac6fd503309593d2fde631413"),
+    ("near-free-n5-2026005", "witness", "json", "19b5af454339ba0391de1039c87806ae5a4cbb3c8617789adc35499f3468368b"),
     ("heisenberg", "cocycles", "text", "416a828e670f20ffc28e65586e8d5b9f5a3e9f06cb8a406b4c0302b44cf37b9a"),
     ("heisenberg", "cocycles", "json", "3a8e1c8ba09215cd22d307d57cf5e087a3f28e6c54de8e4c3a10a48a026ff0d4"),
     ("heisenberg", "h2", "text", "92ae7a98af31baa6f388ab7242b100f071f3d419fd06fc8e5902aa37f0e2c20e"),
@@ -297,6 +303,8 @@ PINNED_REPORTS = [
     ("near-free-n3-2026003", "cocycles", "json", "29ff2c3768ac9673d1e43e178894b78dfe25b2937d43d4a6de546288ed4dd598"),
     ("near-free-n3-2026003", "h2", "text", "5de79a47fdf7cf5e01de85160041f9a18507542de0338a563b5632682b3000ec"),
     ("near-free-n3-2026003", "h2", "json", "18171a50c40569b6393b8e79ebf3f821ae82e2b7dc3e2115ef9f98b8ffa39ffa"),
+    ("near-free-n5-2026005", "cocycles", "text", "58a6ce4778410c81d3c4a8b8eb714c5d5228ae538acfc141d2de1be48a300a1c"),
+    ("near-free-n5-2026005", "cocycles", "json", "3588883853ba382b648586d7d543ffeee1ae1ccb4669a6c92b5da67edec727cc"),
 ]
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import exactlinalg, families
+from nilcoh import acceptance, exactlinalg, families
 from nilcoh.cohomology import h2
 from nilcoh.exactlinalg import (
     _replay,
@@ -205,38 +205,47 @@ def random_matrix(rng, rows, cols, lo=-3, hi=3):
         cols=cols)
 
 
+def replayed_v(cops, n):
+    """V from the column record of _smith: replay on the identity gives V^T."""
+    vt = IntMatrix.identity(n).to_rows()
+    _replay(cops, vt)
+    return IntMatrix.from_rows(vt, cols=n).transpose()
+
+
 class TestTransformTracking:
-    """The record of _smith, replayed, gives the transforms of smith_normal_form."""
+    """The records of _smith, replayed, give the transforms of smith_normal_form."""
 
     @settings(deadline=None, max_examples=100)
-    @given(matrices, st.booleans(), st.data())
-    def test_every_combination_matches_full_decomposition(
-            self, a, track_v, data):
+    @given(matrices, st.data())
+    def test_every_combination_matches_full_decomposition(self, a, data):
         full = smith_normal_form(a)
         B = data.draw(st.integers(0, 3).flatmap(
             lambda k: st.lists(
                 st.lists(st.integers(-9, 9), min_size=k, max_size=k),
                 min_size=a.rows, max_size=a.rows).map(
                     lambda r: IntMatrix.from_rows(r, cols=k))))
-        invariants, d, v, ops = _smith(a, track_v=track_v)
+        invariants, d, ops, cops = _smith(a)
         assert invariants == full.invariants
-        assert IntMatrix.from_rows(d, cols=a.cols) == full.D
-        if track_v:
-            assert IntMatrix.from_rows(v, cols=a.cols) == full.V
-        else:
-            assert v is None
-        # the record does not depend on the V choice
-        assert _smith(a, track_v=not track_v)[3] == ops
-        # replay on the identity gives U, and U A V = D
+        D = IntMatrix.from_rows(d, cols=a.cols)
+        assert D == full.D
+        # replay of the row record on the identity gives U
         u = IntMatrix.identity(a.rows).to_rows()
         _replay(ops, u)
         U = IntMatrix.from_rows(u, cols=a.rows)
         assert U == full.U
-        assert U @ a @ full.V == full.D
         # replay on B gives U @ B
         rows = B.to_rows()
         _replay(ops, rows)
-        assert IntMatrix.from_rows(rows, cols=B.cols) == full.U @ B
+        assert IntMatrix.from_rows(rows, cols=B.cols) == U @ B
+        # replay of the column record on the identity gives V^T: U A V = D
+        # with V unimodular, by a determinant that shares no code with _smith
+        V = replayed_v(cops, a.cols)
+        assert V == full.V
+        assert U @ a @ V == D
+        assert abs(acceptance.bareiss_determinant(V.to_rows())) == 1
+        # the kernel basis is V's columns rank ..
+        assert kernel_basis(a) == IntMatrix.from_cols(
+            [V.col(j) for j in range(len(invariants), a.cols)], rows=a.cols)
         # the inverse replay gives U^-1
         inv = IntMatrix.identity(a.rows).to_rows()
         _undo(ops, inv)
@@ -375,9 +384,9 @@ def smith_callers(monkeypatch):
     callers = []
     inner = exactlinalg._smith
 
-    def recording(A, track_v=False):
+    def recording(A):
         callers.append(sys._getframe(1).f_code.co_name)
-        return inner(A, track_v)
+        return inner(A)
 
     monkeypatch.setattr(exactlinalg, "_smith", recording)
     return callers
@@ -553,7 +562,9 @@ class TestCokernelGenerators:
             (d, t) for t, d in enumerate(s.invariants) if d > 1]
         invariants, ops, lifts, V = cokernel(a)
         assert invariants == s.invariants
-        assert IntMatrix.from_rows(V, cols=a.cols) == s.V
+        V = IntMatrix.from_rows(V, cols=a.cols)
+        assert V == replayed_v(_smith(a)[3], a.cols) == s.V
+        assert s.U @ a @ V == s.D
         u = IntMatrix.identity(a.rows).to_rows()
         _replay(ops, u)
         assert IntMatrix.from_rows(u, cols=a.rows) == s.U

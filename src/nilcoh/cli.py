@@ -301,18 +301,24 @@ def _int_at_least(least, most=None):
     return parse
 
 
-def _build_parser():
-    """The top-level parser and a map from each command to its subparser."""
+def _build_parser(argv):
+    """The top-level parser and a map from each command to its subparser.
+
+    Only the command that ``argv`` names gets its flags: the first
+    argument that is not a flag, which argparse reads as the command,
+    since the top-level parser takes no flag with a value.
+    """
     parser = argparse.ArgumentParser(
         prog="nilcoh",
         description="Exact H^1/H^2 and explicit 2-cocycles for torsion-free "
                     "class-2 nilpotent groups.")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {name: sub.add_parser(name) for name in _COMMANDS}
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
 
     def add(flag, names, **kwargs):
-        for name in names:
-            commands[name].add_argument(flag, **kwargs)
+        if named in names:
+            commands[named].add_argument(flag, **kwargs)
 
     # each command takes only the flags it reads, except --seed, which
     # every command that reads a presentation accepts so that one seed can
@@ -333,17 +339,17 @@ def _build_parser():
         help="no effect; kept so that existing command lines run")
     add("--bound", ("gen",), type=_int_at_least(1), default=10)
     add("--out", _COMMANDS, dest="out_path", metavar="FILE")
-    gen = commands["gen"]
-    gen.add_argument("--family", required=True,
-                     choices=("paper-example", "heisenberg", "abelian", "random"))
-    gen.add_argument("--n", type=_int_at_least(0))
-    gen.add_argument("--m", type=_int_at_least(0))
-    gen.add_argument("--d", type=_chain, metavar="d1,d2,...")
+    add("--family", ("gen",), required=True,
+        choices=("paper-example", "heisenberg", "abelian", "random"))
+    add("--n", ("gen",), type=_int_at_least(0))
+    add("--m", ("gen",), type=_int_at_least(0))
+    add("--d", ("gen",), type=_chain, metavar="d1,d2,...")
     return parser, commands
 
 
 def main(argv=None):
-    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser(argv)
     args, extra = parser.parse_known_args(argv)
     if extra:
         # the command's own usage lists the flags it does take

@@ -56,9 +56,6 @@ def require_valid(P):
 def _jacobi_transpose(P):
     """S^T: per triple, one row holding its Jacobi element in the tensor basis."""
     n, m = P.n, P.m
-    if not n * m:
-        # L_1 (x) L_2 = 0: every row is empty
-        return IntMatrix(comb(n, 3), 0)
     rows = []
     for (i, j, k) in combinations(range(n), 3):
         row = [0] * (n * m)

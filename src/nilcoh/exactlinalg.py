@@ -4,16 +4,17 @@ Smith normal form with unimodular transforms, ranks, integer kernel
 bases, lattice solves, and invariant factors of subquotients of Z^k.
 
 One elimination, two records: ``_smith`` carries no transform. It
-records its row operations, which give U, and its column operations,
-which give V; ``_replay`` and ``_undo`` apply either record to any rows.
+records its row operations, and its column operations, last first, as
+the row operations they make on V; ``_replay`` of either record on the
+rows of B gives U @ B or V @ B, and ``_undo`` of the row record U^-1 @ B.
 A caller that needs no transform replays nothing: ``quotient_invariants``
 (the closed form of ``cohomology.h2``, and the torsion in
 ``subquotient_invariants``, so in the complex route of ``h2``), and
 ``rank`` when the modular certificate below does not answer.
-``kernel_basis`` (``cocycles.lemmay_basis``) replays the column record;
-the lattice solves, ``cokernel`` (``cocycles``' LemmaX generators and
-witnesses, from one elimination of C^T) and ``smith_normal_form`` (the
-SNF acceptance criterion) replay both.
+``kernel_basis`` (``cocycles.lemmay_basis``) replays the column record on
+the kernel columns of the identity alone; the lattice solves, ``cokernel``
+(``cocycles``' LemmaX generators and witnesses, from one elimination of
+C^T) and ``smith_normal_form`` (the SNF acceptance criterion) replay both.
 
 All arithmetic uses Python's arbitrary-precision integers; there are no
 floats. The one modular step is the rank certificate. ``rank`` (behind
@@ -172,20 +173,10 @@ class IntMatrix(_Value):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        # row i of the product is the sum of x * (row k of other) over the
-        # nonzero entries x = self[i, k] whose row k is nonzero; the
-        # complexes here are sparse, with whole blocks of zero rows
-        live = [(k, row) for k, row in enumerate(other.to_rows()) if any(row)]
-        out = []
-        for i in range(self.rows):
-            a = self.row(i)
-            acc = [0] * other.cols
-            for k, bk in live:
-                x = a[k]
-                if x:
-                    acc = [u + x * v for u, v in zip(acc, bk)]
-            out.extend(acc)
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        cols = [other.col(j) for j in range(other.cols)]
+        return IntMatrix(self.rows, other.cols,
+                         tuple(sum(map(mul, self.row(i), col))
+                               for i in range(self.rows) for col in cols))
 
     def mul_vec(self, vec):
         vec = list(vec)
@@ -221,12 +212,13 @@ def _smith(A):
     """Smith elimination of A, recording its row and column operations.
 
     Returns (invariants, d, ops, cops): the invariant factors, the reduced
-    matrix as a list of rows, and the two records, each a list of triples
-    (dst, src, q) in order. In ops, row dst -= q * row src, where
-    (r, r, 2) negates row r and (r0, r1, None) swaps two rows; ``_replay``
-    of ops on the rows of B gives U @ B, and ``_undo`` gives U^-1 @ B. In
-    cops, column dst -= q * column src, or (c0, c1, None) swaps two
-    columns: the same row operation on V^T, so cops replayed gives V^T.
+    matrix as a list of rows, and two records of row operations (dst, src,
+    q): row dst -= q * row src, where (r, r, 2) negates row r and
+    (r0, r1, None) swaps two rows. ops holds the row operations on A in
+    order, and cops the column operations, last first, each as the row
+    operation it makes on V: column dst -= q * column src is (src, dst, q),
+    and a swap stays a swap. So ``_replay`` of a record on the rows of B
+    gives U @ B from ops and V @ B from cops; ``_undo`` gives U^-1 @ B.
 
     Pivots are chosen by least absolute value, which keeps coefficient
     growth tame on the sparse matrices the cohomology routines produce.
@@ -256,8 +248,9 @@ def _smith(A):
                 drow[k] -= q * srow[k]
 
     def col_axpy(dst, src, q, live):
-        # col dst -= q * col src; live: the rows of d nonzero at src
-        cops.append((dst, src, q))
+        # col dst -= q * col src, which is row src -= q * row dst of V;
+        # live: the rows of d nonzero at src
+        cops.append((src, dst, q))
         for row in live:
             row[dst] -= q * row[src]
 
@@ -322,11 +315,12 @@ def _smith(A):
         t += 1
 
     invariants = tuple(d[k][k] for k in range(lim) if d[k][k] != 0)
+    cops.reverse()
     return invariants, d, ops, cops
 
 
 def _replay(ops, rows):
-    """U @ B in place, for B a list of rows and ops ``_smith``'s row record."""
+    """U @ B or V @ B in place, for B a list of rows and ops a ``_smith`` record."""
     for dst, src, q in ops:
         if q is None:
             rows[dst], rows[src] = rows[src], rows[dst]
@@ -342,7 +336,7 @@ def _undo(ops, rows):
 
 
 def _replayed(ops, n):
-    """A record replayed on the n x n identity: U from ops, V^T from cops."""
+    """A record replayed on the n x n identity: U from ops, V from cops."""
     rows = IntMatrix.identity(n).to_rows()
     _replay(ops, rows)
     return rows
@@ -351,16 +345,17 @@ def _replayed(ops, n):
 def smith_normal_form(A):
     """Smith normal form of an integer matrix, with both transforms.
 
-    For callers that read U and V: the SNF acceptance criterion. Callers
-    that need less use ``rank``, ``quotient_invariants`` (no transform),
-    ``kernel_basis`` (V only) or ``cokernel`` (the row record, U^-1 lifts
-    and V). Works for any shape including empty ones.
+    For callers that read U and V, each a record replayed on the identity:
+    the SNF acceptance criterion. Callers that need less use ``rank``,
+    ``quotient_invariants`` (no transform), ``kernel_basis`` (V's kernel
+    columns) or ``cokernel`` (the row record, U^-1 lifts and V). Works for
+    any shape including empty ones.
     """
     invariants, d, ops, cops = _smith(A)
     return SmithDecomposition(
         IntMatrix.from_rows(_replayed(ops, A.rows), cols=A.rows),
         IntMatrix.from_rows(d, cols=A.cols),
-        IntMatrix.from_cols(_replayed(cops, A.cols), rows=A.cols), invariants)
+        IntMatrix.from_rows(_replayed(cops, A.cols), cols=A.cols), invariants)
 
 
 # The prime of the rank certificate, the only modular step in this module
@@ -453,20 +448,22 @@ def cokernel(A):
     _undo(ops, cols)
     return (invariants, tuple(ops),
             tuple(zip([d for d, _ in picks], zip(*cols))),
-            tuple(zip(*_replayed(cops, A.cols))))
+            tuple(map(tuple, _replayed(cops, A.cols))))
 
 
 def kernel_basis(A):
     """Basis of the integer kernel of A, as columns of a cols x k matrix.
 
-    The basis is the columns rank .. cols - 1 of V, replayed from the
-    column record. It is saturated: it spans ker(A) over Q, and as columns
-    of a unimodular matrix it extends to a basis of Z^cols, so its span
-    over Z is a direct summand.
+    The basis is the columns rank .. cols - 1 of V, the column record
+    replayed on those columns of the identity alone. It is saturated: it
+    spans ker(A) over Q, and as columns of a unimodular matrix it extends
+    to a basis of Z^cols, so its span over Z is a direct summand.
     """
     invariants, _, _, cops = _smith(A)
-    return IntMatrix.from_cols(_replayed(cops, A.cols)[len(invariants):],
-                               rows=A.cols)
+    r = len(invariants)
+    cols = [[int(i == j) for j in range(r, A.cols)] for i in range(A.cols)]
+    _replay(cops, cols)
+    return IntMatrix.from_rows(cols, cols=A.cols - r)
 
 
 class AbelianGroupInvariants(_Value):
@@ -546,13 +543,13 @@ def _solve_many(A, B):
     """Integer solutions X of A @ X = B, or None if some column has none.
 
     One Smith elimination of A serves every column of B through
-    ``_lattice_solution``; V's rows are built once from the column record.
+    ``_lattice_solution``; V's rows are replayed once from the column record.
     """
     if A.rows != B.rows:
         raise ValueError("dimension mismatch: %d equations, rhs has %d rows"
                          % (A.rows, B.rows))
     invariants, _, ops, cops = _smith(A)
-    v = list(zip(*_replayed(cops, A.cols)))
+    v = _replayed(cops, A.cols)
     cols = [_lattice_solution(invariants, ops, v, B.col(j))
             for j in range(B.cols)]
     if None in cols:

@@ -8,6 +8,7 @@ captured stdout on failure) to see the lines:
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -43,6 +44,16 @@ def test_selftest_passes(selftest):
     lines = selftest.stdout.splitlines()
     assert lines[-1] == "selftest: all criteria passed"
     assert sum(line.startswith("PASS") for line in lines) == 8
+
+
+def test_pass_details_carry_no_time(selftest):
+    # selftest stdout is meant to be diffed; a time budget that holds
+    # prints nothing that varies from run to run
+    passes = [line for line in selftest.stdout.splitlines()
+              if line.startswith("PASS")]
+    assert passes, selftest.stdout + selftest.stderr
+    for line in passes:
+        assert not re.search(r"\d\.\d+ ?s\b", line), line
 
 
 def test_raising_criterion_fails_alone(monkeypatch, capsys):

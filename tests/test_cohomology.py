@@ -78,6 +78,14 @@ class TestJacobiSMatrix:
         assert s.is_zero()
         assert (s.rows, s.cols) == (0, 4)
 
+    @pytest.mark.parametrize("n", range(5))
+    def test_no_tensor_basis_gives_empty_rows(self, n):
+        # n * m = 0: L_1 (x) L_2 = 0, so each of the C(n,3) triples has an
+        # empty row
+        s_t = _jacobi_transpose(families.abelian(n))
+        assert s_t == IntMatrix(comb(n, 3), 0)
+        assert s_t.to_rows() == [[]] * comb(n, 3)
+
 
 class TestH1:
     def test_heisenberg(self):

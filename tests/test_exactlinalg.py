@@ -88,8 +88,8 @@ class TestIntMatrix:
             return IntMatrix(rows, cols, data.draw(st.lists(
                 entries, min_size=rows * cols, max_size=rows * cols)))
 
-        # the right factor always has some all-zero rows, which the
-        # product skips
+        # the right factor always has some all-zero rows, as the blocks of
+        # the complex route do
         zero_rows = (data.draw(st.sets(st.integers(0, k - 1), min_size=1))
                      if k else set())
         b = IntMatrix.from_rows([[0] * c if t in zero_rows else row
@@ -99,6 +99,15 @@ class TestIntMatrix:
         expect = [[sum(a.entry(i, t) * b.entry(t, j) for t in range(k))
                    for j in range(c)] for i in range(r)]
         assert a @ b == IntMatrix.from_rows(expect, cols=c)
+
+    @pytest.mark.parametrize("r, k, c", [
+        (0, 0, 0), (0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 4), (3, 0, 0)])
+    def test_matmul_with_an_empty_dimension(self, r, k, c):
+        # the complex route's products all have one: weight 2's d^2 has no
+        # rows, and weights 3 and 4 have no d^1 columns
+        a = IntMatrix(r, k, range(1, r * k + 1))
+        b = IntMatrix(k, c, range(1, k * c + 1))
+        assert a @ b == IntMatrix(r, c, (0,) * (r * c))
 
 
 class TestSmithNormalForm:
@@ -206,10 +215,19 @@ def random_matrix(rng, rows, cols, lo=-3, hi=3):
 
 
 def replayed_v(cops, n):
-    """V from the column record of _smith: replay on the identity gives V^T."""
-    vt = IntMatrix.identity(n).to_rows()
-    _replay(cops, vt)
-    return IntMatrix.from_rows(vt, cols=n).transpose()
+    """V from the column record of _smith: its replay on the identity."""
+    v = IntMatrix.identity(n).to_rows()
+    _replay(cops, v)
+    return IntMatrix.from_rows(v, cols=n)
+
+
+def draw_rhs(data, rows):
+    """A drawn matrix with ``rows`` rows and 0..3 columns."""
+    return data.draw(st.integers(0, 3).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+            min_size=rows, max_size=rows).map(
+                lambda r: IntMatrix.from_rows(r, cols=k))))
 
 
 class TestTransformTracking:
@@ -219,11 +237,7 @@ class TestTransformTracking:
     @given(matrices, st.data())
     def test_every_combination_matches_full_decomposition(self, a, data):
         full = smith_normal_form(a)
-        B = data.draw(st.integers(0, 3).flatmap(
-            lambda k: st.lists(
-                st.lists(st.integers(-9, 9), min_size=k, max_size=k),
-                min_size=a.rows, max_size=a.rows).map(
-                    lambda r: IntMatrix.from_rows(r, cols=k))))
+        B = draw_rhs(data, a.rows)
         invariants, d, ops, cops = _smith(a)
         assert invariants == full.invariants
         D = IntMatrix.from_rows(d, cols=a.cols)
@@ -237,12 +251,17 @@ class TestTransformTracking:
         rows = B.to_rows()
         _replay(ops, rows)
         assert IntMatrix.from_rows(rows, cols=B.cols) == U @ B
-        # replay of the column record on the identity gives V^T: U A V = D
+        # replay of the column record on the identity gives V: U A V = D
         # with V unimodular, by a determinant that shares no code with _smith
         V = replayed_v(cops, a.cols)
         assert V == full.V
         assert U @ a @ V == D
         assert abs(acceptance.bareiss_determinant(V.to_rows())) == 1
+        # replay on C gives V @ C, as the row record's gives U @ B
+        C = draw_rhs(data, a.cols)
+        rows = C.to_rows()
+        _replay(cops, rows)
+        assert IntMatrix.from_rows(rows, cols=C.cols) == V @ C
         # the kernel basis is V's columns rank ..
         assert kernel_basis(a) == IntMatrix.from_cols(
             [V.col(j) for j in range(len(invariants), a.cols)], rows=a.cols)
@@ -251,6 +270,23 @@ class TestTransformTracking:
         _undo(ops, inv)
         inv = IntMatrix.from_rows(inv, cols=a.rows)
         assert inv @ full.U == full.U @ inv == IntMatrix.identity(a.rows)
+
+    @pytest.mark.parametrize("a, kernel_rank", [
+        (IntMatrix(0, 0), 0),
+        (IntMatrix(0, 3), 3),
+        (IntMatrix(2, 0), 0),
+        (IntMatrix(2, 3, (0,) * 6), 3),
+        (IntMatrix.from_rows([[2, 0], [0, 3], [1, 1]]), 0),
+        (IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]]), 2),
+    ])
+    def test_kernel_basis_is_the_kernel_columns_of_v(self, a, kernel_rank):
+        # rank 0 and full column rank: the selection starts at the rank
+        V = replayed_v(_smith(a)[3], a.cols)
+        k = kernel_basis(a)
+        assert k.cols == kernel_rank
+        assert k == IntMatrix.from_cols(
+            [V.col(j) for j in range(a.cols - kernel_rank, a.cols)],
+            rows=a.cols)
 
     @settings(deadline=None, max_examples=100)
     @given(matrices, st.integers(0, 3), st.integers(0, 10**6))

@@ -78,10 +78,6 @@ def corpus():
     return groups
 
 
-def _all_cocycles(P):
-    return cocycles.lemmax_generators(P) + cocycles.lemmay_basis(P)
-
-
 def check_divisor_chain_regression():
     """H^2 of the divisor-chain family matches its closed form, under 1s each."""
     details = []
@@ -151,7 +147,7 @@ def check_cocycle_identity():
     """Every produced cocycle passes 1000 sampled identity checks exactly."""
     total = 0
     for name, P in corpus():
-        ws = _all_cocycles(P)
+        ws = cocycles.all_cocycles(P)
         for rep in cocycles.verify_cocycles(P, ws, trials=1000, bound=10,
                                             seed=0):
             if not rep.ok:
@@ -164,7 +160,7 @@ def check_extension_soundness():
     """Extensions are associative with two-sided inverses, 1000 triples each."""
     jobs = []
     for name, P in corpus():
-        for idx, w in enumerate(_all_cocycles(P)):
+        for idx, w in enumerate(cocycles.all_cocycles(P)):
             jobs.append(("%s #%d" % (name, idx), P, [w]))
     H = families.heisenberg()
     jobs.append(("heisenberg rank-2", H, cocycles.lemmay_basis(H)))

@@ -1,7 +1,10 @@
 """Command line interface.
 
-Commands read a presentation document from --input or stdin (``gen`` and
-``selftest`` take no input) and write text or JSON to stdout or --out.
+A command that reads a presentation computes and returns its exit code,
+its JSON record and its text lines; ``run`` reads the presentation once,
+from --input or stdin, and writes either the JSON report
+``{"group": <presentation>, **record}`` or the lines, to stdout or
+--out. ``gen`` and ``selftest`` read no input and return their text.
 Exit codes: 0 success, 1 validation or verification failure, 2 malformed
 input or invocation, or an input too large (past ``_MAX_GENERATORS``, or
 for memory).
@@ -52,149 +55,100 @@ def _refuse_too_large(n, m):
             % (n + m, _MAX_GENERATORS))
 
 
-def _cmd_validate(args):
-    P = _read_presentation(args)
+def _cmd_validate(P, args):
     rep = validate(P)
-    if args.format == "json":
-        text = dump_json({"group": presentation_to_json(P), "valid": rep.ok,
-                          "failures": list(rep.failures)})
-    else:
-        lines = list(rep.failures) + ["valid" if rep.ok else "invalid"]
-        text = "".join(line + "\n" for line in lines)
-    return (0 if rep.ok else 1), text
+    return ((0 if rep.ok else 1),
+            {"valid": rep.ok, "failures": list(rep.failures)},
+            list(rep.failures) + ["valid" if rep.ok else "invalid"])
 
 
-def _cmd_h1(args):
-    P = _read_presentation(args)
+def _cmd_h1(P, args):
     g = h1(P, args.coeff_rank)
-    if args.format == "json":
-        return 0, dump_json({"group": presentation_to_json(P), "h1": g.to_json()})
-    return 0, "H^1 = %s\n" % g
+    return 0, {"h1": g.to_json()}, ["H^1 = %s" % g]
 
 
-def _cmd_h2(args):
-    P = _read_presentation(args)
+def _cmd_h2(P, args):
     rep = h2(P, args.coeff_rank)
-    if args.format == "json":
-        text = dump_json({"group": presentation_to_json(P), "h2": rep.to_json()})
-    else:
-        text = ("H^2 = %s\n"
-                "coker c* = %s\n"
-                "hom part rank = %d\n"
-                "ker c rank = %d\n"
-                "ext part = %s\n"
-                "complex path = %s\n"
-                "agree = %s\n"
-                % (rep.total, rep.coker_cstar, rep.hom_part_rank,
-                   rep.ker_c_rank, rep.ext_part, rep.crosscheck,
-                   "yes" if rep.agree else "no"))
-    return (0 if rep.agree else 1), text
+    return (0 if rep.agree else 1), {"h2": rep.to_json()}, [
+        "H^2 = %s" % rep.total,
+        "coker c* = %s" % rep.coker_cstar,
+        "hom part rank = %d" % rep.hom_part_rank,
+        "ker c rank = %d" % rep.ker_c_rank,
+        "ext part = %s" % rep.ext_part,
+        "complex path = %s" % rep.crosscheck,
+        "agree = %s" % ("yes" if rep.agree else "no")]
 
 
-def _cmd_homology_rank(args):
-    P = _read_presentation(args)
+def _cmd_homology_rank(P, args):
     k = second_homology_rank(P)
-    if args.format == "json":
-        return 0, dump_json({"group": presentation_to_json(P),
-                             "second_homology_rank": k})
-    return 0, "H_2 free rank = %d\n" % k
+    return 0, {"second_homology_rank": k}, ["H_2 free rank = %d" % k]
 
 
-def _describe(P, idx, w):
-    from .cocycles import cocycle_to_json, render
-    kind = cocycle_to_json(w)["kind"]
-    if kind == "lemmax" and w.order:
-        head = "cocycle %d [lemmax, order %d]" % (idx, w.order)
-    elif kind == "lemmax":
-        head = "cocycle %d [lemmax, infinite order]" % idx
-    else:
-        head = "cocycle %d [%s]" % (idx, kind)
-    return "%s: %s" % (head, render(P, w))
+def _cmd_cocycles(P, args):
+    from .cocycles import CocycleLemmaX, all_cocycles, cocycle_to_json, render
+    ws = all_cocycles(P)
+
+    def describe(idx, w):
+        if not isinstance(w, CocycleLemmaX):
+            kind = "lemmay"
+        elif w.order:
+            kind = "lemmax, order %d" % w.order
+        else:
+            kind = "lemmax, infinite order"
+        return "cocycle %d [%s]: %s" % (idx, kind, render(P, w))
+
+    # rendered only when the text is written
+    lines = ((describe(i, w) for i, w in enumerate(ws, 1)) if ws
+             else ["no cocycle generators (trivial H^2)"])
+    return 0, {"cocycles": [cocycle_to_json(w) for w in ws]}, lines
 
 
-def _cmd_cocycles(args):
-    from .cocycles import cocycle_to_json, lemmax_generators, lemmay_basis
-    P = _read_presentation(args)
-    ws = lemmax_generators(P) + lemmay_basis(P)
-    if args.format == "json":
-        return 0, dump_json({"group": presentation_to_json(P),
-                             "cocycles": [cocycle_to_json(w) for w in ws]})
-    lines = [_describe(P, i + 1, w) for i, w in enumerate(ws)]
-    if not lines:
-        lines = ["no cocycle generators (trivial H^2)"]
-    return 0, "".join(line + "\n" for line in lines)
-
-
-def _cmd_verify(args):
-    from .cocycles import (cocycle_to_json, lemmax_generators, lemmay_basis,
-                           prove_cocycles)
-    P = _read_presentation(args)
-    ws = lemmax_generators(P) + lemmay_basis(P)
+def _cmd_verify(P, args):
+    from .cocycles import all_cocycles, cocycle_to_json, prove_cocycles
+    ws = all_cocycles(P)
     results = prove_cocycles(P, ws)
     ok = all(r.ok for r in results)
-    if args.format == "json":
-        text = dump_json({"group": presentation_to_json(P),
-                          "verify": [{"cocycle": cocycle_to_json(w),
-                                      "ok": r.ok, "message": r.message}
-                                     for w, r in zip(ws, results)]})
-    else:
-        lines = ["cocycle %d: %s" % (i + 1, "PASS (proved)" if r.ok
-                                     else "FAIL: %s" % r.message)
-                 for i, r in enumerate(results)]
-        lines.append("all passed" if ok else "verification failed")
-        text = "".join(line + "\n" for line in lines)
-    return (0 if ok else 1), text
+    lines = ["cocycle %d: %s" % (i, "PASS (proved)" if r.ok
+                                 else "FAIL: %s" % r.message)
+             for i, r in enumerate(results, 1)]
+    lines.append("all passed" if ok else "verification failed")
+    return (0 if ok else 1), {"verify": [
+        {"cocycle": cocycle_to_json(w), "ok": r.ok, "message": r.message}
+        for w, r in zip(ws, results)]}, lines
 
 
-def _cmd_extend(args):
-    from .cocycles import build_extension, lemmax_generators, lemmay_basis
-    P = _read_presentation(args)
-    ws = lemmax_generators(P) + lemmay_basis(P)
+def _cmd_extend(P, args):
+    from .cocycles import all_cocycles, build_extension
+    ws = all_cocycles(P)
     try:
         E = build_extension(P, ws)
     except ValueError as exc:
         message = "extension rejected: %s" % exc
-        if args.format == "json":
-            return 1, dump_json({"group": presentation_to_json(P),
-                                 "extend": {"ok": False, "message": message}})
-        return 1, message + "\n"
-    if args.format == "json":
-        text = dump_json({"group": presentation_to_json(P),
-                          "extend": {"fiber_rank": E.fiber_rank, "ok": True}})
-    else:
-        text = ("central extension by Z^%d built from %d cocycles\n"
-                "associativity and inverse laws: PASS (proved)\n"
-                % (E.fiber_rank, len(ws)))
-    return 0, text
+        return 1, {"extend": {"ok": False, "message": message}}, [message]
+    return 0, {"extend": {"fiber_rank": E.fiber_rank, "ok": True}}, [
+        "central extension by Z^%d built from %d cocycles"
+        % (E.fiber_rank, len(ws)),
+        "associativity and inverse laws: PASS (proved)"]
 
 
-def _cmd_witness(args):
+def _cmd_witness(P, args):
     from .cocycles import coboundary_witness, lemmax_generators
-    P = _read_presentation(args)
-    finite = [w for w in lemmax_generators(P) if w.order]
-    if not finite:
-        if args.format == "json":
-            return 0, dump_json({"group": presentation_to_json(P), "witness": []})
-        return 0, "no torsion classes; nothing to search\n"
-    lines, records, ok = [], [], True
-    for w in finite:
-        u = coboundary_witness(P, w.order * w)
-        if u is None:
-            # the order is wrong: d * f lies outside im(c^*)
-            ok = False
+    records, lines = [], []
+    for w in lemmax_generators(P):
+        d = w.order
+        if not d:
+            continue
+        u = coboundary_witness(P, d * w)
+        if u is None:   # the order is wrong: d * f lies outside im(c^*)
+            records.append({"order": d, "found": False})
             lines.append("order-%d class: %d * cocycle is not a coboundary"
-                         % (w.order, w.order))
-            records.append({"order": w.order, "found": False})
+                         % (d, d))
         else:
+            records.append({"order": d, "found": True, "witness": u.render()})
             lines.append("order-%d class: %d * cocycle = coboundary of u = %s"
-                         % (w.order, w.order, u.render()))
-            records.append({"order": w.order, "found": True,
-                            "witness": u.render()})
-    if args.format == "json":
-        text = dump_json({"group": presentation_to_json(P), "witness": records})
-    else:
-        text = "".join(line + "\n" for line in lines)
-    return (0 if ok else 1), text
+                         % (d, d, u.render()))
+    return ((0 if all(r["found"] for r in records) else 1), {"witness": records},
+            lines or ["no torsion classes; nothing to search"])
 
 
 def _cmd_gen(args):
@@ -239,7 +193,8 @@ def _cmd_selftest(args):
     return (0 if ok else 1), "".join(line + "\n" for line in lines)
 
 
-_COMMANDS = {
+# the commands that read a presentation: (P, args) -> (code, record, lines)
+_REPORTS = {
     "validate": _cmd_validate,
     "h1": _cmd_h1,
     "h2": _cmd_h2,
@@ -248,15 +203,23 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "extend": _cmd_extend,
     "witness": _cmd_witness,
-    "gen": _cmd_gen,
-    "selftest": _cmd_selftest,
 }
+# every command; gen and selftest: args -> (code, text)
+_COMMANDS = dict(_REPORTS, gen=_cmd_gen, selftest=_cmd_selftest)
 
 
 def run(args):
     """Execute one parsed command line; returns the process exit code."""
     try:
-        code, text = _COMMANDS[args.command](args)
+        if args.command in _REPORTS:
+            P = _read_presentation(args)
+            code, record, lines = _REPORTS[args.command](P, args)
+            if args.format == "json":
+                text = dump_json({"group": presentation_to_json(P), **record})
+            else:
+                text = "".join(line + "\n" for line in lines)
+        else:
+            code, text = _COMMANDS[args.command](args)
         if args.out_path is not None:
             with open(args.out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -323,8 +286,7 @@ def _build_parser(argv):
     # each command takes only the flags it reads, except --seed, which
     # every command that reads a presentation accepts so that one seed can
     # be passed to all of them, and --trials below
-    inputs = ("validate", "h1", "h2", "homology-rank", "cocycles", "verify",
-              "extend", "witness")
+    inputs = tuple(_REPORTS)
     add("--input", inputs, dest="input_path", metavar="FILE",
         help="presentation JSON (stdin when absent)")
     add("--format", inputs, choices=("text", "json"), default="text")

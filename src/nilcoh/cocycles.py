@@ -159,6 +159,11 @@ def lemmay_basis(P):
     return out
 
 
+def all_cocycles(P):
+    """The LemmaX generators, then the LemmaY basis: cocycles 1..k of a report."""
+    return lemmax_generators(P) + lemmay_basis(P)
+
+
 def _check_lemmax(P, w):
     if len(w.f) != comb(P.n, 2):
         raise ValueError("dimension mismatch: f has %d coordinates, expected %d"

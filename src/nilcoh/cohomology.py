@@ -122,11 +122,9 @@ def h2(P, r=1):
         require_valid(P)   # an invalid P is reported first, as h1 does
         raise ValueError("coefficient rank must be nonnegative")
     crosscheck = h2_via_complex(P, 1)
-    C = bracket_matrix(P)
-    ext_part = quotient_invariants(P.m, C)
-    ker_c_rank = C.cols - P.m
+    ext_part = quotient_invariants(P.m, bracket_matrix(P))
+    ker_c_rank, hom_part_rank = _free_ranks(P)
     coker_cstar = AbelianGroupInvariants(ker_c_rank, ext_part.torsion)
-    hom_part_rank = P.n * P.m - rank(_jacobi_transpose(P))
     total = AbelianGroupInvariants(ker_c_rank + hom_part_rank, ext_part.torsion)
     return H2Report(total=total.repeat(r), coker_cstar=coker_cstar.repeat(r),
                     hom_part_rank=r * hom_part_rank, ker_c_rank=ker_c_rank,
@@ -186,4 +184,9 @@ def second_homology_rank(P):
     rank of H^2(G, Z) by universal coefficients.
     """
     require_valid(P)
-    return (comb(P.n, 2) - P.m) + (P.n * P.m - rank(_jacobi_transpose(P)))
+    return sum(_free_ranks(P))
+
+
+def _free_ranks(P):
+    """Ranks of ker c (c has rank m) and of the Hom part; b_2 is their sum."""
+    return comb(P.n, 2) - P.m, P.n * P.m - rank(_jacobi_transpose(P))

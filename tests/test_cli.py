@@ -29,6 +29,19 @@ def run_cli(args, stdin_text=None):
         input=stdin_text, capture_output=True, text=True)
 
 
+def set_table_entry(monkeypatch, fiber, mono, coeff):
+    """Make every cocycle table that ``cocycles._polys`` builds, at index
+    FIBER, carry the coefficient COEFF at the monomial MONO (slot numbers)."""
+    polys = cocycles._polys
+
+    def mutant(P, ws):
+        out = polys(P, ws)
+        out[fiber][mono] = coeff
+        return out
+
+    monkeypatch.setattr(cocycles, "_polys", mutant)
+
+
 @pytest.fixture
 def heisenberg_file(tmp_path):
     path = tmp_path / "heisenberg.json"
@@ -88,14 +101,7 @@ class TestReports:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_extend_rejected_fiber_is_exit_1(self, monkeypatch, fmt):
         # the table of cocycle 0 gains 3*a1', which is not normalized
-        polys = cocycles._polys
-
-        def mutant(P, ws):
-            out = polys(P, ws)
-            out[0][(4,)] = 3   # the slot of a1' on the Heisenberg group
-            return out
-
-        monkeypatch.setattr(cocycles, "_polys", mutant)
+        set_table_entry(monkeypatch, 0, (4,), 3)  # (4,): a1' on Heisenberg
         P = families.heisenberg()
         doc = json.dumps(presentation_to_json(P)).encode()
         code, out, err = run_in_process(
@@ -114,14 +120,7 @@ class TestReports:
     def test_extend_law_failure_is_exit_1(self, monkeypatch, fmt):
         # the table of cocycle 1 gains C(a1,2)*a2', which is normalized
         # but not a cocycle, so the proof of delta w = 0 fails
-        polys = cocycles._polys
-
-        def mutant(P, ws):
-            out = polys(P, ws)
-            out[1][(1, 6)] = 1   # the slots of C(a1,2), a2' on Heisenberg
-            return out
-
-        monkeypatch.setattr(cocycles, "_polys", mutant)
+        set_table_entry(monkeypatch, 1, (1, 6), 1)  # C(a1,2)*a2' on Heisenberg
         P = families.heisenberg()
         doc = json.dumps(presentation_to_json(P)).encode()
         code, out, err = run_in_process(
@@ -216,9 +215,12 @@ class TestJsonOutput:
         assert json.loads(res.stdout)["valid"] is True
 
 
-# SHA-256 of the stdout of COMMAND --format FORMAT --trials 40 --seed 1
-# (cocycles, h2 and witness: COMMAND --format FORMAT --seed 1), each with
-# exit code 0
+PRESENTATION_COMMANDS = ["validate", "h1", "h2", "homology-rank", "cocycles",
+                         "verify", "extend", "witness"]
+
+# SHA-256 of the stdout of COMMAND --format FORMAT --seed 1, plus
+# --trials 40 for verify and extend, each with exit code 0; COMMAND may
+# carry a flag of its own, as in "h2 --coeff-rank 2"
 PINNED_GROUPS = {"heisenberg": families.heisenberg(),
                  "near-free-n3": families.random_presentation(3, 3, 3, 1003),
                  "near-free-n4": families.random_presentation(4, 6, 3, 1004),
@@ -305,6 +307,96 @@ PINNED_REPORTS = [
     ("near-free-n3-2026003", "h2", "json", "18171a50c40569b6393b8e79ebf3f821ae82e2b7dc3e2115ef9f98b8ffa39ffa"),
     ("near-free-n5-2026005", "cocycles", "text", "58a6ce4778410c81d3c4a8b8eb714c5d5228ae538acfc141d2de1be48a300a1c"),
     ("near-free-n5-2026005", "cocycles", "json", "3588883853ba382b648586d7d543ffeee1ae1ccb4669a6c92b5da67edec727cc"),
+    ("heisenberg", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("heisenberg", "validate", "json", "39ac8dc6810bf6290e560b716d81f3b589143481f813176aced9c98b6e17186d"),
+    ("heisenberg", "h1", "text", "bca37fae7c7cfe69a1034a0ea1b04c0b6515ac47dddc2f023e67846c31af7196"),
+    ("heisenberg", "h1", "json", "6786b739e09e0805e8d517492555fbae4856a56dfe882ea0783cd83578c5f044"),
+    ("heisenberg", "h2 --coeff-rank 2", "text", "3c3e4117a5e7eb955706066311057fbfbbd2b087b16cf0b10bcbb3cc0afa414c"),
+    ("heisenberg", "h2 --coeff-rank 2", "json", "0b3dbff6f86f0d30e09831c2a9d8d1ff9da68cb1849509c392968d1967fa91f4"),
+    ("heisenberg", "homology-rank", "text", "bad015426298905e57506b44eb1a521b68ec2f8b4eb5b7110c5d1ef8c36037df"),
+    ("heisenberg", "homology-rank", "json", "a81587dbb61d4e445d07a2a581fdbf88f2542ad6a0af8d2048fa0a9db69aa122"),
+    ("near-free-n3", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("near-free-n3", "validate", "json", "e402613cb77db215c6a0d3d89b0326769f3ac8dc983d2061e5ade1a53fdaca20"),
+    ("near-free-n3", "h1", "text", "07eb2d93cf294fea33a9b94d6070651987a478374fee309b85e2bb5c9ad33748"),
+    ("near-free-n3", "h1", "json", "7c8ea0042fe012ac2a221327cf68b7e57b5e5e7cfbe74ba86ad0d33ff5baaed0"),
+    ("near-free-n3", "h2 --coeff-rank 2", "text", "d408b865645d8f202086c7cccb8d508e47349bafdbc56855d6cfa43ec071ce5c"),
+    ("near-free-n3", "h2 --coeff-rank 2", "json", "d250c3f71a595140cd4afe6b9c05482d8370f60e27aedc9621f5cebab033804d"),
+    ("near-free-n3", "homology-rank", "text", "8fc0093dab9abe6a3e5aadddc8b3b666eb69b70f2ea94fdfcc6750ed2c7252ea"),
+    ("near-free-n3", "homology-rank", "json", "cdd1d55c52cbddcd413145e5c3b3603c862a5b95e17bb52bac6237a576e736e8"),
+    ("near-free-n4", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("near-free-n4", "validate", "json", "81ce89e290ee265f3f40e74316cf0c5e10abdc46a90e2ced5d20dc71e1f04755"),
+    ("near-free-n4", "h1", "text", "fb30f6f0b7169f1b702102785657fa4d56681e62843d42b40b6534b5a03ecd9c"),
+    ("near-free-n4", "h1", "json", "9bd2b99581302e201d016b9392c21c36865c35bd27091a6669255213e441a3a0"),
+    ("near-free-n4", "h2 --coeff-rank 2", "text", "1805ba36c1930e818dbc8f6509c7cd2ea9e1fb8ee4feabb3a67b089ea98f4eae"),
+    ("near-free-n4", "h2 --coeff-rank 2", "json", "45ac298ef807d9c41a7e022fbcb77d37dafd5f98fd49925d05b35bf83beb321f"),
+    ("near-free-n4", "homology-rank", "text", "cb266e2934256895090a8127105a6a0d29a5beee622c9e2f47720c64a84eb7da"),
+    ("near-free-n4", "homology-rank", "json", "9559c96cf1390b4190412b13aaf23d546d97c8a66db81a003b75b040ba44a15b"),
+    ("dheis-2", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("dheis-2", "validate", "json", "10a8a8360de1ad3697de0351a9e420fa24bfbbfb4e9ee0d0882759e5d5579173"),
+    ("dheis-2", "h1", "text", "bca37fae7c7cfe69a1034a0ea1b04c0b6515ac47dddc2f023e67846c31af7196"),
+    ("dheis-2", "h1", "json", "d3464a409de085573edc3125eba9ecd4841ea4288fb7a282e2e1ee50a3d2a218"),
+    ("dheis-2", "h2 --coeff-rank 2", "text", "f95421868cdb0990a8f695a61d1e288fe888532b163900e39fa8577f307cc300"),
+    ("dheis-2", "h2 --coeff-rank 2", "json", "ead1f372c53bd8ce33d7549890a583e6eec1294c023b2dabe4640ffd512b7165"),
+    ("dheis-2", "homology-rank", "text", "bad015426298905e57506b44eb1a521b68ec2f8b4eb5b7110c5d1ef8c36037df"),
+    ("dheis-2", "homology-rank", "json", "9465b3ad248400b5951fd76199c5ceca2b2db3ddfdb879988569d1644ca393aa"),
+    ("dheis-3", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("dheis-3", "validate", "json", "31e1600e4a84f2f34bd1910564c9d74074abefd1c51c94da511cc1d60aa21c76"),
+    ("dheis-3", "h1", "text", "bca37fae7c7cfe69a1034a0ea1b04c0b6515ac47dddc2f023e67846c31af7196"),
+    ("dheis-3", "h1", "json", "53822e2ed662ccdac697cd56d8d97af66b784b42fc54925717059413e4cc59f3"),
+    ("dheis-3", "h2 --coeff-rank 2", "text", "2b8b2ae0da42832439b6854805555808b22d4eebb27ac20d80dfe723d977643f"),
+    ("dheis-3", "h2 --coeff-rank 2", "json", "ec9cd99b05de2ec965f3d8daaccdbcba2ec9498ec9b505d00259dcdbf16d4935"),
+    ("dheis-3", "homology-rank", "text", "bad015426298905e57506b44eb1a521b68ec2f8b4eb5b7110c5d1ef8c36037df"),
+    ("dheis-3", "homology-rank", "json", "015175ba2f5aa2ef66377b4d3b624d967acc23181d86acd0ae995309a320b699"),
+    ("dheis-4", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("dheis-4", "validate", "json", "26554e286e86a2877f387aa4b8d6f876dbfa8e5fabf168d8b0ea82a03126608f"),
+    ("dheis-4", "h1", "text", "bca37fae7c7cfe69a1034a0ea1b04c0b6515ac47dddc2f023e67846c31af7196"),
+    ("dheis-4", "h1", "json", "93d38656e30e4076f9ce8a8adbf1ad9df01be5f450a95e779a116ac568585f33"),
+    ("dheis-4", "h2 --coeff-rank 2", "text", "4f5c78ef23f5a2833a3ea0a58621203f1d97d87b3b573b6563d48dac73c133f8"),
+    ("dheis-4", "h2 --coeff-rank 2", "json", "4b738f80ceb0b937662b277aabb48c1fd23d1a16f6fad845ffb3df1d461e2982"),
+    ("dheis-4", "homology-rank", "text", "bad015426298905e57506b44eb1a521b68ec2f8b4eb5b7110c5d1ef8c36037df"),
+    ("dheis-4", "homology-rank", "json", "362678e464b02c675865f3a3fa87f345f3050d035d87e82a12620dd2a09d5bd3"),
+    ("dheis-5", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("dheis-5", "validate", "json", "93d588de7cc36e0cd8af7c7f99752f2bfdc4de557f85c4c4f838dac012f18d82"),
+    ("dheis-5", "h1", "text", "bca37fae7c7cfe69a1034a0ea1b04c0b6515ac47dddc2f023e67846c31af7196"),
+    ("dheis-5", "h1", "json", "0c16740dbed03585fbc8168445f2333a2dc1757da2ad07bf0410fb7bd7ca7f7c"),
+    ("dheis-5", "h2 --coeff-rank 2", "text", "0cc59a9a853a42b1d2829bd21044183f81df6fc08416be7e58a91142bf8251c1"),
+    ("dheis-5", "h2 --coeff-rank 2", "json", "6d519bc711d773c4d2e92f0ec907f9f07912cbd9728c6fc7bbfeea16775561ea"),
+    ("dheis-5", "homology-rank", "text", "bad015426298905e57506b44eb1a521b68ec2f8b4eb5b7110c5d1ef8c36037df"),
+    ("dheis-5", "homology-rank", "json", "9a8c0eecc579d42847767c18f935b67e7744de25a08120561481d3e5001b7f30"),
+    ("chain-2-6", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("chain-2-6", "validate", "json", "260459b6ecf939b982c3e6234444a57a34cd034b92860fc0811c99f959542ff1"),
+    ("chain-2-6", "h1", "text", "fb30f6f0b7169f1b702102785657fa4d56681e62843d42b40b6534b5a03ecd9c"),
+    ("chain-2-6", "h1", "json", "0567871cfea30f3e3297a1a58af1cd2f30df999c957cf35d918a0b3d7ed287ff"),
+    ("chain-2-6", "h2 --coeff-rank 2", "text", "68c589f8545ba85244e627af635420a3472e9b6219e529b6f40214fc69eb0592"),
+    ("chain-2-6", "h2 --coeff-rank 2", "json", "bab3d13ec677f4e32ce33beec9ec6b862ce2d7856bcdcd461b806b5380591e6e"),
+    ("chain-2-6", "homology-rank", "text", "9f25f0854af5e83f77e24486f9988fa70cb02539ebe033e2b8757764bdc32769"),
+    ("chain-2-6", "homology-rank", "json", "a19596e1ea3445f777413ea73cad99b9b45bfb64a8558ced2e62d65d870027ce"),
+    ("chain-3-3-6", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("chain-3-3-6", "validate", "json", "05d90b20120462f5e3b15ddef8c1dc98b1540ba58af96b74287ff581d8c76b40"),
+    ("chain-3-3-6", "h1", "text", "9c313985b7d1c7a6ec1e861f4430f12833b1fb308521e3f65fcfef7dcc58bdd6"),
+    ("chain-3-3-6", "h1", "json", "bf225b230d66a269e7ee9f8761ca5a7b811cd4e7bbf126126760fef25de595c7"),
+    ("chain-3-3-6", "h2 --coeff-rank 2", "text", "bda428f2e38c61a34fa365b8b404c24912376ffe060dc465d4ab6a7ffe53a5cf"),
+    ("chain-3-3-6", "h2 --coeff-rank 2", "json", "aa5c0223e65b2ef1e4276e7194c727cba16601ce25855dd259541008d8b44e95"),
+    ("chain-3-3-6", "homology-rank", "text", "4b06dda86774e9c0bcecc32719b234d282e14c01ea3cf557b53cb7dae9116011"),
+    ("chain-3-3-6", "homology-rank", "json", "b7c4d55f45cdcdd7fb83cffee036962486a7d75858b45c535f339bde5cb2b954"),
+    ("near-free-n3-2026003", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("near-free-n3-2026003", "validate", "json", "732d1481fc9342d40a7bcc123edef37378d2c4caa3f39d92c51051dc682ab6f8"),
+    ("near-free-n3-2026003", "h1", "text", "07eb2d93cf294fea33a9b94d6070651987a478374fee309b85e2bb5c9ad33748"),
+    ("near-free-n3-2026003", "h1", "json", "82fc669f15230159602e2de88765b784e0df0563cdd258c2a2254e88a1f86f36"),
+    ("near-free-n3-2026003", "h2 --coeff-rank 2", "text", "260dc90fd6e4a5f9918ab2aa4e13d3205ed534e62d4adc1743c0813083266cb8"),
+    ("near-free-n3-2026003", "h2 --coeff-rank 2", "json", "b3386ea226c280c00be5f24e8bdf3c0db243a1fbaec88d989cfa9a9199da312c"),
+    ("near-free-n3-2026003", "homology-rank", "text", "8fc0093dab9abe6a3e5aadddc8b3b666eb69b70f2ea94fdfcc6750ed2c7252ea"),
+    ("near-free-n3-2026003", "homology-rank", "json", "85631b3389f3b0c9ca1d068a425834d63af5fff0cb9432a115479fcc18827a1c"),
+    ("near-free-n5-2026005", "validate", "text", "009d962905920ad0e3ff46c6987fad36418982deb81796fd1f58e326d167c268"),
+    ("near-free-n5-2026005", "validate", "json", "369a5bd3feea6decf399bafbc7c1abcdd4b663a864eb8f34337b46c74262f58b"),
+    ("near-free-n5-2026005", "h1", "text", "90b3b56068d5ab1b1f1c583451f551b2dd1cef5070488f79cb0bbbb22ada6352"),
+    ("near-free-n5-2026005", "h1", "json", "b3aac2624235acd9dc957b7d39218fb22bdc57a7b6dd63922cea1d82303afe2a"),
+    ("near-free-n5-2026005", "h2 --coeff-rank 2", "text", "4e80f68e5a913e56c626cd2d26f46be8a6e437b308b5471c30aadc825a55a04e"),
+    ("near-free-n5-2026005", "h2 --coeff-rank 2", "json", "7b25f0f19ba711764ff8e5d02f8c6266653af51db8d78652da47ccaa739ad2e2"),
+    ("near-free-n5-2026005", "homology-rank", "text", "c875028401e625fc2eabedccb920dd6bd4a75274f21fd7b072e6b7e746203b87"),
+    ("near-free-n5-2026005", "homology-rank", "json", "f8f5ccec53a98fd438b243a8113e4f9fd7cfdfcd05c344a162fb96c4babb7e15"),
+    ("near-free-n5-2026005", "h2", "text", "037e3587244431da08d6af8f8f198de453cc2f2f9db6f6eab6c8fb50b789fcb7"),
+    ("near-free-n5-2026005", "h2", "json", "f6760aaf8301f762112083f886f25bce0b22861b79db77bf52efa608e1517eec"),
 ]
 
 
@@ -313,11 +405,29 @@ class TestPinnedReports:
                              ids=["-".join(r[:3]) for r in PINNED_REPORTS])
     def test_stdout_bytes(self, group, command, fmt, sha):
         doc = json.dumps(presentation_to_json(PINNED_GROUPS[group])).encode()
-        trials = ["--trials", "40"] if command in ("verify", "extend") else []
+        args = command.split()
+        trials = ["--trials", "40"] if args[0] in ("verify", "extend") else []
         code, out, err = run_in_process(
-            [command, "--format", fmt, "--seed", "1"] + trials, doc)
+            args + ["--format", fmt, "--seed", "1"] + trials, doc)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", PRESENTATION_COMMANDS)
+    def test_invalid_presentation(self, command, fmt):
+        # rank(c) = 1 < m = 2; only validate reports it on stdout
+        doc = {"n": 3, "m": 2, "brackets": [{"i": 1, "j": 2, "y": [1, 2]}]}
+        code, out, err = run_in_process([command, "--format", fmt],
+                                        json.dumps(doc).encode())
+        failure = "rank(c) = 1 < m = 2"
+        if command != "validate":
+            assert (code, out, err) == (1, "", failure + "\n")
+        elif fmt == "text":
+            assert (code, out, err) == (1, failure + "\ninvalid\n", "")
+        else:
+            assert (code, err) == (1, "")
+            assert out == cli.dump_json({"group": doc, "valid": False,
+                                         "failures": [failure]})
 
     def test_extend_builds_each_table_once(self):
         P = PINNED_GROUPS["near-free-n4"]
@@ -361,6 +471,56 @@ class TestPinnedReports:
                                       doc.encode())
         assert code == 0 and "PASS (proved)" in out
         assert calls == []
+
+
+class TestReportShape:
+    """A JSON report is {"group": <its input>, **record}, with the exit code
+    of the text report on the same input."""
+
+    RECORD_KEYS = {"validate": {"valid", "failures"},
+                   "homology-rank": {"second_homology_rank"}}
+
+    def check(self, command, P):
+        doc = json.dumps(presentation_to_json(P)).encode()
+        text_code, _, _ = run_in_process([command], doc)
+        code, out, err = run_in_process([command, "--format", "json"], doc)
+        assert (code, err) == (text_code, "")
+        report = json.loads(out)
+        assert set(report) == {"group"} | self.RECORD_KEYS.get(command,
+                                                               {command})
+        assert report["group"] == presentation_to_json(P)
+        return report
+
+    @pytest.mark.parametrize("group", sorted(PINNED_GROUPS))
+    @pytest.mark.parametrize("command", PRESENTATION_COMMANDS)
+    def test_pinned_groups(self, command, group):
+        self.check(command, PINNED_GROUPS[group])
+
+    def test_rejected_extension(self, monkeypatch):
+        set_table_entry(monkeypatch, 0, (4,), 3)  # as the rejected-fiber test
+        report = self.check("extend", families.heisenberg())
+        assert report["extend"]["ok"] is False
+
+
+class TestLazyText:
+    """A report renders cocycles only for the text it writes."""
+
+    @pytest.mark.parametrize("command, fmt", [
+        ("cocycles", "json"), ("verify", "json"), ("extend", "json"),
+        ("cocycles", "text")])
+    def test_render_calls(self, monkeypatch, command, fmt):
+        calls = []
+        render = cocycles.render
+        monkeypatch.setattr(cocycles, "render",
+                            lambda P, w: calls.append(w) or render(P, w))
+        doc = json.dumps(presentation_to_json(PINNED_GROUPS["near-free-n4"]))
+        code, out, err = run_in_process([command, "--format", fmt],
+                                        doc.encode())
+        assert (code, err) == (0, "")
+        if (command, fmt) == ("cocycles", "text"):
+            assert len(calls) == len(out.splitlines()) > 1  # one per cocycle
+        else:
+            assert calls == []
 
 
 class TestOneEliminationOfCT:
@@ -527,9 +687,7 @@ class TestExitCodes:
         # the command's own usage, which lists the flags it does take
         assert res.stderr.startswith("usage: nilcoh %s [-h]" % args[0])
 
-    @pytest.mark.parametrize("command", ["validate", "h1", "h2",
-                                         "homology-rank", "cocycles", "verify",
-                                         "extend", "witness"])
+    @pytest.mark.parametrize("command", PRESENTATION_COMMANDS)
     def test_every_command_that_reads_input_takes_seed(self, command,
                                                        chain_file):
         res = run_cli([command, "--input", chain_file, "--seed", "3"]

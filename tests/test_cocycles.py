@@ -23,6 +23,7 @@ from nilcoh.cocycles import (
     ExtensionGroup,
     Primitive,
     VerificationReport,
+    all_cocycles,
     build_extension,
     coboundary_witness,
     cocycle_to_json,
@@ -69,10 +70,6 @@ NEAR_FREE_CORPUS = CORPUS + [families.random_presentation(n, comb(n, 2), 5, 1)
 NEAR_FREE_IDS = CORPUS_IDS + ["near-free-n%d" % n for n in range(3, 7)]
 ACCEPTANCE_CORPUS = [P for _, P in acceptance.corpus()]
 ACCEPTANCE_IDS = [name for name, _ in acceptance.corpus()]
-
-
-def all_cocycles(P):
-    return lemmax_generators(P) + lemmay_basis(P)
 
 
 def torsion_generators(P):
@@ -565,7 +562,7 @@ class TestExtensions:
 
     def test_many_fibers_are_the_one_fiber_groups_componentwise(self):
         P = families.random_presentation(4, 6, 3, 1004)
-        ws = lemmax_generators(P) + lemmay_basis(P)
+        ws = all_cocycles(P)
         assert len(ws) == 21
         ext = build_extension(P, ws)
         singles = [build_extension(P, [w]) for w in ws]

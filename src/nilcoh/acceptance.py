@@ -206,10 +206,8 @@ def check_snf_properties():
         if abs(bareiss_determinant(s.V.to_rows())) != 1:
             return False, "trial %d: V not unimodular" % trial
         diag = [s.D.entry(i, i) for i in range(min(nrows, ncols))]
-        for i in range(nrows):
-            for j in range(ncols):
-                if i != j and s.D.entry(i, j):
-                    return False, "trial %d: D not diagonal" % trial
+        if any(i != j for i, row in enumerate(s.D.nonzeros) for j, _ in row):
+            return False, "trial %d: D not diagonal" % trial
         nz = [d for d in diag if d]
         if nz + [0] * (len(diag) - len(nz)) != diag:
             return False, "trial %d: zeros interleave the diagonal" % trial

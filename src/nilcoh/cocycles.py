@@ -149,14 +149,9 @@ def lemmay_basis(P):
     vanishing on S, not just a finite-index subgroup.
     """
     require_valid(P)
-    K = kernel_basis(_jacobi_transpose(P))
-    out = []
-    for j in range(K.cols):
-        vec = K.col(j)
-        phi = tuple(tuple(vec[t * P.m + l] for l in range(P.m))
-                    for t in range(P.n))
-        out.append(CocycleLemmaY(phi=phi))
-    return out
+    K = kernel_basis(_jacobi_transpose(P)).transpose()
+    return [CocycleLemmaY(phi=[vec[t * P.m:(t + 1) * P.m] for t in range(P.n)])
+            for vec in map(K.row, range(K.rows))]
 
 
 def all_cocycles(P):

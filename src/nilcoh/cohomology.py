@@ -13,8 +13,8 @@ the Jacobi elements
 
 As a cross-check, ``h2_via_complex`` computes the same group from the
 Chevalley-Eilenberg complex of the Lie ring with basis x_1, ..., x_n
-(weight 1), y_1, ..., y_m (weight 2), reading each bracket off
-``grouplaw.commutator``. Its free rank is that of H^2(G, Z) by Nomizu's
+(weight 1), y_1, ..., y_m (weight 2, central), reading each [x_i, x_j]
+off ``grouplaw.commutator``. Its free rank is that of H^2(G, Z) by Nomizu's
 theorem (Ann. of Math. 59, 1954). The differentials preserve the weight:
 the 2-forms of weight 2 (x ^ x) give Coker(c^*), with the torsion of
 G^ab; weight 3 (x ^ y) gives the Hom part; weight 4 (y ^ y) gives 0.
@@ -31,6 +31,7 @@ in ``itertools.combinations`` order, which is lexicographic; tensor basis
 x_t (x) y_l row-major in (t, l).
 """
 
+from collections import defaultdict
 from itertools import combinations
 from math import comb
 
@@ -56,16 +57,11 @@ def require_valid(P):
 def _jacobi_transpose(P):
     """S^T: per triple, one row holding its Jacobi element in the tensor basis."""
     n, m = P.n, P.m
-    rows = []
-    for (i, j, k) in combinations(range(n), 3):
-        row = [0] * (n * m)
-        for t, p, q, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
-            vec = P.bracket.get((p, q), (0,) * m)
-            for l in range(m):
-                if vec[l]:
-                    row[tensor_index(n, m, t, l)] += sign * vec[l]
-        rows.append(row)
-    return IntMatrix.from_rows(rows, cols=n * m)
+    rows = [[(tensor_index(n, m, t, l), sign * x)
+             for t, p, q, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1))
+             for l, x in enumerate(P.bracket.get((p, q), ())) if x]
+            for i, j, k in combinations(range(n), 3)]
+    return IntMatrix._from_pairs(n * m, rows)
 
 
 class H2Report(_Value):
@@ -142,9 +138,10 @@ def h2_via_complex(P, r=1):
     if r < 0:
         raise ValueError("coefficient rank must be nonnegative")
     n, m = P.n, P.m
-    units = [GroupElement(e[:n], e[n:]) for e in IntMatrix.identity(n + m).to_rows()]
+    # the y's are central, so only a bracket of two x's can be nonzero
+    units = [GroupElement(e, (0,) * m) for e in IntMatrix.identity(n).to_rows()]
     bracket = {(a, b): [(e, x) for e, x in enumerate(g.a + g.b) if x]
-               for a, b in combinations(range(n + m), 2)
+               for a, b in combinations(range(n), 2)
                for g in [commutator(P, units[a], units[b])]}
 
     def forms(k, w):
@@ -160,15 +157,17 @@ def h2_via_complex(P, r=1):
         # t(s_i, rest of s) = (-1)^i t(s): (s_i, rest) -> (column of s, (-1)^i)
         cols = {(s[i],) + s[:i] + s[i + 1:]: (j, (-1) ** i)
                 for j, s in enumerate(basis) for i in range(k)}
-        entries = [0] * (len(rows) * len(basis))
-        for i, s in enumerate(rows):
+        nonzeros = []
+        for s in rows:
+            row = defaultdict(int)
             for p, q in combinations(range(k + 1), 2):
                 rest = s[:p] + s[p + 1:q] + s[q + 1:]
-                for e, x in bracket[s[p], s[q]]:
+                for e, x in bracket.get((s[p], s[q]), ()):
                     if e not in rest:
                         j, t = cols[(e,) + rest]
-                        entries[i * len(basis) + j] += (-1) ** (p + q) * t * x
-        return IntMatrix(len(rows), len(basis), entries)
+                        row[j] += (-1) ** (p + q) * t * x
+            nonzeros.append(row.items())
+        return IntMatrix._from_pairs(len(basis), nonzeros)
 
     # a weight with no 2-forms adds 0; only weight 2 has 1-forms, so only
     # it carries torsion

@@ -3,6 +3,12 @@
 Smith normal form with unimodular transforms, ranks, integer kernel
 bases, lattice solves, and invariant factors of subquotients of Z^k.
 
+An ``IntMatrix`` stores only the nonzeros of each row, as (col, value)
+pairs sorted by column. The maps of H^2 (the bracket matrix C, the Jacobi
+relations S, the blocks of the complex route) have a few nonzeros per
+row, and their builders emit only those; products, transposes and
+``rank`` walk them, and a dense row is a view built when read.
+
 One elimination, two records: ``_smith`` carries no transform. It
 records its row operations, and its column operations, last first, as
 the row operations they make on V; ``_replay`` of either record on the
@@ -19,11 +25,12 @@ C^T) and ``smith_normal_form`` (the SNF acceptance criterion) replay both.
 All arithmetic uses Python's arbitrary-precision integers; there are no
 floats. The one modular step is the rank certificate. ``rank`` (behind
 ``grouplaw.validate``, the Jacobi rank in ``cohomology.h2`` and the free
-rank in ``subquotient_invariants``) drops zero rows and columns and
-computes the rank over GF(2), then modulo the prime 2^61 - 1. The rank
-modulo a prime is at most the rank over Q, which is at most the smaller
-live dimension, so a modular rank that reaches that dimension is exact;
-otherwise the Smith elimination decides.
+rank in ``subquotient_invariants``) reads the live rows, those with a
+nonzero, and computes their rank over GF(2), each row packed into one int
+as the sum of 1 << j over its odd entries, then modulo the prime
+2^61 - 1. The rank modulo a prime is at most the rank over Q, which is at
+most the smaller live dimension, so a modular rank that reaches that
+dimension is exact; otherwise the Smith elimination decides.
 
 Matrices with zero rows or columns are legal everywhere and denote zero
 maps, which the higher-level modules rely on for degenerate groups.
@@ -37,7 +44,8 @@ same class and equal public fields, and the hash and repr read the same
 fields; a slot whose name starts with ``_`` is a cache outside all three.
 """
 
-from operator import attrgetter, index, mul
+from itertools import compress, repeat
+from operator import attrgetter, index, itemgetter, mul
 
 _set = object.__setattr__
 
@@ -91,81 +99,88 @@ class _Value:
 
 
 class IntMatrix(_Value):
-    """Immutable dense integer matrix, entries stored row-major."""
+    """Immutable integer matrix, stored as the nonzeros of its rows.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``nonzeros`` holds one tuple per row of its (col, value) pairs, sorted
+    by column, with no zero value; the constructor takes each row's pairs
+    in any order, drops zeros and rejects a repeated column. Omitted, it
+    is the zero matrix. ``entries`` (row-major), ``row``, ``col``,
+    ``entry`` and ``to_rows`` are dense views, built when read.
+    """
 
-    def __init__(self, rows, cols, entries=()):
+    __slots__ = ("rows", "cols", "nonzeros")
+
+    def __init__(self, rows, cols, nonzeros=None):
         rows, cols = index(rows), index(cols)
+        nz = ((),) * rows if nonzeros is None else tuple(
+            tuple(sorted(filter(itemgetter(1), [
+                (index(j), index(x)) for j, x in pairs]))) for pairs in nonzeros)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        ent = tuple(map(index, entries))
-        if len(ent) != rows * cols:
-            raise ValueError(
-                "expected %d entries, got %d" % (rows * cols, len(ent)))
+        if len(nz) != rows:
+            raise ValueError("expected %d rows, got %d" % (rows, len(nz)))
+        if any(row and (row[0][0] < 0 or row[-1][0] >= cols
+                        or len(dict(row)) < len(row)) for row in nz):
+            raise ValueError("columns must be distinct, in 0 .. %d" % (cols - 1))
         _set(self, "rows", rows)
         _set(self, "cols", cols)
-        _set(self, "entries", ent)
+        _set(self, "nonzeros", nz)
+
+    @classmethod
+    def _from_pairs(cls, cols, rows):
+        """From rows of (col, int) pairs made in the package, unchecked."""
+        return cls._trusted(len(rows), cols, tuple(
+            tuple(sorted(filter(itemgetter(1), row))) for row in rows))
 
     @classmethod
     def from_rows(cls, rows, cols=None):
         """Build from an iterable of rows; ``cols`` disambiguates the empty case."""
-        rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row length")
-        else:
-            width = 0 if cols is None else cols
-        return cls(len(rows), width, tuple(x for r in rows for x in r))
+        rows = [list(map(index, r)) for r in rows]
+        width = len(rows[0]) if rows else cols or 0
+        if cols not in (None, width) or any(len(r) != width for r in rows):
+            raise ValueError("ragged vectors, or not of the given length")
+        return cls(len(rows), width, [compress(enumerate(r), r) for r in rows])
 
     @classmethod
     def from_cols(cls, cols, rows=None):
         """Build from an iterable of columns; ``rows`` disambiguates the empty case."""
-        cols = [list(c) for c in cols]
-        if cols:
-            height = len(cols[0])
-            if any(len(c) != height for c in cols):
-                raise ValueError("ragged columns")
-            if rows is not None and rows != height:
-                raise ValueError("rows does not match column length")
-        else:
-            height = 0 if rows is None else rows
-        return cls(height, len(cols),
-                   tuple(cols[j][i] for i in range(height) for j in range(len(cols))))
+        return cls.from_rows(cols, rows).transpose()
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+        return cls(n, n, [((i, 1),) for i in range(n)])
 
     @classmethod
     def column_vector(cls, vec):
-        vec = list(vec)
-        return cls(len(vec), 1, tuple(vec))
+        return cls.from_rows(([x] for x in vec), cols=1)
+
+    @property
+    def entries(self):
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def entry(self, i, j):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("entry (%d, %d) out of range" % (i, j))
-        return self.entries[i * self.cols + j]
+        return dict(self.nonzeros[i]).get(j, 0)
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return tuple(map(dict(self.nonzeros[i]).get, range(self.cols), repeat(0)))
 
     def col(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(dict(row).get(j, 0) for row in self.nonzeros)
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.entries[i * self.cols + j]
-                               for j in range(self.cols) for i in range(self.rows)))
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, x in row:
+                cols[j].append((i, x))
+        return IntMatrix._trusted(self.cols, self.rows, tuple(map(tuple, cols)))
 
     def is_zero(self):
-        return all(x == 0 for x in self.entries)
+        return not any(self.nonzeros)
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
@@ -173,18 +188,16 @@ class IntMatrix(_Value):
         if self.cols != other.rows:
             raise ValueError("dimension mismatch: %dx%d @ %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        cols = [other.col(j) for j in range(other.cols)]
-        return IntMatrix(self.rows, other.cols,
-                         tuple(sum(map(mul, self.row(i), col))
-                               for i in range(self.rows) for col in cols))
-
-    def mul_vec(self, vec):
-        vec = list(vec)
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch: %dx%d matrix times length-%d vector"
-                             % (self.rows, self.cols, len(vec)))
-        return tuple(sum(self.entries[i * self.cols + k] * vec[k]
-                         for k in range(self.cols)) for i in range(self.rows))
+        if other.is_zero():
+            return IntMatrix(self.rows, other.cols)
+        out = []
+        for row in self.nonzeros:
+            acc = {}
+            for k, x in row:
+                for j, y in other.nonzeros[k]:
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(acc.items())
+        return IntMatrix._from_pairs(other.cols, out)
 
 
 class SmithDecomposition(_Value):
@@ -211,21 +224,24 @@ class SmithDecomposition(_Value):
 def _smith(A):
     """Smith elimination of A, recording its row and column operations.
 
-    Returns (invariants, d, ops, cops): the invariant factors, the reduced
-    matrix as a list of rows, and two records of row operations (dst, src,
-    q): row dst -= q * row src, where (r, r, 2) negates row r and
-    (r0, r1, None) swaps two rows. ops holds the row operations on A in
-    order, and cops the column operations, last first, each as the row
-    operation it makes on V: column dst -= q * column src is (src, dst, q),
-    and a swap stays a swap. So ``_replay`` of a record on the rows of B
-    gives U @ B from ops and V @ B from cops; ``_undo`` gives U^-1 @ B.
+    Returns (invariants, ops, cops): the invariant factors, which the
+    reduced matrix holds on its diagonal, and two records of row
+    operations (dst, src, q): row dst -= q * row src, where (r, r, 2)
+    negates row r and (r0, r1, None) swaps two rows. ops holds the row
+    operations on A in order, and cops the column operations, last first,
+    each as the row operation it makes on V: column dst -= q * column src
+    is (src, dst, q), and a swap stays a swap. So ``_replay`` of a record
+    on the rows of B gives U @ B from ops and V @ B from cops; ``_undo``
+    gives U^-1 @ B.
 
-    Pivots are chosen by least absolute value, which keeps coefficient
-    growth tame on the sparse matrices the cohomology routines produce.
-    The pivot sequence depends on A alone. At stage t the rows and
-    columns before t are already cleared, so operations on d touch only
-    the trailing block and, for a column operation, only the rows that
-    are nonzero in the pivot column.
+    The working rows d are A's rows as dense lists: elimination fills
+    them in, and list arithmetic outruns dict arithmetic there. The pivot
+    is the nonzero of least absolute value, the first in row-major order
+    on a tie, which keeps coefficient growth tame on the sparse matrices
+    the cohomology routines produce. The pivot sequence depends on A
+    alone. At stage t the rows and columns before t are already cleared,
+    so operations on d touch only the trailing block and, for a column
+    operation, only the rows that are nonzero in the pivot column.
     """
     m, n = A.rows, A.cols
     d = A.to_rows()
@@ -314,9 +330,8 @@ def _smith(A):
             pos = (t, t)
         t += 1
 
-    invariants = tuple(d[k][k] for k in range(lim) if d[k][k] != 0)
     cops.reverse()
-    return invariants, d, ops, cops
+    return tuple(d[k][k] for k in range(t)), ops, cops
 
 
 def _replay(ops, rows):
@@ -351,10 +366,11 @@ def smith_normal_form(A):
     columns) or ``cokernel`` (the row record, U^-1 lifts and V). Works for
     any shape including empty ones.
     """
-    invariants, d, ops, cops = _smith(A)
+    invariants, ops, cops = _smith(A)
+    diagonal = [[(t, d)] for t, d in enumerate(invariants)]
     return SmithDecomposition(
         IntMatrix.from_rows(_replayed(ops, A.rows), cols=A.rows),
-        IntMatrix.from_rows(d, cols=A.cols),
+        IntMatrix(A.rows, A.cols, diagonal + [()] * (A.rows - len(diagonal))),
         IntMatrix.from_rows(_replayed(cops, A.cols), cols=A.cols), invariants)
 
 
@@ -362,18 +378,17 @@ def smith_normal_form(A):
 _PRIME = (1 << 61) - 1
 
 
-def _rank_gf2(vectors):
-    """Rank over GF(2) of equal-length integer vectors.
+def _rank_gf2(vectors, width):
+    """Rank over GF(2) of sparse integer vectors, (j, x) pairs each, up to ``width``.
 
-    Each vector is packed into one int, bit j holding entry j mod 2, so a
-    row operation is one XOR. Stops once the rank reaches the length.
+    A vector is packed into one int, the sum of 1 << j over its odd
+    entries, so a row operation is one XOR.
     """
-    width = len(vectors[0]) if vectors else 0
     basis = {}  # leading bit -> the basis vector with that leading bit
     for vec in vectors:
         if len(basis) == width:
             break
-        w = int("".join("1" if x & 1 else "0" for x in vec), 2)
+        w = sum(1 << j for j, x in vec if x & 1)
         while w:
             lead = w.bit_length() - 1
             if lead not in basis:
@@ -383,52 +398,47 @@ def _rank_gf2(vectors):
     return len(basis)
 
 
-def _pivots_mod_p(rows, width):
-    """Echelon form modulo _PRIME of ``rows``, integer vectors of length ``width``.
+def _pivots_mod_p(vectors, width):
+    """Echelon form modulo _PRIME of sparse integer vectors, up to ``width`` pivots.
 
-    The rank certificate of ``rank`` reads the number of pivots. Feeds
-    rows in order, reducing each against the pivots found so far, until
-    there are ``width`` pivots or the rows run out. Returns the pivots as
-    (lead, row) with the row scaled to 1 at its lead, zero before it and
-    zero at every earlier lead.
+    Reduces each vector in turn against the pivots so far; returns them as
+    lead -> row, a dict j -> x with least j the lead, scaled to 1 there.
     """
     p = _PRIME
-    pivots = []
-    for vec in rows:
+    pivots = {}
+    for vec in vectors:
         if len(pivots) == width:
             break
-        row = [e % p for e in vec]
-        for c, prow in pivots:
-            f = row[c]
-            if f:
-                row = [(e - f * g) % p for e, g in zip(row, prow)]
-        lead = next((c for c in range(width) if row[c]), None)
-        if lead is not None:
-            inv = pow(row[lead], -1, p)
-            pivots.append((lead, [e * inv % p for e in row]))
+        row = {j: x % p for j, x in vec if x % p}
+        while row:
+            lead = min(row)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: x * inv % p for j, x in row.items()}
+                break
+            f = row[lead]
+            for j, y in prow.items():
+                row[j] = (row.get(j, 0) - f * y) % p
+            row = {j: x for j, x in row.items() if x}
     return pivots
 
 
 def rank(A):
     """Rank of A over Q (equivalently over Z), certified modulo a prime first.
 
-    Zero rows and zero columns are dropped; the rank over Q is at most
-    the smaller of the remaining dimensions, ``full``. A minor that is
-    nonzero modulo a prime is nonzero over Z, so the rank modulo a prime
-    is at most the rank over Q. Hence when the rank over GF(2), or else
-    modulo _PRIME, equals ``full``, it is the rank over Q. Only when both
+    The rank over Q is at most ``full``, the smaller of the numbers of
+    live rows and columns. A minor that is nonzero modulo a prime is
+    nonzero over Z, so when the rank of the live rows over GF(2), or else
+    modulo _PRIME, reaches ``full``, it is the rank over Q. Only when both
     fall short does the Smith elimination decide.
     """
-    if not any(A.entries):
-        return 0
-    rows = [row for row in A.to_rows() if any(row)]
-    cols = [col for col in zip(*rows) if any(col)]
-    # vectors of length full, as many as the larger dimension
-    vectors = cols if len(cols) > len(rows) else list(zip(*cols))
-    full = min(len(rows), len(cols))
-    if _rank_gf2(vectors) == full or len(_pivots_mod_p(vectors, full)) == full:
+    rows = [row for row in A.nonzeros if row]
+    full = min(len(rows), len({j for row in rows for j, _ in row}))
+    if not full or _rank_gf2(rows, full) == full or \
+            len(_pivots_mod_p(rows, full)) == full:
         return full
-    return len(_smith(IntMatrix.from_rows(vectors, cols=full))[0])
+    return len(_smith(A)[0])
 
 
 def cokernel(A):
@@ -441,7 +451,7 @@ def cokernel(A):
     lifting e_t, free first (order 0), then one per d > 1; V, replayed
     from the column record, is by rows, and A (V e_t) = d_t (U^-1 e_t).
     """
-    invariants, _, ops, cops = _smith(A)
+    invariants, ops, cops = _smith(A)
     picks = [(0, t) for t in range(len(invariants), A.rows)] + [
         (d, t) for t, d in enumerate(invariants) if d > 1]
     cols = [[int(i == t) for _, t in picks] for i in range(A.rows)]
@@ -459,7 +469,7 @@ def kernel_basis(A):
     spans ker(A) over Q, and as columns of a unimodular matrix it extends
     to a basis of Z^cols, so its span over Z is a direct summand.
     """
-    invariants, _, _, cops = _smith(A)
+    invariants, _, cops = _smith(A)
     r = len(invariants)
     cols = [[int(i == j) for j in range(r, A.cols)] for i in range(A.cols)]
     _replay(cops, cols)
@@ -548,7 +558,7 @@ def _solve_many(A, B):
     if A.rows != B.rows:
         raise ValueError("dimension mismatch: %d equations, rhs has %d rows"
                          % (A.rows, B.rows))
-    invariants, _, ops, cops = _smith(A)
+    invariants, ops, cops = _smith(A)
     v = _replayed(cops, A.cols)
     cols = [_lattice_solution(invariants, ops, v, B.col(j))
             for j in range(B.cols)]

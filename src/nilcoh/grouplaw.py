@@ -87,8 +87,9 @@ def bracket_matrix(P):
 
     The column at pair (i, j) is bracket(i, j).
     """
-    return IntMatrix.from_cols([P.bracket.get(pair, (0,) * P.m)
-                                for pair in combinations(range(P.n), 2)], rows=P.m)
+    return IntMatrix._from_pairs(P.m, [
+        enumerate(P.bracket.get(pair, ()))
+        for pair in combinations(range(P.n), 2)]).transpose()
 
 
 def validate(P):

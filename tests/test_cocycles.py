@@ -821,7 +821,8 @@ class TestCoboundaryWitness:
             assert delta == evaluate(CHAIN, 2 * torsion[0], g, h)
         # the closed form u = -lambda . b with C^T lambda = 2f
         lam = [-c for c in wit.coeffs]
-        assert (bracket_matrix(CHAIN).transpose().mul_vec(lam)
+        assert ((bracket_matrix(CHAIN).transpose()
+                 @ IntMatrix.column_vector(lam)).col(0)
                 == tuple(2 * x for x in torsion[0].f))
 
     @pytest.mark.parametrize("P", CORPUS, ids=CORPUS_IDS)
@@ -975,9 +976,10 @@ class TestCocycleJson:
 # Each builder puts x into one integer slot of a value type. A torsion
 # order is at least 2, so that slot holds 2 * x.
 INTEGER_SLOTS = {
-    "IntMatrix": lambda x: IntMatrix(1, 1, (x,)),
-    "IntMatrix.rows": lambda x: IntMatrix(x, 1, (0,)),
-    "IntMatrix.cols": lambda x: IntMatrix(1, x, (0,)),
+    "IntMatrix": lambda x: IntMatrix(1, 1, [[(0, x)]]),
+    "IntMatrix.rows": lambda x: IntMatrix(x, 1),
+    "IntMatrix.cols": lambda x: IntMatrix(1, x),
+    "IntMatrix.col": lambda x: IntMatrix(1, 2, [[(x, 5)]]),
     "AbelianGroupInvariants.free_rank": lambda x: AbelianGroupInvariants(x),
     "AbelianGroupInvariants.torsion":
         lambda x: AbelianGroupInvariants(0, (2 * x,)),

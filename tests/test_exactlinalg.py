@@ -1,5 +1,6 @@
 """Exact integer linear algebra: Smith form, kernels, quotients, lattice solve."""
 
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilcoh import acceptance, exactlinalg, families
-from nilcoh.cohomology import h2
+from nilcoh.cohomology import _jacobi_transpose, h2
 from nilcoh.exactlinalg import (
     _replay,
     _smith,
@@ -24,6 +25,7 @@ from nilcoh.exactlinalg import (
     solve_in_lattice,
     subquotient_invariants,
 )
+from nilcoh.grouplaw import bracket_matrix
 
 
 def fraction_rank(rows):
@@ -67,6 +69,13 @@ def bareiss_determinant(rows):
     return sign * work[n - 1][n - 1]
 
 
+def dense(rows, cols, entries):
+    """The rows x cols matrix of ``entries``, listed row by row."""
+    entries = list(entries)
+    return IntMatrix.from_rows(
+        [entries[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
+
+
 matrices = st.integers(0, 6).flatmap(
     lambda r: st.integers(0, 6).flatmap(
         lambda c: st.lists(
@@ -79,13 +88,23 @@ matrices = st.integers(0, 6).flatmap(
 
 
 class TestIntMatrix:
+    def test_nonzeros_are_sorted_and_checked(self):
+        a = IntMatrix(2, 3, [[(2, 5), (0, -1), (1, 0)], []])
+        assert a.nonzeros == (((0, -1), (2, 5)), ())
+        assert a == IntMatrix.from_rows([[-1, 0, 5], [0, 0, 0]])
+        assert a.entries == (-1, 0, 5, 0, 0, 0)
+        # a column out of range or repeated, or a missing row
+        for bad in ([[(3, 1)]], [[(-1, 1)]], [[(0, 1), (0, 2)]], []):
+            with pytest.raises(ValueError):
+                IntMatrix(1, 3, bad)
+
     @settings(deadline=None, max_examples=100)
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
     def test_matmul_matches_the_triple_sum(self, r, k, c, data):
         entries = st.just(0) | st.integers(-9, 9)
 
         def draw(rows, cols):
-            return IntMatrix(rows, cols, data.draw(st.lists(
+            return dense(rows, cols, data.draw(st.lists(
                 entries, min_size=rows * cols, max_size=rows * cols)))
 
         # the right factor always has some all-zero rows, as the blocks of
@@ -105,9 +124,9 @@ class TestIntMatrix:
     def test_matmul_with_an_empty_dimension(self, r, k, c):
         # the complex route's products all have one: weight 2's d^2 has no
         # rows, and weights 3 and 4 have no d^1 columns
-        a = IntMatrix(r, k, range(1, r * k + 1))
-        b = IntMatrix(k, c, range(1, k * c + 1))
-        assert a @ b == IntMatrix(r, c, (0,) * (r * c))
+        a = dense(r, k, range(1, r * k + 1))
+        b = dense(k, c, range(1, k * c + 1))
+        assert a @ b == IntMatrix(r, c)
 
 
 class TestSmithNormalForm:
@@ -121,7 +140,7 @@ class TestSmithNormalForm:
         assert s.invariants == (1, 1, 1)
 
     def test_zero_matrix(self):
-        s = smith_normal_form(IntMatrix(2, 3, (0,) * 6))
+        s = smith_normal_form(IntMatrix(2, 3))
         assert s.invariants == ()
         assert s.rank == 0
 
@@ -185,6 +204,48 @@ class TestKernelBasis:
         assert all(d == 1 for d in smith_normal_form(k).invariants)
 
 
+def pinned_smith_inputs():
+    """Seeded small matrices, then S^T and C^T of the groups whose reports
+    the CLI tests pin."""
+    rng = random.Random(26)
+    out = []
+    for k in range(40):
+        rows, cols = rng.randint(0, 9), rng.randint(0, 9)
+        a = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(cols)]
+             for _ in range(rows)]
+        if rows and cols and k % 2:
+            # one zero row and one zero column
+            a[rng.randrange(rows)] = [0] * cols
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = 0
+        out.append(IntMatrix.from_rows(a, cols=cols))
+    groups = [families.heisenberg(),
+              families.random_presentation(3, 3, 3, 1003),
+              families.random_presentation(4, 6, 3, 1004),
+              *map(families.discrete_heisenberg, (2, 3, 4, 5)),
+              families.divisor_chain_group((2, 6)),
+              families.divisor_chain_group((3, 3, 6)),
+              families.random_presentation(3, 3, 3, 2026003),
+              families.random_presentation(5, 10, 3, 2026005)]
+    for P in groups:
+        out += [_jacobi_transpose(P), bracket_matrix(P).transpose()]
+    return out
+
+
+class TestSmithRecordPin:
+    def test_records_are_pinned(self):
+        # the pivot rule decides every record, and the records decide every
+        # transform, kernel basis, cocycle and witness
+        records = []
+        for a in pinned_smith_inputs():
+            invariants, *_, ops, cops = _smith(a)
+            records.append((tuple(invariants), tuple(ops), tuple(cops)))
+        assert len(records) == 62
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == (
+            "dccaef874ff205b4bcf3ebb870cb95e9021667a3e6ba24fd3a365532c634f058")
+
+
 def reference_solve(A, B):
     """Integer solutions of A X = B read off the full decomposition (oracle).
 
@@ -204,7 +265,7 @@ def reference_solve(A, B):
                 y[i] = c // s.D.entry(i, i)
             elif c:
                 return None
-        cols.append(s.V.mul_vec(y))
+        cols.append((s.V @ IntMatrix.column_vector(y)).col(0))
     return IntMatrix.from_cols(cols, rows=A.cols)
 
 
@@ -238,9 +299,12 @@ class TestTransformTracking:
     def test_every_combination_matches_full_decomposition(self, a, data):
         full = smith_normal_form(a)
         B = draw_rhs(data, a.rows)
-        invariants, d, ops, cops = _smith(a)
+        invariants, ops, cops = _smith(a)
         assert invariants == full.invariants
-        D = IntMatrix.from_rows(d, cols=a.cols)
+        # the reduced matrix: the invariants on the diagonal, zeros elsewhere
+        D = IntMatrix.from_rows(
+            [[invariants[i] if i == j < len(invariants) else 0
+              for j in range(a.cols)] for i in range(a.rows)], cols=a.cols)
         assert D == full.D
         # replay of the row record on the identity gives U
         u = IntMatrix.identity(a.rows).to_rows()
@@ -275,13 +339,13 @@ class TestTransformTracking:
         (IntMatrix(0, 0), 0),
         (IntMatrix(0, 3), 3),
         (IntMatrix(2, 0), 0),
-        (IntMatrix(2, 3, (0,) * 6), 3),
+        (IntMatrix(2, 3), 3),
         (IntMatrix.from_rows([[2, 0], [0, 3], [1, 1]]), 0),
         (IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]]), 2),
     ])
     def test_kernel_basis_is_the_kernel_columns_of_v(self, a, kernel_rank):
         # rank 0 and full column rank: the selection starts at the rank
-        V = replayed_v(_smith(a)[3], a.cols)
+        V = replayed_v(_smith(a)[2], a.cols)
         k = kernel_basis(a)
         assert k.cols == kernel_rank
         assert k == IntMatrix.from_cols(
@@ -328,7 +392,7 @@ class TestTransformTracking:
         rng = random.Random(seed)
         M = random_matrix(rng, 40, 8)
         assert fraction_rank(M.to_rows()) == 8
-        A = IntMatrix(40, 8, tuple(2 * e for e in M.entries))
+        A = IntMatrix(40, 8, [[(j, 2 * e) for j, e in row] for row in M.nonzeros])
         x = [rng.randint(-5, 5) for _ in range(8)]
         x[rng.randrange(8)] = 2 * rng.randint(-5, 5) + 1
         B = M @ IntMatrix.from_cols([x, [2 * e for e in x]])
@@ -436,6 +500,9 @@ class TestRankCertificates:
         ([[1, 0, 3], [2, 1, 5]], 2),
         ([[3], [4], [6]], 1),
         ([[0, 0, 0, 0], [0, 1, 0, 4], [0, 0, 0, 0]], 1),
+        # the weight-4 block of the complex route on F(n): one nonzero
+        # per row, more rows than columns
+        ([[0, 1, 0], [-1, 0, 0], [0, 0, 1], [0, -1, 0], [3, 0, 0], [0, 0, 0]], 3),
     ])
     def test_gf2_answers(self, rank_branches, rows, expect):
         A = IntMatrix.from_rows(rows)
@@ -476,7 +543,7 @@ class TestRankCertificates:
     def test_zero_and_empty_shapes_need_no_elimination(
             self, rank_branches, shape):
         rows, cols = shape
-        assert rank(IntMatrix(rows, cols, (0,) * (rows * cols))) == 0
+        assert rank(IntMatrix(rows, cols)) == 0
         assert rank_branches == []
 
     @pytest.mark.parametrize("n", range(6, 12))
@@ -523,7 +590,7 @@ class TestQuotientInvariants:
 
 class TestSubquotientInvariants:
     def test_zero_out_map_reduces_to_quotient(self):
-        out = IntMatrix(1, 2, (0, 0))
+        out = IntMatrix(1, 2)
         inn = IntMatrix.column_vector((2, 0))
         assert subquotient_invariants(out, inn) == AbelianGroupInvariants(1, (2,))
 
@@ -568,23 +635,23 @@ class TestSolveInLattice:
         a = IntMatrix.from_rows([[2, 4], [0, 6]])
         for b in [(1, 0), (0, 3), (2, 6), (6, 6)]:
             found = any(
-                a.mul_vec((x, y)) == b
+                (a @ IntMatrix.column_vector((x, y))).col(0) == b
                 for x in range(-12, 13)
                 for y in range(-12, 13)
             )
             x = solve_in_lattice(a, b)
             assert (x is not None) == found
             if x is not None:
-                assert a.mul_vec(x) == b
+                assert (a @ IntMatrix.column_vector(x)).col(0) == b
 
     @settings(deadline=None, max_examples=100)
     @given(matrices, st.lists(st.integers(-4, 4), min_size=6, max_size=6))
     def test_reconstructs_known_solutions(self, a, xs):
         x = tuple(xs[: a.cols])
-        b = a.mul_vec(x)
+        b = (a @ IntMatrix.column_vector(x)).col(0)
         got = solve_in_lattice(a, b)
         assert got is not None
-        assert a.mul_vec(got) == b
+        assert (a @ IntMatrix.column_vector(got)).col(0) == b
 
 
 class TestCokernelGenerators:
@@ -599,14 +666,15 @@ class TestCokernelGenerators:
         invariants, ops, lifts, V = cokernel(a)
         assert invariants == s.invariants
         V = IntMatrix.from_rows(V, cols=a.cols)
-        assert V == replayed_v(_smith(a)[3], a.cols) == s.V
+        assert V == replayed_v(_smith(a)[2], a.cols) == s.V
         assert s.U @ a @ V == s.D
         u = IntMatrix.identity(a.rows).to_rows()
         _replay(ops, u)
         assert IntMatrix.from_rows(u, cols=a.rows) == s.U
         assert [d for d, _ in lifts] == [d for d, _ in expect]
         for (_, f), (_, t) in zip(lifts, expect):
-            assert s.U.mul_vec(f) == tuple(int(i == t) for i in range(a.rows))
+            assert (s.U @ IntMatrix.column_vector(f)).col(0) == tuple(
+                int(i == t) for i in range(a.rows))
 
 
 class TestAbelianGroupInvariants:

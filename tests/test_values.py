@@ -23,9 +23,10 @@ Z2 = AbelianGroupInvariants(free_rank=0, torsion=(2,))
 # One builder per value class; each call makes a fresh, equal instance,
 # giving every field by keyword.
 SAMPLES = {
-    "IntMatrix": lambda: IntMatrix(rows=1, cols=2, entries=(3, -4)),
+    "IntMatrix": lambda: IntMatrix(rows=1, cols=2,
+                                   nonzeros=(((0, 3), (1, -4)),)),
     "SmithDecomposition": lambda: SmithDecomposition(
-        U=IntMatrix.identity(1), D=IntMatrix(1, 1, (2,)),
+        U=IntMatrix.identity(1), D=IntMatrix(1, 1, [[(0, 2)]]),
         V=IntMatrix.identity(1), invariants=(2,)),
     "AbelianGroupInvariants": lambda: AbelianGroupInvariants(
         free_rank=3, torsion=(2, 4)),
@@ -141,7 +142,7 @@ class TestValueContract:
         rep = h2(HEIS, 1)
         assert rep == h2(HEIS, 1)
         assert hash(rep) == hash(h2(HEIS, 1))
-        A = IntMatrix(2, 2, (2, 4, 6, 8))
+        A = IntMatrix.from_rows([[2, 4], [6, 8]])
         assert smith_normal_form(A) == smith_normal_form(A)
 
 

@@ -157,19 +157,15 @@ def check_cocycle_identity():
 
 
 def check_extension_soundness():
-    """Extensions are associative with two-sided inverses, 1000 triples each."""
-    jobs = []
+    """The extension by all the cocycles, as ``extend`` builds it, of each
+    corpus group is associative with two-sided inverses on 1000 triples."""
     for name, P in corpus():
-        for idx, w in enumerate(cocycles.all_cocycles(P)):
-            jobs.append(("%s #%d" % (name, idx), P, [w]))
-    H = families.heisenberg()
-    jobs.append(("heisenberg rank-2", H, cocycles.lemmay_basis(H)))
-    for label, P, fibers in jobs:
-        E = cocycles.build_extension(P, fibers)
-        failure = E.first_law_failure(1000, 10, random.Random("ext:%s" % label))
+        E = cocycles.build_extension(P, cocycles.all_cocycles(P))
+        failure = E.first_law_failure(1000, 10, random.Random("ext:%s" % name))
         if failure is not None:
-            return False, "%s: %s fails" % (label, failure[0])
-    return True, "%d extensions x 1000 triples" % len(jobs)
+            return False, "%s: %s fails at trial %d" % ((name,) + failure)
+    return True, ("%d extensions by all their cocycles x 1000 triples"
+                  % len(corpus()))
 
 
 def check_count_consistency():

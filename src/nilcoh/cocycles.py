@@ -25,11 +25,10 @@ Integer linear combinations (``CocycleSum``) are cocycles again. Each of
 the three shapes is expanded into one polynomial table, monomials in
 (a, b, a', b') with integer coefficients, and no other copy of the
 formulas above exists. ``render`` prints that table. Everything else
-evaluates a family table: the sorted union of the monomials of a list of
-cocycles, with one coefficient row per cocycle. A point costs one vector
-of monomial values, and each cocycle's value there is a dot product, so
-an extension multiplies all its fibers at once. ``prove_cocycles`` proves
-the cocycle identity on a table, and the sampled checks are its oracles.
+evaluates a family table, the union of the monomials of a list of
+cocycles with one coefficient row per cocycle, so an extension adds all
+its fibers at once. ``prove_cocycles`` proves the cocycle identity on a
+table, and its sampled oracles multiply in the extension group.
 
 A LemmaX class has a closed-form primitive: when C^T lambda = f, the
 coboundary of u(g) = -lambda . b is w_f, because the group law subtracts
@@ -41,13 +40,14 @@ returned u is certified by the exact identity delta u = w.
 
 import random
 from functools import cache, reduce
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from operator import index, mul
 
 from .exactlinalg import (_Value, _lattice_solution, _set, cokernel,
                           kernel_basis)
-from .grouplaw import _check_element, draw_element, identity, inverse, multiply
+from .grouplaw import (_check_element, draw_element, identity, inverse,
+                       multiply, random_element)
 from .cohomology import _jacobi_transpose, bracket_matrix, require_valid
 
 
@@ -200,7 +200,7 @@ def _poly_add(poly, coeff, mono):
 
 def _lemmax_poly(P, w, poly, scale):
     _check_lemmax(P, w)
-    for (i, j), f in zip(combinations(range(P.n), 2), w.f):
+    for (i, j), f in compress(zip(combinations(range(P.n), 2), w.f), w.f):
         _poly_add(poly, -scale * f, (2 * j, 2 * (P.n + i)))
 
 
@@ -258,19 +258,20 @@ def _dot(u, v):
 def _family(P, ws):
     """The tables of the cocycles ws as one table, (values, rows, monos).
 
-    ``values(g, h)`` lists the values at (g, h) of monos, the sorted union
-    of the cocycles' monomials, and w_k(g, h) = rows[k] . values(g, h).
-    ``values`` fills the coordinate vector of the point once, slot by
-    slot as the table comment numbers them, with C(x,2) only when some
-    monomial reads one, and a 1 at slot -1 that pads every monomial, of
-    at most three factors, to three.
+    w_k has the coefficient rows[k][i] at monos[i], the sorted union of the
+    cocycles' monomials, and ``values(g, h)`` lists each w_k(g, h). It fills
+    the coordinate vector of the point once, slot by slot as the table
+    comment numbers them, with C(x,2) only when some monomial reads one and
+    a 1 at slot -1 that pads every monomial, of at most three factors, to
+    three, and sums each cocycle's terms there.
     """
     polys = _polys(P, ws)
     monos = sorted(set().union(*polys))
     four_n = 4 * P.n
     binoms = any(s % 2 for mono in monos for s in mono if s < four_n)
-    slots = [mono + (-1,) * (3 - len(mono)) for mono in monos]
     rows = [[poly.get(mono, 0) for mono in monos] for poly in polys]
+    terms = [(k, mono + (-1,) * (3 - len(mono)), c)
+             for k, poly in enumerate(polys) for mono, c in poly.items()]
 
     # one vector, refilled in place at each point (a fresh list per call
     # costs criterion 6 about 8%), so a table is not for concurrent use
@@ -282,7 +283,10 @@ def _family(P, ws):
         if binoms:
             x[1:four_n:2] = [v * (v - 1) // 2 for v in a]
         x[four_n:-1] = g.b + h.b
-        return [x[i] * x[j] * x[k] for i, j, k in slots]
+        w = [0] * len(polys)
+        for k, (i, j, l), c in terms:
+            w[k] += c * x[i] * x[j] * x[l]
+        return w
 
     return values, rows, monos
 
@@ -291,8 +295,8 @@ def evaluate(P, w, g, h):
     """Value of the cocycle at (g, h). Assumes P already validated."""
     _check_element(P, g)
     _check_element(P, h)
-    values, (row,), _ = _family(P, [w])
-    return _dot(row, values(g, h))
+    values, _, _ = _family(P, [w])
+    return values(g, h)[0]
 
 
 def _join_terms(terms):
@@ -348,9 +352,10 @@ def verify_cocycles(P, ws, trials=1000, bound=10, seed=0):
     """One report per cocycle in ws, sampled: the oracle of ``prove_cocycles``.
 
     Normalization is exact: a monomial needs a primed and an unprimed factor.
-    Trial t draws g, h, k seeded by (seed, t) alone, so reports are independent,
-    and checks row . (values(g,h) + values(gh,k) - values(h,k) - values(g,hk)) = 0.
-    A sampled pass is evidence, not proof.
+    Trial t draws g, h, k seeded by (seed, t) alone, so reports are independent.
+    In the extension by ws, fiber i of ((g,0)(h,0))(k,0) is w_i(g,h) + w_i(gh,k)
+    and of (g,0)((h,0)(k,0)) it is w_i(h,k) + w_i(g,hk): the identity holds
+    where they agree. A sampled pass is evidence, not proof.
     """
     require_valid(P)
     if trials < 1 or bound < 1:
@@ -366,19 +371,19 @@ def verify_cocycles(P, ws, trials=1000, bound=10, seed=0):
                 if row[k] and reports[i] is None:
                     reports[i] = VerificationReport(False, 0, msg)
     live = [i for i, rep in enumerate(reports) if rep is None]
+    E = ExtensionGroup._trusted(P, tuple(ws), values)
     for t in range(trials):
         if not live:
             break
         rng = random.Random("%s:%d" % (seed, t))
         g, h, k = (draw_element(P, bound, rng) for _ in range(3))
-        lhs = values(g, h), values(multiply(P, g, h), k)
-        rhs = values(h, k), values(g, multiply(P, h, k))
-        delta = [p + q - r - s for p, q, r, s in zip(*lhs, *rhs)]
+        x, y, z = (ExtElement._trusted(e, (0,) * len(rows)) for e in (g, h, k))
+        lhs = E.multiply(E.multiply(x, y), z).t
+        rhs = E.multiply(x, E.multiply(y, z)).t
         for i in live:
-            row = rows[i]
-            if _dot(row, delta):
+            if lhs[i] != rhs[i]:
                 msg = "cocycle identity fails at trial %d: lhs %d != rhs %d" % (
-                    t, sum(_dot(row, v) for v in lhs), sum(_dot(row, v) for v in rhs))
+                    t, lhs[i], rhs[i])
                 reports[i] = VerificationReport(False, t + 1, msg, (g, h, k))
         live = [i for i in live if reports[i] is None]
     passed = VerificationReport(ok=True, trials=trials,
@@ -461,15 +466,13 @@ class ExtensionGroup(_Value):
         (g, t) (g', t') = (g g', t + t' + (w_1(g,g'), ..., w_r(g,g'))).
     """
 
-    __slots__ = ("base", "fibers", "_values", "_rows")
+    __slots__ = ("base", "fibers", "_values")
 
     def __init__(self, base, fibers):
         _set(self, "base", base)
-        _set(self, "fibers", fibers)
-        # the fibers' family table: a cache outside equality and repr
-        values, rows, _ = _family(base, fibers)
-        _set(self, "_values", values)
-        _set(self, "_rows", rows)
+        _set(self, "fibers", tuple(fibers))
+        # the fibers' table: a cache outside equality and repr
+        _set(self, "_values", _family(base, self.fibers)[0])
 
     @property
     def fiber_rank(self):
@@ -479,21 +482,18 @@ class ExtensionGroup(_Value):
         return ExtElement._trusted(identity(self.base), (0,) * self.fiber_rank)
 
     def multiply(self, e1, e2):
-        g = multiply(self.base, e1.g, e2.g)
-        vals = self._values(e1.g, e2.g)
-        t = tuple(x + y + _dot(row, vals)
-                  for x, y, row in zip(e1.t, e2.t, self._rows))
-        return ExtElement._trusted(g, t)
+        w = self._values(e1.g, e2.g)
+        t = tuple(x + y + v for x, y, v in zip(e1.t, e2.t, w))
+        return ExtElement._trusted(multiply(self.base, e1.g, e2.g), t)
 
     def inverse(self, e):
         gi = inverse(self.base, e.g)
-        vals = self._values(e.g, gi)
-        t = tuple(-x - _dot(row, vals) for x, row in zip(e.t, self._rows))
+        t = tuple(-x - w for x, w in zip(e.t, self._values(e.g, gi)))
         return ExtElement._trusted(gi, t)
 
     def random_element(self, bound, seed):
         rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-        g = draw_element(self.base, bound, rng)
+        g = random_element(self.base, bound, rng)
         t = tuple(rng.randrange(-bound, bound + 1) for _ in self.fibers)
         return ExtElement._trusted(g, t)
 
@@ -502,23 +502,18 @@ class ExtensionGroup(_Value):
 
         Each trial draws x, y, z with ``random_element(bound, rng)`` and
         decides (x y) z = x (y z) ("associativity") and x x^-1 = x^-1 x =
-        e ("inverse law") on the base group and the family table, where
-        the fiber coordinates cancel: row . D = 0 with D = v(g,h) +
-        v(gh,k) - v(h,k) - v(g,hk), and row . (v(g^-1,g) - v(g,g^-1)) = 0.
+        e ("inverse law"), multiplying in this group.
         """
-        P, values, rows = self.base, self._values, self._rows
-        e = identity(P)
+        if trials < 1 or bound < 1:
+            raise ValueError("need trials >= 1 and bound >= 1")
+        e = self.identity()
         for t in range(trials):
-            g, h, k = (self.random_element(bound, rng).g for _ in range(3))
-            gh, hk, gi = multiply(P, g, h), multiply(P, h, k), inverse(P, g)
-            delta = [p + q - r - s for p, q, r, s in zip(
-                values(g, h), values(gh, k), values(h, k), values(g, hk))]
-            if multiply(P, gh, k) != multiply(P, g, hk) or \
-                    any(_dot(row, delta) for row in rows):
+            x, y, z = (self.random_element(bound, rng) for _ in range(3))
+            if self.multiply(self.multiply(x, y), z) != \
+                    self.multiply(x, self.multiply(y, z)):
                 return "associativity", t
-            skew = [p - q for p, q in zip(values(gi, g), values(g, gi))]
-            if multiply(P, g, gi) != e or multiply(P, gi, g) != e or \
-                    any(_dot(row, skew) for row in rows):
+            xi = self.inverse(x)
+            if self.multiply(x, xi) != e or self.multiply(xi, x) != e:
                 return "inverse law", t
         return None
 
@@ -537,7 +532,7 @@ def build_extension(P, fibers):
     for k, rep in enumerate(_prove_family(P, rows, monos)):
         if not rep.ok:
             raise ValueError("fiber %d failed verification: %s" % (k, rep.message))
-    return ExtensionGroup._trusted(P, fibers, values, rows)  # no rebuild
+    return ExtensionGroup._trusted(P, fibers, values)  # no rebuild
 
 
 class Primitive(_Value):

@@ -79,7 +79,7 @@ class ValidationReport(_Value):
 
     def __init__(self, ok, failures=()):
         _set(self, "ok", ok)
-        _set(self, "failures", failures)
+        _set(self, "failures", tuple(failures))
 
 
 def bracket_matrix(P):

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from nilcoh import acceptance, cli
+from nilcoh import acceptance, cli, cocycles, families
 from nilcoh.acceptance import CRITERIA
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -70,3 +70,20 @@ def test_raising_criterion_fails_alone(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.splitlines() == lines + ["selftest: FAILURES"]
+
+
+def test_extension_soundness_names_the_presentation(monkeypatch):
+    # one fiber of an all-cocycle extension is not a cocycle, built past
+    # the proof in build_extension
+    chain = families.divisor_chain_group((2, 4))
+    bad = cocycles.CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))
+    all_cocycles = cocycles.all_cocycles
+
+    def with_bad_fiber(P):
+        ws = all_cocycles(P)
+        return ws[:2] + [bad] + ws[2:] if P == chain else ws
+
+    monkeypatch.setattr(cocycles, "all_cocycles", with_bad_fiber)
+    monkeypatch.setattr(cocycles, "build_extension", cocycles.ExtensionGroup)
+    assert acceptance.check_extension_soundness() == (
+        False, "divisor-chain(2, 4): associativity fails at trial 0")

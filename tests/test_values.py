@@ -10,7 +10,7 @@ import nilcoh
 from nilcoh import families
 from nilcoh.cocycles import (CocycleLemmaX, CocycleLemmaY, CocycleSum,
                              ExtElement, ExtensionGroup, Primitive,
-                             VerificationReport)
+                             VerificationReport, build_extension)
 from nilcoh.cohomology import H2Report, h2
 from nilcoh.exactlinalg import (AbelianGroupInvariants, IntMatrix,
                                 SmithDecomposition, _Value, smith_normal_form)
@@ -125,8 +125,13 @@ class TestValueContract:
         (lambda: CocycleLemmaX(f=(1,)), lambda: CocycleLemmaX((1,), 0)),
         (lambda: VerificationReport(ok=True, trials=1),
          lambda: VerificationReport(True, 1, "", ())),
+        (lambda: ValidationReport(False, ["bad"]),
+         lambda: ValidationReport(False, ("bad",))),
+        (lambda: ExtensionGroup(HEIS, [E11]),
+         lambda: build_extension(HEIS, [E11])),
     ], ids=["IntMatrix", "AbelianGroupInvariants", "GroupPresentation",
-            "ValidationReport", "CocycleLemmaX", "VerificationReport"])
+            "ValidationReport", "CocycleLemmaX", "VerificationReport",
+            "ValidationReport-list", "ExtensionGroup-list"])
     def test_defaults(self, short, full):
         assert short() == full()
 

@@ -39,15 +39,15 @@ returned u is certified by the exact identity delta u = w.
 """
 
 import random
-from functools import cache, reduce
+from functools import reduce
 from itertools import combinations, compress
 from math import comb
 from operator import index, mul
 
 from .exactlinalg import (_Value, _lattice_solution, _set, cokernel,
                           kernel_basis)
-from .grouplaw import (_check_element, draw_element, identity, inverse,
-                       multiply, random_element)
+from .grouplaw import (_check_element, identity, inverse, multiply,
+                       random_element)
 from .cohomology import _jacobi_transpose, bracket_matrix, require_valid
 
 
@@ -59,28 +59,22 @@ class Cocycle:
     def __add__(self, other):
         if not isinstance(other, Cocycle):
             return NotImplemented
-        return CocycleSum(_terms(self) + _terms(other))
+        return CocycleSum(((1, self), (1, other)))
 
     def __sub__(self, other):
         if not isinstance(other, Cocycle):
             return NotImplemented
-        return CocycleSum(_terms(self) + tuple((-c, p) for c, p in _terms(other)))
+        return CocycleSum(((1, self), (-1, other)))
 
     def __neg__(self):
-        return CocycleSum(tuple((-c, p) for c, p in _terms(self)))
+        return CocycleSum(((-1, self),))
 
     def __mul__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        return CocycleSum(tuple((k * c, p) for c, p in _terms(self)))
+        return CocycleSum(((k, self),))
 
     __rmul__ = __mul__
-
-
-def _terms(w):
-    if isinstance(w, CocycleSum):
-        return w.terms
-    return ((1, w),)
 
 
 class CocycleLemmaX(Cocycle, _Value):
@@ -108,7 +102,8 @@ class CocycleLemmaY(Cocycle, _Value):
 
 
 class CocycleSum(Cocycle, _Value):
-    """Flattened integer combination of elementary cocycles."""
+    """Integer combination of elementary cocycles, the one place sums are
+    flattened: a nested sum expands into its terms, zero coefficients drop."""
 
     __slots__ = ("terms",)
 
@@ -178,7 +173,7 @@ def _check_lemmay(P, w):
 # C(a'_i,2) at 2(n+i)+1, b_l at 4n+l and b'_l at 4n+m+l. A monomial is the
 # sorted tuple of its factors' slots, and a polynomial maps monomials to
 # coefficients, so sorted monomials come in render order. No monomial
-# built here repeats a factor.
+# built here repeats a factor. Structure constants come from ``P.bracket``.
 
 
 def _slot_names(P):
@@ -204,50 +199,47 @@ def _lemmax_poly(P, w, poly, scale):
         _poly_add(poly, -scale * f, (2 * j, 2 * (P.n + i)))
 
 
-def _lemmay_poly(P, bracket, w, poly, scale):
+def _lemmay_poly(P, w, poly, scale):
     _check_lemmay(P, w)
-    n, phi = P.n, w.phi
-    # phi(x_t (x) c(x_p ^ x_q)) is _dot(bracket(p, q), phi[t]), for p > q
+    n, phi, c = P.n, w.phi, P.bracket.get
+    # c(x_i ^ x_j) = -P.bracket[(j, i)] for i > j: its sign cancels the formula's
     for j in range(n):
         for i in range(j + 1, n):
-            k1 = _dot(bracket(i, j), phi[i])
-            _poly_add(poly, -scale * k1, (2 * i + 1, 2 * (n + j)))
-            k2 = _dot(bracket(i, j), phi[j])
-            _poly_add(poly, -scale * k2, (2 * i, 2 * (n + j) + 1))
+            vec = c((j, i), ())
+            _poly_add(poly, scale * _dot(vec, phi[i]), (2 * i + 1, 2 * (n + j)))
+            _poly_add(poly, scale * _dot(vec, phi[j]), (2 * i, 2 * (n + j) + 1))
     for k in range(n):
         for i in range(k + 1, n):
             for j in range(i + 1, n):
-                wgt = _dot(bracket(i, k), phi[j])
-                _poly_add(poly, -scale * wgt, (2 * i, 2 * j, 2 * (n + k)))
+                _poly_add(poly, scale * _dot(c((k, i), ()), phi[j]),
+                          (2 * i, 2 * j, 2 * (n + k)))
     for j in range(n):
         for k in range(j + 1, n):
             for i in range(j + 1, n):
-                wgt = _dot(bracket(i, j), phi[k])
-                _poly_add(poly, -scale * wgt,
+                _poly_add(poly, scale * _dot(c((j, i), ()), phi[k]),
                           (2 * i, 2 * (n + j), 2 * (n + k)))
     for i in range(n):
         for l in range(P.m):
             _poly_add(poly, -scale * phi[i][l], (2 * (n + i), 4 * n + l))
 
 
-def _cocycle_poly(P, bracket, w, poly, scale):
+def _cocycle_poly(P, w, poly, scale):
     if isinstance(w, CocycleLemmaX):
         _lemmax_poly(P, w, poly, scale)
     elif isinstance(w, CocycleLemmaY):
-        _lemmay_poly(P, bracket, w, poly, scale)
+        _lemmay_poly(P, w, poly, scale)
     elif isinstance(w, CocycleSum):
         for c, p in w.terms:
-            _cocycle_poly(P, bracket, p, poly, scale * c)
+            _cocycle_poly(P, p, poly, scale * c)
     else:
         raise TypeError("not a cocycle: %r" % (w,))
 
 
 def _polys(P, ws):
-    """The polynomial table of each cocycle in ws; brackets are read lazily."""
-    bracket = cache(P.bracket_vector)
+    """The polynomial table of each cocycle in ws."""
     polys = [{} for _ in ws]
     for w, poly in zip(ws, polys):
-        _cocycle_poly(P, bracket, w, poly, 1)
+        _cocycle_poly(P, w, poly, 1)
     return polys
 
 
@@ -376,7 +368,7 @@ def verify_cocycles(P, ws, trials=1000, bound=10, seed=0):
         if not live:
             break
         rng = random.Random("%s:%d" % (seed, t))
-        g, h, k = (draw_element(P, bound, rng) for _ in range(3))
+        g, h, k = (random_element(P, bound, rng) for _ in range(3))
         x, y, z = (ExtElement._trusted(e, (0,) * len(rows)) for e in (g, h, k))
         lhs = E.multiply(E.multiply(x, y), z).t
         rhs = E.multiply(x, E.multiply(y, z)).t
@@ -570,7 +562,7 @@ def coboundary_witness(P, w):
     """
     require_valid(P)
     f = [0] * comb(P.n, 2)
-    for c, term in _terms(w):
+    for c, term in CocycleSum(((1, w),)).terms:
         if not isinstance(term, CocycleLemmaX):
             raise TypeError("a coboundary witness needs LemmaX terms, got %r"
                             % (term,))

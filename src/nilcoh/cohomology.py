@@ -21,9 +21,9 @@ G^ab; weight 3 (x ^ y) gives the Hom part; weight 4 (y ^ y) gives 0.
 The route reads no matrix the closed form builds; both rest on
 ``validate`` and on ``quotient_invariants``, ``rank`` and ``_smith``.
 
-The coefficients are trivial, so H^2(G, Z^r) = H^2(G, Z)^r. Both routes
-apply r by that one rule: they compute at r = 1 and repeat the group r
-times.
+The coefficients are trivial, so H^k(G, Z^r) = H^k(G, Z)^r. ``h1`` and
+both routes of ``h2`` apply r by that one rule: they compute at r = 1 and
+``repeat`` the group r times.
 
 Basis orderings are fixed here once and shared by every matrix and every
 cocycle coordinate in the package: pairs (i < j) and triples (i < j < k)
@@ -98,11 +98,9 @@ class H2Report(_Value):
 
 
 def h1(P, r=1):
-    """H^1(G, Z^r) = Hom(L_1, Z^r), free of rank r n."""
+    """H^1(G, Z^r) = Hom(L_1, Z^r) = Z^n repeated r times, free of rank r n."""
     require_valid(P)
-    if r < 0:
-        raise ValueError("coefficient rank must be nonnegative")
-    return AbelianGroupInvariants.free(r * P.n)
+    return AbelianGroupInvariants(P.n).repeat(r)
 
 
 def h2(P, r=1):
@@ -118,7 +116,7 @@ def h2(P, r=1):
         require_valid(P)   # an invalid P is reported first, as h1 does
         raise ValueError("coefficient rank must be nonnegative")
     crosscheck = h2_via_complex(P, 1)
-    ext_part = quotient_invariants(P.m, bracket_matrix(P))
+    ext_part = quotient_invariants(bracket_matrix(P))
     ker_c_rank, hom_part_rank = _free_ranks(P)
     coker_cstar = AbelianGroupInvariants(ker_c_rank, ext_part.torsion)
     total = AbelianGroupInvariants(ker_c_rank + hom_part_rank, ext_part.torsion)

@@ -499,14 +499,10 @@ class AbelianGroupInvariants(_Value):
         _set(self, "free_rank", free_rank)
         _set(self, "torsion", tor)
 
-    @classmethod
-    def free(cls, k):
-        return cls(k, ())
-
     def repeat(self, r):
-        """Direct sum of r copies (coefficient modules Z^r act one copy at a time)."""
+        """Direct sum of r copies: the one rule for coefficients Z^r."""
         if r < 0:
-            raise ValueError("r must be nonnegative")
+            raise ValueError("coefficient rank must be nonnegative")
         return AbelianGroupInvariants(self.free_rank * r,
                                       tuple(t for t in self.torsion
                                             for _ in range(r)))
@@ -524,13 +520,10 @@ class AbelianGroupInvariants(_Value):
         return " (+) ".join(parts) if parts else "0"
 
 
-def quotient_invariants(ambient_rank, gens):
-    """Invariants of Z^ambient_rank / (column span of gens)."""
-    if gens.rows != ambient_rank:
-        raise ValueError("dimension mismatch: generators live in Z^%d, ambient rank is %d"
-                         % (gens.rows, ambient_rank))
+def quotient_invariants(gens):
+    """Invariants of Z^gens.rows / (column span of gens)."""
     invariants = _smith(gens)[0]
-    return AbelianGroupInvariants(ambient_rank - len(invariants),
+    return AbelianGroupInvariants(gens.rows - len(invariants),
                                   tuple(x for x in invariants if x > 1))
 
 
@@ -586,5 +579,5 @@ def subquotient_invariants(out_map, in_map):
         raise ValueError("dimension mismatch: maps do not compose")
     if not (out_map @ in_map).is_zero():
         raise ValueError("not a complex")
-    q = quotient_invariants(out_map.cols, in_map)
+    q = quotient_invariants(in_map)
     return AbelianGroupInvariants(q.free_rank - rank(out_map), q.torsion)

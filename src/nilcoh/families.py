@@ -1,6 +1,7 @@
 """Stock presentations used by the command line, the tests, and the demos."""
 
 import random
+from math import comb
 from operator import index
 
 from .grouplaw import GroupPresentation, validate
@@ -39,12 +40,15 @@ def discrete_heisenberg(d):
 def random_presentation(n, m, bound, seed):
     """Random brackets in [-bound, bound], redrawn until rank(c) = m.
 
-    Deterministic in seed. Raises ValueError when no valid draw shows up
-    within 100 tries (for instance when m > C(n,2), where no draw can
-    succeed).
+    Deterministic in seed. Raises ValueError before any draw when
+    m > C(n,2), since c then has rank at most C(n,2) < m, and when no
+    valid draw shows up within 100 tries.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if m > comb(n, 2):
+        raise ValueError("no presentation with n=%d, m=%d: rank(c) <= C(n,2) = %d < m"
+                         % (n, m, comb(n, 2)))
     rng = random.Random(seed)
     for _ in range(100):
         bracket = {}

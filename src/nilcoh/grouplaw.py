@@ -36,6 +36,7 @@ class GroupPresentation(_Value):
 
     ``bracket`` maps pairs (i, j) with i < j (0-based) to the exponent
     vector of [x_i, x_j] in the central generators; absent pairs commute.
+    Readers look pairs up here, [x_j, x_i] being minus the vector of (i, j).
     Range checks are deferred to validate() so that deliberately broken
     presentations can still be constructed in negative tests.
     """
@@ -53,15 +54,6 @@ class GroupPresentation(_Value):
         _set(self, "bracket", MappingProxyType(data))
         _set(self, "_report", None)     # cohomology.require_valid's cache
         _set(self, "_cokernel", None)   # cocycles._cokernel's cache
-
-    def bracket_vector(self, i, j):
-        """Exponents of [x_i, x_j], extended antisymmetrically to all i, j."""
-        if i == j:
-            return (0,) * self.m
-        if i < j:
-            return self.bracket.get((i, j), (0,) * self.m)
-        vec = self.bracket.get((j, i))
-        return tuple(-x for x in vec) if vec else (0,) * self.m
 
 
 class GroupElement(_Value):
@@ -173,10 +165,6 @@ def random_element(P, bound, seed):
     if bound < 1:
         raise ValueError("bound must be >= 1")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return draw_element(P, bound, rng)
-
-
-def draw_element(P, bound, rng):
     a = tuple(rng.randrange(-bound, bound + 1) for _ in range(P.n))
     b = tuple(rng.randrange(-bound, bound + 1) for _ in range(P.m))
     return GroupElement._trusted(a, b)

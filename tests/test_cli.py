@@ -19,8 +19,7 @@ from hypothesis import given, settings, strategies as st
 from nilcoh import (cli, cocycles, cohomology, exactlinalg, families,
                     grouplaw)
 from nilcoh.cocycles import lemmax_generators
-from nilcoh.grouplaw import (GroupPresentation, bracket_matrix,
-                             presentation_to_json)
+from nilcoh.grouplaw import bracket_matrix, presentation_to_json
 
 
 def run_cli(args, stdin_text=None):
@@ -432,26 +431,22 @@ class TestPinnedReports:
     def test_extend_builds_each_table_once(self):
         P = PINNED_GROUPS["near-free-n4"]
         doc = json.dumps(presentation_to_json(P)).encode()
+        tables = mock.patch.object(cocycles, "_polys", wraps=cocycles._polys)
         poly = mock.patch.object(cocycles, "_cocycle_poly",
                                  wraps=cocycles._cocycle_poly)
-        brackets = mock.patch.object(GroupPresentation, "bracket_vector",
-                                     autospec=True,
-                                     side_effect=GroupPresentation.bracket_vector)
-        with poly as poly_calls, brackets as bracket_calls:
+        with tables as table_calls, poly as poly_calls:
             code, _, _ = run_in_process(["extend", "--trials", "5"], doc)
         assert code == 0
+        assert table_calls.call_count == 1
         assert poly_calls.call_count == 21   # one per fiber, none of them a sum
-        assert bracket_calls.call_count == comb(P.n, 2)
 
     def test_lemmax_tables_read_no_bracket(self):
         doc = json.dumps(presentation_to_json(families.abelian(6))).encode()
-        with mock.patch.object(GroupPresentation, "bracket_vector",
-                               autospec=True,
-                               side_effect=GroupPresentation.bracket_vector
-                               ) as bracket_calls:
+        with mock.patch.object(cocycles, "_lemmay_poly",
+                               wraps=cocycles._lemmay_poly) as lemmay_calls:
             code, out, _ = run_in_process(["cocycles"], doc)
         assert code == 0 and out.count("[lemmax, infinite order]") == 15
-        assert bracket_calls.call_count == 0
+        assert lemmay_calls.call_count == 0
 
     @pytest.mark.parametrize("command", ["verify", "extend"])
     def test_proofs_sample_nothing(self, monkeypatch, command):
@@ -464,7 +459,7 @@ class TestPinnedReports:
 
         for owner in (grouplaw, cocycles):   # cocycles imports them by name
             spy(owner, "multiply")
-            spy(owner, "draw_element")
+            spy(owner, "random_element")
         spy(cocycles.ExtensionGroup, "first_law_failure")
         doc = json.dumps(presentation_to_json(PINNED_GROUPS["near-free-n4"]))
         code, out, _ = run_in_process([command, "--trials", "100"],
@@ -649,6 +644,7 @@ class TestExitCodes:
         ["verify", "--trials", "-1"],
         ["extend", "--trials", "-1"],
         ["gen", "--family", "random", "--n", "2", "--m", "3"],
+        ["gen", "--family", "random", "--n", "19", "--m", "172"],
         ["gen", "--family", "paper-example", "--d", "0,2"],
         ["gen", "--family", "abelian", "--n", "-1"],
     ], ids=" ".join)
@@ -856,11 +852,23 @@ def test_tracer_targets_resolve():
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["ladder-h2", "near-free-sampling",
-                                      "torsion-witness"])
+# SHA-256 over (op id, format, exit code, stdout) of every operation of a
+# workload's seed-2026 plan, in text and in JSON: a refactor keeps them
+BENCHMARK_PLAN_SHA = {
+    "ladder-h2":
+        "e7b620a669e50cd381aa5c2e15d355873d26ad7e97a9a4246c6f9df3bb10f4f2",
+    "near-free-sampling":
+        "fcd8e947e0839593948a584009036ad1f07a399b4ecad408b814be4ff295fe6b",
+    "torsion-witness":
+        "57d4badc0cbbbabe4d21a7e02886366653d3293f078b557a0b7db2173597afb1",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_PLAN_SHA))
 def test_benchmark_reports_pass_their_checks(monkeypatch, tmp_path, workload):
     # every operation of the benchmark's seed-2026 plan, in process: a
-    # report that perfbench/run.py's check_report refuses fails the run
+    # report that perfbench/run.py's check_report refuses fails the run,
+    # and the text and JSON reports of the plan hash to the pinned value
     workloads = load_perfbench("workloads")
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # run.py's import
     bench = load_perfbench("run")
@@ -868,12 +876,17 @@ def test_benchmark_reports_pass_their_checks(monkeypatch, tmp_path, workload):
     workloads.write_inputs(workload, 2026, str(tmp_path))
     chains = {p["name"]: tuple(p["args"]["d"])
               for p in plan["presentations"] if p["family"] == "chain"}
-    facts = {}
+    facts, digest = {}, hashlib.sha256()
     for op in plan["ops"]:
         path = str(tmp_path / (op["pres"] + ".json"))
-        code, out, err = run_in_process(op["args"] + ["--input", path])
-        assert (code, err) == (0, ""), op["id"]
-        assert bench.check_report(op, out, facts, chains) is None, op["id"]
+        for fmt in ("text", "json"):
+            code, out, err = run_in_process(
+                op["args"] + ["--input", path, "--format", fmt])
+            assert (code, err) == (0, ""), op["id"]
+            digest.update(json.dumps([op["id"], fmt, code, out]).encode())
+            if fmt == "text":
+                assert bench.check_report(op, out, facts, chains) is None, op["id"]
+    assert digest.hexdigest() == BENCHMARK_PLAN_SHA[workload]
 
 
 # Runs ``python -m nilcoh`` in this process through runpy, then prints the

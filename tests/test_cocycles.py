@@ -106,8 +106,13 @@ def reference_value(P, w, g, h):
     def C2(x):
         return x * (x - 1) // 2
 
+    def c(p, q):  # c(x_p ^ x_q), antisymmetric in p, q
+        if p < q:
+            return P.bracket.get((p, q), ())
+        return tuple(-y for y in P.bracket.get((q, p), ()))
+
     def phi(t, p, q):  # phi(x_t (x) c(x_p ^ x_q))
-        return sum(y * c for y, c in zip(P.bracket_vector(p, q), w.phi[t]))
+        return sum(y * x for y, x in zip(c(p, q), w.phi[t]))
 
     N = range(P.n)
     pairs = list(product(N, repeat=2))
@@ -121,6 +126,17 @@ def reference_value(P, w, g, h):
              + sum(a[i] * ap[j] * ap[k] * phi(k, i, j)
                    for i, j, k in triples if j < k <= i)
              + sum(ap[i] * b[l] * w.phi[i][l] for i in N for l in range(P.m)))
+
+
+class TestCocycleSum:
+    def test_sums_are_flattened_and_zero_terms_dropped(self):
+        E12 = CocycleLemmaY(phi=((0,), (1,)))
+        X = CocycleLemmaX(f=(1,))
+        assert (E11 + E12).terms == ((1, E11), (1, E12))
+        assert (2 * (E11 - E12)).terms == ((2, E11), (-2, E12))
+        assert (-(E11 + E12) + X).terms == ((-1, E11), (-1, E12), (1, X))
+        assert (0 * E11).terms == ()
+        assert CocycleSum(((3, E11 + E12), (0, X))).terms == ((3, E11), (3, E12))
 
 
 class TestLemmaXGenerators:
@@ -913,7 +929,7 @@ class TestCoboundaryWitness:
             return counted
 
         for module in (cocycles, grouplaw):
-            for name in ("multiply", "draw_element"):
+            for name in ("multiply", "random_element"):
                 monkeypatch.setattr(module, name,
                                     counting(name, getattr(module, name)))
         for P in CORPUS:

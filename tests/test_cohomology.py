@@ -23,7 +23,7 @@ from nilcoh.cohomology import (
     tensor_index,
 )
 
-Z = AbelianGroupInvariants.free
+Z = AbelianGroupInvariants
 
 
 def free_class_two(n):
@@ -109,6 +109,12 @@ class TestH1:
     def test_rejects_invalid(self):
         with pytest.raises(InvalidPresentationError):
             h1(GroupPresentation(n=1, m=1), 1)
+
+    def test_negative_rank_is_refused(self):
+        with pytest.raises(ValueError, match="coefficient rank must be nonnegative"):
+            h1(families.heisenberg(), -1)
+        with pytest.raises(InvalidPresentationError):   # reported first
+            h1(GroupPresentation(n=1, m=1), -1)
 
 
 class TestH2:
@@ -266,7 +272,7 @@ def reference_subquotient(out_map, in_map):
     K = kernel_basis(out_map)
     coords = _solve_many(K, in_map)
     assert coords is not None
-    return quotient_invariants(K.cols, coords)
+    return quotient_invariants(coords)
 
 
 LADDER = [(n, (n + 2) // 3, seed) for n in range(3, 9) for seed in (1, 2)]
@@ -320,7 +326,7 @@ def jacobi_without_third_term(P):
     for (i, j, k) in combinations(range(n), 3):
         row = [0] * (n * m)
         for t, p, q, sign in ((i, j, k, 1), (j, i, k, -1)):
-            for l, x in enumerate(P.bracket_vector(p, q)):
+            for l, x in enumerate(P.bracket.get((p, q), ())):   # p < q
                 row[tensor_index(n, m, t, l)] += sign * x
         rows.append(row)
     return IntMatrix.from_rows(rows, cols=n * m)

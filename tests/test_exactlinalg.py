@@ -556,21 +556,22 @@ class TestRankCertificates:
 
 class TestQuotientInvariants:
     def test_split_direct_sum(self):
-        q = quotient_invariants(2, IntMatrix.column_vector((2, 0)))
+        q = quotient_invariants(IntMatrix.column_vector((2, 0)))
         assert q == AbelianGroupInvariants(free_rank=1, torsion=(2,))
 
     def test_full_quotient(self):
-        q = quotient_invariants(1, IntMatrix.from_rows([[1]]))
+        q = quotient_invariants(IntMatrix.from_rows([[1]]))
         assert q == AbelianGroupInvariants(0)
+
+    def test_no_generators_leave_the_whole_lattice(self):
+        # the ambient rank is the number of rows, also with no columns
+        assert quotient_invariants(IntMatrix(3, 0)) == AbelianGroupInvariants(3)
+        assert quotient_invariants(IntMatrix(0, 0)) == AbelianGroupInvariants(0)
 
     def test_two_columns(self):
         gens = IntMatrix.from_cols([(1, 1, 0), (0, 2, 0)], rows=3)
-        q = quotient_invariants(3, gens)
+        q = quotient_invariants(gens)
         assert q == AbelianGroupInvariants(free_rank=1, torsion=(2,))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            quotient_invariants(2, IntMatrix.from_rows([[1]]))
 
     @settings(deadline=None, max_examples=100)
     @given(matrices, st.lists(st.integers(-3, 3), min_size=1, max_size=6))
@@ -585,7 +586,7 @@ class TestQuotientInvariants:
             )
         enlarged = IntMatrix.from_rows(
             [row + [c] for row, c in zip(a.to_rows(), col)], cols=a.cols + 1)
-        assert quotient_invariants(a.rows, a) == quotient_invariants(a.rows, enlarged)
+        assert quotient_invariants(a) == quotient_invariants(enlarged)
 
 
 class TestSubquotientInvariants:
@@ -612,7 +613,7 @@ class TestSubquotientInvariants:
     @given(matrices)
     def test_zero_out_map_agrees_with_quotient(self, a):
         out = IntMatrix(0, a.rows)
-        assert subquotient_invariants(out, a) == quotient_invariants(a.rows, a)
+        assert subquotient_invariants(out, a) == quotient_invariants(a)
 
 
 class TestSolveInLattice:
@@ -689,9 +690,13 @@ class TestAbelianGroupInvariants:
         assert a.repeat(2) == AbelianGroupInvariants(4, (4, 4))
         assert a.repeat(0) == AbelianGroupInvariants(0)
 
+    def test_repeat_refuses_negative_rank(self):
+        with pytest.raises(ValueError, match="coefficient rank must be nonnegative"):
+            AbelianGroupInvariants(2, (4,)).repeat(-1)
+
     def test_str_forms(self):
         assert str(AbelianGroupInvariants(0)) == "0"
-        assert str(AbelianGroupInvariants.free(1)) == "Z"
+        assert str(AbelianGroupInvariants(1)) == "Z"
         assert str(AbelianGroupInvariants(5, (2,))) == "Z^5 (+) Z_2"
         assert str(AbelianGroupInvariants(0, (2, 4))) == "Z_2 (+) Z_4"
 

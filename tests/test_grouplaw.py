@@ -10,6 +10,7 @@ from nilcoh.grouplaw import (
     GroupElement,
     GroupPresentation,
     PresentationFormatError,
+    bracket_matrix,
     commutator,
     identity,
     inverse,
@@ -230,13 +231,9 @@ class TestPresentationJson:
 
     def test_missing_pairs_are_zero(self):
         P = presentation_from_json({"n": 3, "m": 1, "brackets": [{"i": 1, "j": 2, "y": [1]}]})
-        assert P.bracket_vector(0, 2) == (0,)
-        assert P.bracket_vector(2, 0) == (0,)
-
-    def test_antisymmetric_access(self):
-        P = families.heisenberg()
-        assert P.bracket_vector(1, 0) == (-1,)
-        assert P.bracket_vector(0, 0) == (0,)
+        assert dict(P.bracket) == {(0, 1): (1,)}
+        # columns (1,2), (1,3), (2,3): the absent pairs give zero columns
+        assert bracket_matrix(P).to_rows() == [[1, 0, 0]]
 
 
 class TestFamilies:
@@ -259,7 +256,13 @@ class TestFamilies:
         assert a == b
         assert validate(a).ok
 
-    def test_random_presentation_unsatisfiable(self):
-        # m > C(n,2) can never reach rank m
-        with pytest.raises(ValueError):
+    def test_random_presentation_unsatisfiable(self, monkeypatch):
+        # m > C(n,2) can never reach rank m, so it is refused before any draw
+        def no_draw(P):
+            raise AssertionError("a presentation was drawn and validated")
+
+        monkeypatch.setattr(families, "validate", no_draw)
+        with pytest.raises(ValueError, match=r"n=2, m=2: .* C\(n,2\) = 1 < m"):
             families.random_presentation(2, 2, 5, seed=0)
+        with pytest.raises(ValueError, match=r"n=19, m=172: .* C\(n,2\) = 171 < m"):
+            families.random_presentation(19, 172, 5, seed=0)

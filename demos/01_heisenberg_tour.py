@@ -21,8 +21,8 @@ from nilcoh import (
     lemmay_basis,
     multiply,
     render,
-    verify_cocycle,
 )
+from nilcoh.cocycles import verify_cocycle
 
 P = families.heisenberg()
 print("presentation: n = %d, m = %d, [x1, x2] = y1" % (P.n, P.m))
@@ -40,7 +40,7 @@ print("[x1, x2] =", commutator(P, g, h), " (the defining relation)")
 print("\nH^1 =", h1(P, 1))
 report = h2(P, 1)
 print("H^2 =", report.total, " (closed form)")
-print("H^2 =", h2_via_complex(P, 1), " (independent complex path)")
+print("H^2 =", h2_via_complex(P), " (independent complex path)")
 print("the two routes agree:", report.agree)
 
 # --- explicit cocycle representatives -----------------------------------

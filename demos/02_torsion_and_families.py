@@ -38,7 +38,7 @@ print()
 P = families.divisor_chain_group((2, 4))
 for r in (1, 2, 3):
     total = h2(P, r).total
-    other = h2_via_complex(P, r)
+    other = h2_via_complex(P).repeat(r)
     print("r = %d:  closed form %-28s complex path %-28s equal: %s"
           % (r, total, other, total == other))
 

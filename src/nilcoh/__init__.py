@@ -18,8 +18,8 @@ from importlib import import_module
 __all__ = [
     "GroupElement", "commutator", "inverse", "multiply", "random_element",
     "h1", "h2", "h2_via_complex", "second_homology_rank",
-    "build_extension", "coboundary_witness", "evaluate", "lemmax_generators",
-    "lemmay_basis", "render", "verify_cocycle",
+    "all_cocycles", "build_extension", "coboundary_witness", "evaluate",
+    "lemmax_generators", "lemmay_basis", "prove_cocycles", "render",
     "families",
 ]
 
@@ -28,9 +28,9 @@ _SOURCE = {name: module for module, names in (
     ("grouplaw", ("GroupElement", "commutator", "inverse", "multiply",
                   "random_element")),
     ("cohomology", ("h1", "h2", "h2_via_complex", "second_homology_rank")),
-    ("cocycles", ("build_extension", "coboundary_witness", "evaluate",
-                  "lemmax_generators", "lemmay_basis", "render",
-                  "verify_cocycle")),
+    ("cocycles", ("all_cocycles", "build_extension", "coboundary_witness",
+                  "evaluate", "lemmax_generators", "lemmay_basis",
+                  "prove_cocycles", "render")),
 ) for name in names}
 
 

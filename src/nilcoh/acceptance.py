@@ -201,7 +201,7 @@ def check_snf_properties():
             return False, "trial %d: U not unimodular" % trial
         if abs(bareiss_determinant(s.V.to_rows())) != 1:
             return False, "trial %d: V not unimodular" % trial
-        diag = [s.D.entry(i, i) for i in range(min(nrows, ncols))]
+        diag = [s.D.row(i)[i] for i in range(min(nrows, ncols))]
         if any(i != j for i, row in enumerate(s.D.nonzeros) for j, _ in row):
             return False, "trial %d: D not diagonal" % trial
         nz = [d for d in diag if d]
@@ -209,9 +209,9 @@ def check_snf_properties():
             return False, "trial %d: zeros interleave the diagonal" % trial
         if any(d < 0 for d in diag) or any(b % a for a, b in zip(nz, nz[1:])):
             return False, "trial %d: invariants not a positive chain" % trial
-        if s.rank != fraction_rank(A.to_rows()):
+        if len(s.invariants) != fraction_rank(A.to_rows()):
             return False, "trial %d: rank %d vs elimination %d" % (
-                trial, s.rank, fraction_rank(A.to_rows()))
+                trial, len(s.invariants), fraction_rank(A.to_rows()))
     return True, "500 matrices, dims <= 8, entries in [-9,9]"
 
 

@@ -6,8 +6,8 @@ from --input or stdin, and writes either the JSON report
 ``{"group": <presentation>, **record}`` or the lines, to stdout or
 --out. ``gen`` and ``selftest`` read no input and return their text.
 Exit codes: 0 success, 1 validation or verification failure, 2 malformed
-input or invocation, or an input too large (past ``_MAX_GENERATORS``, or
-for memory).
+input or invocation, or an input too large (past ``_MAX_GENERATORS``, a
+LemmaX command past ``_MAX_LIFT_BLOCK``, or for memory).
 
 Each process runs one command, so a command imports the modules only it
 needs (``cocycles``, ``acceptance``, ``families``) when it runs: an ``h2``
@@ -18,8 +18,9 @@ and nothing else of the package.
 import argparse
 import json
 import sys
+from math import comb
 
-from .cohomology import h1, h2, second_homology_rank
+from .cohomology import h1, h2, require_valid, second_homology_rank
 from .grouplaw import (InvalidPresentationError, PresentationFormatError,
                        load_presentation, presentation_to_json, validate)
 
@@ -55,6 +56,17 @@ def _refuse_too_large(n, m):
             % (n + m, _MAX_GENERATORS))
 
 
+def _refuse_large_lifts(P):
+    # cokernel's U^-1 lifts, which every LemmaX command builds, are a dense
+    # C(n,2) x (C(n,2) - m + #torsion) block; an invalid P is reported first
+    require_valid(P)
+    pairs = comb(P.n, 2)
+    if pairs * (pairs - P.m) > _MAX_LIFT_BLOCK:
+        raise PresentationFormatError(
+            "presentation too large: the LemmaX lifts are a %d x %d block, "
+            "the limit is %d entries" % (pairs, pairs - P.m, _MAX_LIFT_BLOCK))
+
+
 def _cmd_validate(P, args):
     rep = validate(P)
     return ((0 if rep.ok else 1),
@@ -85,6 +97,7 @@ def _cmd_homology_rank(P, args):
 
 
 def _cmd_cocycles(P, args):
+    _refuse_large_lifts(P)
     from .cocycles import CocycleLemmaX, all_cocycles, cocycle_to_json, render
     ws = all_cocycles(P)
 
@@ -104,6 +117,7 @@ def _cmd_cocycles(P, args):
 
 
 def _cmd_verify(P, args):
+    _refuse_large_lifts(P)
     from .cocycles import all_cocycles, cocycle_to_json, prove_cocycles
     ws = all_cocycles(P)
     results = prove_cocycles(P, ws)
@@ -118,6 +132,7 @@ def _cmd_verify(P, args):
 
 
 def _cmd_extend(P, args):
+    _refuse_large_lifts(P)
     from .cocycles import all_cocycles, build_extension
     ws = all_cocycles(P)
     try:
@@ -125,13 +140,14 @@ def _cmd_extend(P, args):
     except ValueError as exc:
         message = "extension rejected: %s" % exc
         return 1, {"extend": {"ok": False, "message": message}}, [message]
-    return 0, {"extend": {"fiber_rank": E.fiber_rank, "ok": True}}, [
+    return 0, {"extend": {"fiber_rank": len(E.fibers), "ok": True}}, [
         "central extension by Z^%d built from %d cocycles"
-        % (E.fiber_rank, len(ws)),
+        % (len(E.fibers), len(ws)),
         "associativity and inverse laws: PASS (proved)"]
 
 
 def _cmd_witness(P, args):
+    _refuse_large_lifts(P)
     from .cocycles import coboundary_witness, lemmax_generators
     records, lines = [], []
     for w in lemmax_generators(P):
@@ -249,6 +265,11 @@ _MAX_COEFF_RANK = 4096
 # 0.09 s on F(14) and 0.16 s on F(16) (n + m = 136), in process on one
 # core of an Intel Xeon
 _MAX_GENERATORS = 200
+# C(n,2) * (C(n,2) - m), the LemmaX lift block; past it cocycles, verify,
+# extend and witness refuse before the elimination. At abelian(80), just
+# under it, cocycles takes 2.2 s and verify 2.7 s, each at 175 MB, as
+# processes on a 2-core Intel Xeon; abelian(120) took 12.3 s and 829 MB
+_MAX_LIFT_BLOCK = 10 ** 7
 
 
 def _int_at_least(least, most=None):

@@ -466,12 +466,8 @@ class ExtensionGroup(_Value):
         # the fibers' table: a cache outside equality and repr
         _set(self, "_values", _family(base, self.fibers)[0])
 
-    @property
-    def fiber_rank(self):
-        return len(self.fibers)
-
     def identity(self):
-        return ExtElement._trusted(identity(self.base), (0,) * self.fiber_rank)
+        return ExtElement._trusted(identity(self.base), (0,) * len(self.fibers))
 
     def multiply(self, e1, e2):
         w = self._values(e1.g, e2.g)
@@ -534,9 +530,6 @@ class Primitive(_Value):
 
     def __init__(self, coeffs):
         _set(self, "coeffs", tuple(map(index, coeffs)))
-
-    def is_zero(self):
-        return not any(self.coeffs)
 
     def evaluate(self, g):
         return sum(c * x for c, x in zip(self.coeffs, g.b))

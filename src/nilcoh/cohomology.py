@@ -22,13 +22,14 @@ The route reads no matrix the closed form builds; both rest on
 ``validate`` and on ``quotient_invariants``, ``rank`` and ``_smith``.
 
 The coefficients are trivial, so H^k(G, Z^r) = H^k(G, Z)^r. ``h1`` and
-both routes of ``h2`` apply r by that one rule: they compute at r = 1 and
-``repeat`` the group r times.
+``h2`` apply r by that one rule: they compute at r = 1 and ``repeat`` the
+group r times. The complex route computes H^2(G, Z), and ``h2`` repeats
+its cross-check too.
 
 Basis orderings are fixed here once and shared by every matrix and every
 cocycle coordinate in the package: pairs (i < j) and triples (i < j < k)
 in ``itertools.combinations`` order, which is lexicographic; tensor basis
-x_t (x) y_l row-major in (t, l).
+x_t (x) y_l row-major in (t, l), at index t * m + l.
 """
 
 from collections import defaultdict
@@ -41,12 +42,6 @@ from .grouplaw import (GroupElement, InvalidPresentationError, bracket_matrix,
                        commutator, validate)
 
 
-def tensor_index(n, m, t, l):
-    if not (0 <= t < n and 0 <= l < m):
-        raise IndexError("tensor index (%d, %d) out of range" % (t, l))
-    return t * m + l
-
-
 def require_valid(P):
     if P._report is None:
         _set(P, "_report", validate(P))
@@ -57,7 +52,7 @@ def require_valid(P):
 def _jacobi_transpose(P):
     """S^T: per triple, one row holding its Jacobi element in the tensor basis."""
     n, m = P.n, P.m
-    rows = [[(tensor_index(n, m, t, l), sign * x)
+    rows = [[(t * m + l, sign * x)
              for t, p, q, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1))
              for l, x in enumerate(P.bracket.get((p, q), ())) if x]
             for i, j, k in combinations(range(n), 3)]
@@ -115,7 +110,7 @@ def h2(P, r=1):
     if r < 0:
         require_valid(P)   # an invalid P is reported first, as h1 does
         raise ValueError("coefficient rank must be nonnegative")
-    crosscheck = h2_via_complex(P, 1)
+    crosscheck = h2_via_complex(P)
     ext_part = quotient_invariants(bracket_matrix(P))
     ker_c_rank, hom_part_rank = _free_ranks(P)
     coker_cstar = AbelianGroupInvariants(ker_c_rank, ext_part.torsion)
@@ -126,15 +121,13 @@ def h2(P, r=1):
                     agree=crosscheck == total)
 
 
-def h2_via_complex(P, r=1):
-    """H^2(G, Z^r) = H^2(G, Z)^r from the Chevalley-Eilenberg complex of the Lie ring.
+def h2_via_complex(P):
+    """H^2(G, Z) from the Chevalley-Eilenberg complex of the Lie ring.
 
     Sums ker d^2 / im d^1 over the 2-form weights 2, 3 and 4 (see the
-    module docstring) and repeats the group r times.
+    module docstring).
     """
     require_valid(P)
-    if r < 0:
-        raise ValueError("coefficient rank must be nonnegative")
     n, m = P.n, P.m
     # the y's are central, so only a bracket of two x's can be nonzero
     units = [GroupElement(e, (0,) * m) for e in IntMatrix.identity(n).to_rows()]
@@ -171,7 +164,7 @@ def h2_via_complex(P, r=1):
     # it carries torsion
     h = [subquotient_invariants(d(2, w), d(1, w)) for w in (2, 3, 4) if forms(2, w)]
     return AbelianGroupInvariants(sum(g.free_rank for g in h),
-                                  sum((g.torsion for g in h), ())).repeat(r)
+                                  sum((g.torsion for g in h), ()))
 
 
 def second_homology_rank(P):

@@ -104,8 +104,8 @@ class IntMatrix(_Value):
     ``nonzeros`` holds one tuple per row of its (col, value) pairs, sorted
     by column, with no zero value; the constructor takes each row's pairs
     in any order, drops zeros and rejects a repeated column. Omitted, it
-    is the zero matrix. ``entries`` (row-major), ``row``, ``col``,
-    ``entry`` and ``to_rows`` are dense views, built when read.
+    is the zero matrix. ``entries`` (row-major), ``row`` and ``to_rows``
+    are dense views, built when read; a column is a row of ``transpose``.
     """
 
     __slots__ = ("rows", "cols", "nonzeros")
@@ -142,32 +142,15 @@ class IntMatrix(_Value):
         return cls(len(rows), width, [compress(enumerate(r), r) for r in rows])
 
     @classmethod
-    def from_cols(cls, cols, rows=None):
-        """Build from an iterable of columns; ``rows`` disambiguates the empty case."""
-        return cls.from_rows(cols, rows).transpose()
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, [((i, 1),) for i in range(n)])
-
-    @classmethod
-    def column_vector(cls, vec):
-        return cls.from_rows(([x] for x in vec), cols=1)
 
     @property
     def entries(self):
         return tuple(x for i in range(self.rows) for x in self.row(i))
 
-    def entry(self, i, j):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("entry (%d, %d) out of range" % (i, j))
-        return dict(self.nonzeros[i]).get(j, 0)
-
     def row(self, i):
         return tuple(map(dict(self.nonzeros[i]).get, range(self.cols), repeat(0)))
-
-    def col(self, j):
-        return tuple(dict(row).get(j, 0) for row in self.nonzeros)
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
@@ -215,10 +198,6 @@ class SmithDecomposition(_Value):
         _set(self, "D", D)
         _set(self, "V", V)
         _set(self, "invariants", invariants)
-
-    @property
-    def rank(self):
-        return len(self.invariants)
 
 
 def _smith(A):
@@ -553,17 +532,17 @@ def _solve_many(A, B):
                          % (A.rows, B.rows))
     invariants, ops, cops = _smith(A)
     v = _replayed(cops, A.cols)
-    cols = [_lattice_solution(invariants, ops, v, B.col(j))
-            for j in range(B.cols)]
+    cols = [_lattice_solution(invariants, ops, v, b)
+            for b in B.transpose().to_rows()]
     if None in cols:
         return None
-    return IntMatrix.from_cols(cols, rows=A.cols)
+    return IntMatrix.from_rows(cols, cols=A.cols).transpose()
 
 
 def solve_in_lattice(A, b):
     """One integer solution x of A x = b, or None if b is not in the column lattice."""
-    X = _solve_many(A, IntMatrix.column_vector(b))
-    return X.col(0) if X is not None else None
+    X = _solve_many(A, IntMatrix.from_rows([[x] for x in b], cols=1))
+    return X.transpose().row(0) if X is not None else None
 
 
 def subquotient_invariants(out_map, in_map):

@@ -22,6 +22,10 @@ from nilcoh.cocycles import lemmax_generators
 from nilcoh.grouplaw import bracket_matrix, presentation_to_json
 
 
+# the commands that read cokernel's LemmaX lifts
+LEMMAX_COMMANDS = ["cocycles", "verify", "extend", "witness"]
+
+
 def run_cli(args, stdin_text=None):
     return subprocess.run(
         [sys.executable, "-m", "nilcoh"] + args,
@@ -727,6 +731,57 @@ class TestExitCodes:
                               "generators, the limit is %d\n"
                               % (n, cli._MAX_GENERATORS))
 
+    @pytest.mark.parametrize("command", LEMMAX_COMMANDS)
+    def test_large_lift_block_is_refused_up_front(self, command):
+        # abelian(120): a 7140 x 7140 lift block, 12 s and 829 MB to build
+        start = time.perf_counter()
+        res = run_cli([command], stdin_text='{"n": 120, "m": 0}')
+        assert time.perf_counter() - start < 1
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: presentation too large: the LemmaX lifts are a 7140 x 7140 "
+            "block, the limit is %d entries\n" % cli._MAX_LIFT_BLOCK)
+
+    @pytest.mark.parametrize("command", LEMMAX_COMMANDS)
+    @pytest.mark.parametrize("doc, shape", [
+        ('{"n": 120, "m": 0}', "7140 x 7140"),
+        ('{"n": 120, "m": 1, "brackets": [{"i": 1, "j": 2, "y": [1]}]}',
+         "7140 x 7139")], ids=["m0", "m1"])
+    def test_refusal_runs_no_elimination(self, monkeypatch, command, doc, shape):
+        calls = []
+
+        def spy(name):
+            def refuse(*args):
+                calls.append(name)
+                raise AssertionError("%s ran on a refused input" % name)
+            return refuse
+
+        monkeypatch.setattr(exactlinalg, "_smith", spy("_smith"))
+        monkeypatch.setattr(exactlinalg, "cokernel", spy("cokernel"))
+        monkeypatch.setattr(cocycles, "cokernel", spy("cokernel"))
+        code, out, err = run_in_process([command], doc.encode())
+        assert (code, out, calls) == (2, "", [])
+        assert "lifts are a %s block" % shape in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", LEMMAX_COMMANDS)
+    def test_invalid_input_is_reported_before_the_block(self, command):
+        # n = 120, m = 1 would be refused, but it is invalid first
+        code, out, err = run_in_process([command], b'{"n": 120, "m": 1}')
+        assert (code, out) == (1, "")
+        assert err == "rank(c) = 0 < m = 1\n"
+
+    def test_input_just_under_the_limit_is_served(self):
+        # abelian(80)'s 3160 x 3160 block is the largest abelian one served
+        assert comb(80, 2) ** 2 <= cli._MAX_LIFT_BLOCK < comb(81, 2) ** 2
+        res = run_cli(["witness"], stdin_text='{"n": 80, "m": 0}')
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == "no torsion classes; nothing to search\n"
+        res = run_cli(["witness"], stdin_text='{"n": 81, "m": 0}')
+        assert res.returncode == 2
+        assert "3240 x 3240 block" in res.stderr
+
     @pytest.mark.parametrize("flags, size", [
         (["abelian", "--n", "300"], 300),
         (["random", "--n", "400", "--m", "1"], 401),
@@ -909,15 +964,18 @@ class TestColdStart:
     COLD_PATH = {"nilcoh", "nilcoh.__main__", "nilcoh.cli", "nilcoh.grouplaw",
                  "nilcoh.exactlinalg", "nilcoh.cohomology"}
 
-    @pytest.mark.parametrize("command", ["h2", "validate", "h1", "homology-rank"])
+    @pytest.mark.parametrize("command", ["h2", "validate", "h1", "homology-rank",
+                                         *LEMMAX_COMMANDS])
     def test_command_loads_only_the_cold_path(self, command, chain_file):
         res = subprocess.run([sys.executable, "-c", _LOADED_BY_COMMAND,
                               command, "--input", chain_file],
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         loaded = set(json.loads(res.stdout.splitlines()[-1]))
-        assert "nilcoh.cli" in loaded
-        assert loaded <= self.COLD_PATH
+        # the LemmaX commands load the cold path and cocycles, nothing more
+        extra = {"nilcoh.cocycles"} if command in LEMMAX_COMMANDS else set()
+        assert {"nilcoh.cli"} | extra <= loaded
+        assert loaded <= self.COLD_PATH | extra
 
     def test_no_module_imports_dataclasses(self):
         import nilcoh

@@ -69,6 +69,11 @@ def bareiss_determinant(rows):
     return sign * work[n - 1][n - 1]
 
 
+def from_cols(cols, rows=None):
+    """The matrix with these columns; ``rows`` disambiguates the empty case."""
+    return IntMatrix.from_rows(cols, rows).transpose()
+
+
 def dense(rows, cols, entries):
     """The rows x cols matrix of ``entries``, listed row by row."""
     entries = list(entries)
@@ -115,7 +120,7 @@ class TestIntMatrix:
                                  for t, row in enumerate(draw(k, c).to_rows())],
                                 cols=c)
         a = draw(r, k)
-        expect = [[sum(a.entry(i, t) * b.entry(t, j) for t in range(k))
+        expect = [[sum(a.row(i)[t] * b.row(t)[j] for t in range(k))
                    for j in range(c)] for i in range(r)]
         assert a @ b == IntMatrix.from_rows(expect, cols=c)
 
@@ -142,7 +147,7 @@ class TestSmithNormalForm:
     def test_zero_matrix(self):
         s = smith_normal_form(IntMatrix(2, 3))
         assert s.invariants == ()
-        assert s.rank == 0
+        assert len(s.invariants) == 0
 
     def test_empty_matrix(self):
         s = smith_normal_form(IntMatrix(0, 4))
@@ -157,11 +162,11 @@ class TestSmithNormalForm:
         assert d == s.D
         assert abs(bareiss_determinant(s.U.to_rows())) == 1
         assert abs(bareiss_determinant(s.V.to_rows())) == 1
-        diag = [s.D.entry(i, i) for i in range(min(a.rows, a.cols))]
+        diag = [s.D.row(i)[i] for i in range(min(a.rows, a.cols))]
         for i in range(a.rows):
             for j in range(a.cols):
                 if i != j:
-                    assert s.D.entry(i, j) == 0
+                    assert s.D.row(i)[j] == 0
         nonzero = [x for x in diag if x != 0]
         assert list(s.invariants) == nonzero
         assert all(x > 0 for x in nonzero)
@@ -180,7 +185,7 @@ class TestKernelBasis:
     def test_forced_up_to_sign(self):
         k = kernel_basis(IntMatrix.from_rows([[1, 1]]))
         assert k.cols == 1
-        col = k.col(0)
+        col = k.transpose().row(0)
         assert col in ((1, -1), (-1, 1))
 
     def test_injective_map(self):
@@ -258,15 +263,15 @@ def reference_solve(A, B):
     for j in range(B.cols):
         y = [0] * A.cols
         for i in range(A.rows):
-            c = UB.entry(i, j)
-            if i < s.rank:
-                if c % s.D.entry(i, i):
+            c = UB.row(i)[j]
+            if i < len(s.invariants):
+                if c % s.D.row(i)[i]:
                     return None
-                y[i] = c // s.D.entry(i, i)
+                y[i] = c // s.D.row(i)[i]
             elif c:
                 return None
-        cols.append((s.V @ IntMatrix.column_vector(y)).col(0))
-    return IntMatrix.from_cols(cols, rows=A.cols)
+        cols.append((s.V @ from_cols([y])).transpose().row(0))
+    return from_cols(cols, rows=A.cols)
 
 
 def random_matrix(rng, rows, cols, lo=-3, hi=3):
@@ -327,8 +332,8 @@ class TestTransformTracking:
         _replay(cops, rows)
         assert IntMatrix.from_rows(rows, cols=C.cols) == V @ C
         # the kernel basis is V's columns rank ..
-        assert kernel_basis(a) == IntMatrix.from_cols(
-            [V.col(j) for j in range(len(invariants), a.cols)], rows=a.cols)
+        assert kernel_basis(a) == from_cols(
+            V.transpose().to_rows()[len(invariants):], rows=a.cols)
         # the inverse replay gives U^-1
         inv = IntMatrix.identity(a.rows).to_rows()
         _undo(ops, inv)
@@ -348,9 +353,8 @@ class TestTransformTracking:
         V = replayed_v(_smith(a)[2], a.cols)
         k = kernel_basis(a)
         assert k.cols == kernel_rank
-        assert k == IntMatrix.from_cols(
-            [V.col(j) for j in range(a.cols - kernel_rank, a.cols)],
-            rows=a.cols)
+        assert k == from_cols(V.transpose().to_rows()[a.cols - kernel_rank:],
+                              rows=a.cols)
 
     @settings(deadline=None, max_examples=100)
     @given(matrices, st.integers(0, 3), st.integers(0, 10**6))
@@ -380,7 +384,8 @@ class TestTransformTracking:
         rows[rng.randrange(40)][1] += 1
         B = IntMatrix.from_rows(rows, cols=3)
         # the nudged column leaves the rational column space of A
-        assert fraction_rank([row + [b] for row, b in zip(A.to_rows(), B.col(1))]) \
+        assert fraction_rank([row + [b] for row, b in
+                              zip(A.to_rows(), B.transpose().row(1))]) \
             == fraction_rank(A.to_rows()) + 1
         assert reference_solve(A, B) is None
         assert _solve_many(A, B) is None
@@ -395,11 +400,11 @@ class TestTransformTracking:
         A = IntMatrix(40, 8, [[(j, 2 * e) for j, e in row] for row in M.nonzeros])
         x = [rng.randint(-5, 5) for _ in range(8)]
         x[rng.randrange(8)] = 2 * rng.randint(-5, 5) + 1
-        B = M @ IntMatrix.from_cols([x, [2 * e for e in x]])
+        B = M @ from_cols([x, [2 * e for e in x]])
         assert reference_solve(A, B) is None
         assert _solve_many(A, B) is None
-        even = IntMatrix.from_cols([B.col(1)])
-        assert _solve_many(A, even) == IntMatrix.from_cols([x])
+        even = from_cols([B.transpose().row(1)])
+        assert _solve_many(A, even) == from_cols([x])
 
 
 P61 = (1 << 61) - 1
@@ -417,27 +422,27 @@ class TestModularFastPath:
         rng = random.Random(5)
         cols = list(zip(*random_matrix(rng, 30, 6).to_rows()))
         zero = (0,) * 30
-        A = IntMatrix.from_cols([zero, cols[0], cols[1], zero, *cols[2:], zero])
+        A = from_cols([zero, cols[0], cols[1], zero, *cols[2:], zero])
         x = [0, 3, -7, 0, 1, 0, 2, -4, 0]
-        B = A @ IntMatrix.from_cols([x])
+        B = A @ from_cols([x])
         assert _solve_many(A, B) == reference_solve(A, B) \
-            == IntMatrix.from_cols([x])
+            == from_cols([x])
 
     def test_entry_beyond_half_the_prime_takes_the_smith_route(self):
         rng = random.Random(6)
         A = random_matrix(rng, 20, 5)
         assert fraction_rank(A.to_rows()) == 5
         x = [(1 << 62) + 3, -5, 0, 1, -(1 << 61)]
-        B = A @ IntMatrix.from_cols([x])
+        B = A @ from_cols([x])
         assert _solve_many(A, B) == reference_solve(A, B) \
-            == IntMatrix.from_cols([x])
+            == from_cols([x])
 
     def test_square_with_determinant_p_takes_the_smith_route(self):
         # full rank over Q but singular modulo p
         A = IntMatrix.from_rows([[1, 1, 0], [1, P61 + 1, 2], [0, 0, 1]])
         assert bareiss_determinant(A.to_rows()) == P61
-        B = A @ IntMatrix.from_cols([[4, -9, 2], [1, 1, 1]])
-        e1 = IntMatrix.from_cols([[1, 0, 0]])
+        B = A @ from_cols([[4, -9, 2], [1, 1, 1]])
+        e1 = from_cols([[1, 0, 0]])
         assert _solve_many(A, B) == reference_solve(A, B) is not None
         assert _solve_many(A, e1) == reference_solve(A, e1) is None
 
@@ -445,7 +450,7 @@ class TestModularFastPath:
     def test_dependent_live_columns_take_the_smith_route(self, seed):
         rng = random.Random(seed)
         cols = list(zip(*random_matrix(rng, 25, 4).to_rows()))
-        A = IntMatrix.from_cols(
+        A = from_cols(
             cols + [[a - 2 * b for a, b in zip(cols[0], cols[3])]])
         assert fraction_rank(A.to_rows()) == 4
         B = A @ random_matrix(rng, 5, 2, -6, 6)
@@ -535,7 +540,7 @@ class TestRankCertificates:
     def test_deficient_over_q_smith_answers(self, rank_branches, seed):
         rng = random.Random(seed)
         cols = list(zip(*random_matrix(rng, 6, 4).to_rows()))
-        A = IntMatrix.from_cols(cols + [[a + 3 * b for a, b in zip(cols[0], cols[2])]])
+        A = from_cols(cols + [[a + 3 * b for a, b in zip(cols[0], cols[2])]])
         assert rank(A) == fraction_rank(A.to_rows()) == 4
         assert rank_branches == ["gf2", "mod p", "smith"]
 
@@ -556,7 +561,7 @@ class TestRankCertificates:
 
 class TestQuotientInvariants:
     def test_split_direct_sum(self):
-        q = quotient_invariants(IntMatrix.column_vector((2, 0)))
+        q = quotient_invariants(from_cols([(2, 0)]))
         assert q == AbelianGroupInvariants(free_rank=1, torsion=(2,))
 
     def test_full_quotient(self):
@@ -569,7 +574,7 @@ class TestQuotientInvariants:
         assert quotient_invariants(IntMatrix(0, 0)) == AbelianGroupInvariants(0)
 
     def test_two_columns(self):
-        gens = IntMatrix.from_cols([(1, 1, 0), (0, 2, 0)], rows=3)
+        gens = from_cols([(1, 1, 0), (0, 2, 0)], rows=3)
         q = quotient_invariants(gens)
         assert q == AbelianGroupInvariants(free_rank=1, torsion=(2,))
 
@@ -581,7 +586,7 @@ class TestQuotientInvariants:
         else:
             weights = (coeffs * a.cols)[: a.cols]
             col = tuple(
-                sum(w * a.entry(i, j) for j, w in enumerate(weights))
+                sum(w * a.row(i)[j] for j, w in enumerate(weights))
                 for i in range(a.rows)
             )
         enlarged = IntMatrix.from_rows(
@@ -592,12 +597,12 @@ class TestQuotientInvariants:
 class TestSubquotientInvariants:
     def test_zero_out_map_reduces_to_quotient(self):
         out = IntMatrix(1, 2)
-        inn = IntMatrix.column_vector((2, 0))
+        inn = from_cols([(2, 0)])
         assert subquotient_invariants(out, inn) == AbelianGroupInvariants(1, (2,))
 
     def test_torsion_only(self):
         out = IntMatrix.from_rows([[1, 1]])
-        inn = IntMatrix.column_vector((2, -2))
+        inn = from_cols([(2, -2)])
         q = subquotient_invariants(out, inn)
         assert q == AbelianGroupInvariants(free_rank=0, torsion=(2,))
 
@@ -636,23 +641,23 @@ class TestSolveInLattice:
         a = IntMatrix.from_rows([[2, 4], [0, 6]])
         for b in [(1, 0), (0, 3), (2, 6), (6, 6)]:
             found = any(
-                (a @ IntMatrix.column_vector((x, y))).col(0) == b
+                (a @ from_cols([(x, y)])).transpose().row(0) == b
                 for x in range(-12, 13)
                 for y in range(-12, 13)
             )
             x = solve_in_lattice(a, b)
             assert (x is not None) == found
             if x is not None:
-                assert (a @ IntMatrix.column_vector(x)).col(0) == b
+                assert (a @ from_cols([x])).transpose().row(0) == b
 
     @settings(deadline=None, max_examples=100)
     @given(matrices, st.lists(st.integers(-4, 4), min_size=6, max_size=6))
     def test_reconstructs_known_solutions(self, a, xs):
         x = tuple(xs[: a.cols])
-        b = (a @ IntMatrix.column_vector(x)).col(0)
+        b = (a @ from_cols([x])).transpose().row(0)
         got = solve_in_lattice(a, b)
         assert got is not None
-        assert (a @ IntMatrix.column_vector(got)).col(0) == b
+        assert (a @ from_cols([got])).transpose().row(0) == b
 
 
 class TestCokernelGenerators:
@@ -662,7 +667,7 @@ class TestCokernelGenerators:
         # U f = e_t says f is column t of U^-1; the free indices come
         # first, then one per invariant factor d > 1
         s = smith_normal_form(a)
-        expect = [(0, t) for t in range(s.rank, a.rows)] + [
+        expect = [(0, t) for t in range(len(s.invariants), a.rows)] + [
             (d, t) for t, d in enumerate(s.invariants) if d > 1]
         invariants, ops, lifts, V = cokernel(a)
         assert invariants == s.invariants
@@ -674,7 +679,7 @@ class TestCokernelGenerators:
         assert IntMatrix.from_rows(u, cols=a.rows) == s.U
         assert [d for d, _ in lifts] == [d for d, _ in expect]
         for (_, f), (_, t) in zip(lifts, expect):
-            assert (s.U @ IntMatrix.column_vector(f)).col(0) == tuple(
+            assert (s.U @ from_cols([f])).transpose().row(0) == tuple(
                 int(i == t) for i in range(a.rows))
 
 

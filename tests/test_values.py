@@ -153,7 +153,7 @@ class TestValueContract:
 
 class TestLazyExports:
     def test_names_are_the_submodule_objects(self):
-        assert len(nilcoh.__all__) == 17
+        assert len(nilcoh.__all__) == 18
         for name in nilcoh.__all__:
             obj = getattr(nilcoh, name)
             if name == "families":

@@ -9,11 +9,16 @@ Z.
 
 The top level re-exports the everyday names; every other public name
 lives in its submodule (``nilcoh.exactlinalg``, ``nilcoh.grouplaw``, ...).
-Each re-export imports its submodule on first access, so a process loads
-only the modules it uses.
+The ``grouplaw`` and ``cohomology`` names are plain imports: every
+command line process loads both. The ``cocycles`` names and ``families``
+import their module on first access, which an ``h2`` process never makes.
 """
 
 from importlib import import_module
+
+from .cohomology import h1, h2, h2_via_complex, second_homology_rank
+from .grouplaw import (GroupElement, commutator, inverse, multiply,
+                       random_element)
 
 __all__ = [
     "GroupElement", "commutator", "inverse", "multiply", "random_element",
@@ -23,22 +28,17 @@ __all__ = [
     "families",
 ]
 
-# the submodule that defines each function or class in __all__
-_SOURCE = {name: module for module, names in (
-    ("grouplaw", ("GroupElement", "commutator", "inverse", "multiply",
-                  "random_element")),
-    ("cohomology", ("h1", "h2", "h2_via_complex", "second_homology_rank")),
-    ("cocycles", ("all_cocycles", "build_extension", "coboundary_witness",
-                  "evaluate", "lemmax_generators", "lemmay_basis",
-                  "prove_cocycles", "render")),
-) for name in names}
+# the names in __all__ that cocycles defines, imported on first access
+_COCYCLES = ("all_cocycles", "build_extension", "coboundary_witness",
+             "evaluate", "lemmax_generators", "lemmay_basis",
+             "prove_cocycles", "render")
 
 
 def __getattr__(name):
     if name == "families":
         value = import_module(".families", __name__)
-    elif name in _SOURCE:
-        value = getattr(import_module("." + _SOURCE[name], __name__), name)
+    elif name in _COCYCLES:
+        value = getattr(import_module(".cocycles", __name__), name)
     else:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
     globals()[name] = value

@@ -64,6 +64,9 @@ def fraction_rank(rows):
     return r
 
 
+_CHAINS = ((2, 4), (3, 3, 6), (1, 2, 4, 8))  # in the corpus and criterion 1
+
+
 def corpus():
     """The named presentations the sampled criteria run over."""
     groups = [("heisenberg", families.heisenberg())]
@@ -72,7 +75,7 @@ def corpus():
     for d in (2, 3, 6):
         groups.append(("heisenberg-variant(d=%d)" % d,
                        families.discrete_heisenberg(d)))
-    for chain in ((2, 4), (3, 3, 6), (1, 2, 4, 8)):
+    for chain in _CHAINS:
         groups.append(("divisor-chain%s" % (chain,),
                        families.divisor_chain_group(chain)))
     return groups
@@ -81,7 +84,7 @@ def corpus():
 def check_divisor_chain_regression():
     """H^2 of the divisor-chain family matches its closed form, under 1s each."""
     details = []
-    for chain in ((2, 4), (3, 3, 6), (1, 2, 4, 8)):
+    for chain in _CHAINS:
         k = len(chain)
         P = families.divisor_chain_group(chain)
         t0 = time.perf_counter()

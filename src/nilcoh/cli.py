@@ -170,9 +170,7 @@ def _cmd_witness(P, args):
 def _cmd_gen(args):
     try:
         P = _gen_family(args)
-    except PresentationFormatError:
-        raise
-    except ValueError as exc:  # a family rejects its parameters
+    except ValueError as exc:  # a family, or _gen_family, rejects its parameters
         raise PresentationFormatError(str(exc)) from exc
     return 0, dump_json(presentation_to_json(P))
 
@@ -258,6 +256,9 @@ def _chain(text):
     return tuple(int(x) for x in text.split(","))
 
 
+_chain.__name__ = "chain"  # argparse names it when int() fails
+
+
 # H^2(G, Z^r) is reported as r copies, so r bounds the report's size
 _MAX_COEFF_RANK = 4096
 # n + m of an input; past it a command refuses before building a matrix,
@@ -339,7 +340,3 @@ def main(argv=None):
         commands[args.command].error("unrecognized arguments: %s"
                                      % " ".join(extra))
     return run(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

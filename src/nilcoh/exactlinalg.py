@@ -11,16 +11,16 @@ row, and their builders emit only those; products, transposes and
 
 One elimination, two records: ``_smith`` carries no transform. It
 records its row operations, and its column operations, last first, as
-the row operations they make on V; ``_replay`` of either record on the
-rows of B gives U @ B or V @ B, and ``_undo`` of the row record U^-1 @ B.
-A caller that needs no transform replays nothing: ``quotient_invariants``
-(the closed form of ``cohomology.h2``, and the torsion in
-``subquotient_invariants``, so in the complex route of ``h2``), and
-``rank`` when the modular certificate below does not answer.
-``kernel_basis`` (``cocycles.lemmay_basis``) replays the column record on
-the kernel columns of the identity alone; the lattice solves, ``cokernel``
-(``cocycles``' LemmaX generators and witnesses, from one elimination of
-C^T) and ``smith_normal_form`` (the SNF acceptance criterion) replay both.
+the row operations they make on V; ``_replay`` of a record on the rows
+of B gives U @ B, V @ B, or from the ``_inverted`` row record U^-1 @ B,
+and ``_replayed`` replays one on columns of the identity. A caller that
+needs no transform replays nothing: ``quotient_invariants`` (the closed
+form of ``cohomology.h2``, and the torsion in ``subquotient_invariants``,
+so in the complex route of ``h2``), and ``rank`` when the modular
+certificate below does not answer. ``kernel_basis`` (``lemmay_basis``)
+replays V on its kernel columns, ``cokernel`` (the LemmaX generators and
+witnesses, one elimination of C^T) U^-1 on its lifts and V whole; the
+lattice solves and ``smith_normal_form`` (the SNF criterion) replay whole.
 
 All arithmetic uses Python's arbitrary-precision integers; there are no
 floats. The one modular step is the rank certificate. ``rank`` (behind
@@ -210,8 +210,8 @@ def _smith(A):
     operations on A in order, and cops the column operations, last first,
     each as the row operation it makes on V: column dst -= q * column src
     is (src, dst, q), and a swap stays a swap. So ``_replay`` of a record
-    on the rows of B gives U @ B from ops and V @ B from cops; ``_undo``
-    gives U^-1 @ B.
+    on the rows of B gives U @ B from ops and V @ B from cops, and of
+    ``_inverted(ops)`` U^-1 @ B.
 
     The working rows d are A's rows as dense lists: elimination fills
     them in, and list arithmetic outruns dict arithmetic there. The pivot
@@ -322,16 +322,15 @@ def _replay(ops, rows):
             rows[dst] = [x - q * y for x, y in zip(rows[dst], rows[src])]
 
 
-def _undo(ops, rows):
-    """U^-1 @ B in place: each recorded operation inverted, last first."""
+def _inverted(ops):
+    """The record of U^-1: each operation of U's inverted, last first."""
     # a swap, or a negation (r, r, 2), is its own inverse
-    _replay([(d, s, q if q is None or d == s else -q)
-             for d, s, q in reversed(ops)], rows)
+    return [(d, s, q if q is None or d == s else -q) for d, s, q in reversed(ops)]
 
 
-def _replayed(ops, n):
-    """A record replayed on the n x n identity: U from ops, V from cops."""
-    rows = IntMatrix.identity(n).to_rows()
+def _replayed(ops, n, cols):
+    """Rows of a record replayed on the columns ``cols`` of the n x n identity."""
+    rows = [[int(i == j) for j in cols] for i in range(n)]
     _replay(ops, rows)
     return rows
 
@@ -348,9 +347,10 @@ def smith_normal_form(A):
     invariants, ops, cops = _smith(A)
     diagonal = [[(t, d)] for t, d in enumerate(invariants)]
     return SmithDecomposition(
-        IntMatrix.from_rows(_replayed(ops, A.rows), cols=A.rows),
+        IntMatrix.from_rows(_replayed(ops, A.rows, range(A.rows)), cols=A.rows),
         IntMatrix(A.rows, A.cols, diagonal + [()] * (A.rows - len(diagonal))),
-        IntMatrix.from_rows(_replayed(cops, A.cols), cols=A.cols), invariants)
+        IntMatrix.from_rows(_replayed(cops, A.cols, range(A.cols)), cols=A.cols),
+        invariants)
 
 
 # The prime of the rank certificate, the only modular step in this module
@@ -433,26 +433,24 @@ def cokernel(A):
     invariants, ops, cops = _smith(A)
     picks = [(0, t) for t in range(len(invariants), A.rows)] + [
         (d, t) for t, d in enumerate(invariants) if d > 1]
-    cols = [[int(i == t) for _, t in picks] for i in range(A.rows)]
-    _undo(ops, cols)
+    cols = _replayed(_inverted(ops), A.rows, [t for _, t in picks])
     return (invariants, tuple(ops),
             tuple(zip([d for d, _ in picks], zip(*cols))),
-            tuple(map(tuple, _replayed(cops, A.cols))))
+            tuple(map(tuple, _replayed(cops, A.cols, range(A.cols)))))
 
 
 def kernel_basis(A):
     """Basis of the integer kernel of A, as columns of a cols x k matrix.
 
     The basis is the columns rank .. cols - 1 of V, the column record
-    replayed on those columns of the identity alone. It is saturated: it
-    spans ker(A) over Q, and as columns of a unimodular matrix it extends
-    to a basis of Z^cols, so its span over Z is a direct summand.
+    replayed on those columns alone. It is saturated: it spans ker(A)
+    over Q, and as columns of a unimodular matrix it extends to a basis
+    of Z^cols, so its span over Z is a direct summand.
     """
     invariants, _, cops = _smith(A)
     r = len(invariants)
-    cols = [[int(i == j) for j in range(r, A.cols)] for i in range(A.cols)]
-    _replay(cops, cols)
-    return IntMatrix.from_rows(cols, cols=A.cols - r)
+    return IntMatrix.from_rows(_replayed(cops, A.cols, range(r, A.cols)),
+                               cols=A.cols - r)
 
 
 class AbelianGroupInvariants(_Value):
@@ -531,7 +529,7 @@ def _solve_many(A, B):
         raise ValueError("dimension mismatch: %d equations, rhs has %d rows"
                          % (A.rows, B.rows))
     invariants, ops, cops = _smith(A)
-    v = _replayed(cops, A.cols)
+    v = _replayed(cops, A.cols, range(A.cols))
     cols = [_lattice_solution(invariants, ops, v, b)
             for b in B.transpose().to_rows()]
     if None in cols:

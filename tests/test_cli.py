@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -651,6 +652,9 @@ class TestExitCodes:
         ["gen", "--family", "random", "--n", "19", "--m", "172"],
         ["gen", "--family", "paper-example", "--d", "0,2"],
         ["gen", "--family", "abelian", "--n", "-1"],
+        ["gen", "--family", "paper-example", "--d", "1,,2"],
+        ["gen", "--family", "paper-example", "--d", "a"],
+        ["gen", "--family", "paper-example", "--d", ""],
     ], ids=" ".join)
     def test_out_of_range_flag_is_exit_2(self, args):
         doc = json.dumps(presentation_to_json(families.heisenberg()))
@@ -659,6 +663,8 @@ class TestExitCodes:
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
         assert sum("error:" in line for line in res.stderr.splitlines()) == 1
+        # the message names no private function of the program
+        assert not re.search(r"(?<!\w)_\w", res.stderr), res.stderr
 
     @pytest.mark.parametrize("args", [
         ["h2", "--trials", "7", "--bound", "3"],
@@ -976,6 +982,24 @@ class TestColdStart:
         extra = {"nilcoh.cocycles"} if command in LEMMAX_COMMANDS else set()
         assert {"nilcoh.cli"} | extra <= loaded
         assert loaded <= self.COLD_PATH | extra
+
+    def test_package_import_defers_only_cocycles_and_families(self):
+        # the grouplaw and cohomology names are plain imports, which every
+        # command loads anyway; a cocycles name or families loads its module
+        probe = ("import json, sys\n"
+                 "def loaded():\n"
+                 "    print(json.dumps(sorted(name for name in sys.modules\n"
+                 "        if name == 'nilcoh' or name.startswith('nilcoh.'))))\n"
+                 "import nilcoh; loaded()\n"
+                 "nilcoh.render; loaded()\n"
+                 "nilcoh.families; loaded()\n")
+        res = subprocess.run([sys.executable, "-c", probe],
+                             capture_output=True, text=True, check=True)
+        plain = {"nilcoh", "nilcoh.grouplaw", "nilcoh.exactlinalg",
+                 "nilcoh.cohomology"}
+        assert [set(json.loads(line)) for line in res.stdout.splitlines()] == [
+            plain, plain | {"nilcoh.cocycles"},
+            plain | {"nilcoh.cocycles", "nilcoh.families"}]
 
     def test_no_module_imports_dataclasses(self):
         import nilcoh

@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from nilcoh import acceptance, exactlinalg, families
 from nilcoh.cohomology import _jacobi_transpose, h2
 from nilcoh.exactlinalg import (
+    _inverted,
     _replay,
+    _replayed,
     _smith,
     _solve_many,
-    _undo,
     AbelianGroupInvariants,
     IntMatrix,
     cokernel,
@@ -334,11 +335,21 @@ class TestTransformTracking:
         # the kernel basis is V's columns rank ..
         assert kernel_basis(a) == from_cols(
             V.transpose().to_rows()[len(invariants):], rows=a.cols)
-        # the inverse replay gives U^-1
-        inv = IntMatrix.identity(a.rows).to_rows()
-        _undo(ops, inv)
-        inv = IntMatrix.from_rows(inv, cols=a.rows)
+        # the inverted row record, replayed on the identity, gives U^-1
+        inv = IntMatrix.from_rows(
+            _replayed(_inverted(ops), a.rows, range(a.rows)), cols=a.rows)
         assert inv @ full.U == full.U @ inv == IntMatrix.identity(a.rows)
+
+    @settings(deadline=None, max_examples=100)
+    @given(matrices, st.data())
+    def test_replay_on_some_columns_is_those_of_the_full_replay(self, a, data):
+        _, ops, cops = _smith(a)
+        for record, n in ((ops, a.rows), (cops, a.cols)):
+            cols = data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                      unique=True, max_size=n))
+            full = _replayed(record, n, range(n))
+            assert _replayed(record, n, cols) == [
+                [row[j] for j in cols] for row in full]
 
     @pytest.mark.parametrize("a, kernel_rank", [
         (IntMatrix(0, 0), 0),

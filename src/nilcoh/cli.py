@@ -20,9 +20,10 @@ import json
 import sys
 from math import comb
 
-from .cohomology import h1, h2, require_valid, second_homology_rank
+from .cohomology import h1, h2, second_homology_rank
 from .grouplaw import (InvalidPresentationError, PresentationFormatError,
-                       load_presentation, presentation_to_json, validate)
+                       load_presentation, presentation_to_json, require_valid,
+                       validate)
 
 
 def dump_json(obj):

@@ -46,9 +46,9 @@ from operator import index, mul
 
 from .exactlinalg import (_Value, _lattice_solution, _set, cokernel,
                           kernel_basis)
-from .grouplaw import (_check_element, identity, inverse, multiply,
-                       random_element)
-from .cohomology import _jacobi_transpose, bracket_matrix, require_valid
+from .grouplaw import (_check_element, bracket_matrix, identity, inverse,
+                       multiply, random_element, require_valid)
+from .cohomology import _jacobi_transpose
 
 
 class Cocycle:

@@ -38,15 +38,7 @@ from math import comb
 
 from .exactlinalg import (AbelianGroupInvariants, IntMatrix, _Value, _set,
                           rank, subquotient_invariants, quotient_invariants)
-from .grouplaw import (GroupElement, InvalidPresentationError, bracket_matrix,
-                       commutator, validate)
-
-
-def require_valid(P):
-    if P._report is None:
-        _set(P, "_report", validate(P))
-    if not P._report.ok:
-        raise InvalidPresentationError(P._report)
+from .grouplaw import GroupElement, bracket_matrix, commutator, require_valid
 
 
 def _jacobi_transpose(P):
@@ -81,15 +73,8 @@ class H2Report(_Value):
         _set(self, "agree", agree)
 
     def to_json(self):
-        return {
-            "total": self.total.to_json(),
-            "coker_cstar": self.coker_cstar.to_json(),
-            "hom_part_rank": self.hom_part_rank,
-            "ker_c_rank": self.ker_c_rank,
-            "ext_part": self.ext_part.to_json(),
-            "crosscheck": self.crosscheck.to_json(),
-            "agree": self.agree,
-        }
+        return {name: value.to_json() if isinstance(value, AbelianGroupInvariants)
+                else value for name, value in zip(self._fields, self._key(self))}
 
 
 def h1(P, r=1):

@@ -27,7 +27,7 @@ class InvalidPresentationError(ValueError):
     """An operation was given a presentation that fails validation."""
 
     def __init__(self, report):
-        super().__init__("; ".join(report.failures) or "invalid presentation")
+        super().__init__("; ".join(report.failures))
         self.report = report
 
 
@@ -52,7 +52,7 @@ class GroupPresentation(_Value):
         _set(self, "n", n)
         _set(self, "m", m)
         _set(self, "bracket", MappingProxyType(data))
-        _set(self, "_report", None)     # cohomology.require_valid's cache
+        _set(self, "_report", None)     # require_valid's cache
         _set(self, "_cokernel", None)   # cocycles._cokernel's cache
 
 
@@ -67,11 +67,16 @@ class GroupElement(_Value):
 
 
 class ValidationReport(_Value):
-    __slots__ = ("ok", "failures")
+    """The failures validate() found; the presentation is valid iff none."""
 
-    def __init__(self, ok, failures=()):
-        _set(self, "ok", ok)
+    __slots__ = ("failures",)
+
+    def __init__(self, failures=()):
         _set(self, "failures", tuple(failures))
+
+    @property
+    def ok(self):
+        return not self.failures
 
 
 def bracket_matrix(P):
@@ -105,7 +110,15 @@ def validate(P):
         r = rank(bracket_matrix(P))
         if r < P.m:
             failures.append("rank(c) = %d < m = %d" % (r, P.m))
-    return ValidationReport(ok=not failures, failures=tuple(failures))
+    return ValidationReport(failures)
+
+
+def require_valid(P):
+    """Raise InvalidPresentationError unless P is valid; validates P once."""
+    if P._report is None:
+        _set(P, "_report", validate(P))
+    if not P._report.ok:
+        raise InvalidPresentationError(P._report)
 
 
 def identity(P):

@@ -17,8 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import (cli, cocycles, cohomology, exactlinalg, families,
-                    grouplaw)
+from nilcoh import cli, cocycles, exactlinalg, families, grouplaw
 from nilcoh.cocycles import lemmax_generators
 from nilcoh.grouplaw import bracket_matrix, presentation_to_json
 
@@ -566,13 +565,13 @@ class TestOneEliminationOfCT:
                                          "witness", "h2"])
     def test_validates_once(self, monkeypatch, command):
         calls = []
-        real = cohomology.validate
+        real = grouplaw.validate
 
         def counted(P):
             calls.append(P)
             return real(P)
 
-        monkeypatch.setattr(cohomology, "validate", counted)
+        monkeypatch.setattr(grouplaw, "validate", counted)
         doc = json.dumps(presentation_to_json(
             families.random_presentation(5, 10, 5, 1))).encode()
         trials = ["--trials", "5"] if command in ("verify", "extend") else []
@@ -598,6 +597,17 @@ class TestExitCodes:
         res = run_cli(["h2"], stdin_text='{"n": 1, "m": 1}')
         assert res.returncode == 1
         assert "rank(c) = 0 < m = 1" in res.stderr
+
+    @pytest.mark.parametrize("doc, failures", [
+        ({"n": 1, "m": 1}, ["rank(c) = 0 < m = 1"]),
+        ({"n": 2, "m": 1, "brackets": [{"i": 1, "j": 3, "y": [1]},
+                                       {"i": 2, "j": 4, "y": [1]}]},
+         ["bracket pair (1,3) out of range", "bracket pair (2,4) out of range"]),
+    ], ids=["rank", "two-pairs"])
+    def test_h2_prints_exactly_the_failures(self, doc, failures):
+        res = run_cli(["h2"], stdin_text=json.dumps(doc))
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr.splitlines() == failures
 
     def test_malformed_json_is_exit_2(self):
         res = run_cli(["h2"], stdin_text="{not json")

@@ -9,7 +9,9 @@ from nilcoh import families
 from nilcoh.grouplaw import (
     GroupElement,
     GroupPresentation,
+    InvalidPresentationError,
     PresentationFormatError,
+    ValidationReport,
     bracket_matrix,
     commutator,
     identity,
@@ -61,6 +63,23 @@ class TestValidate:
         report = validate(GroupPresentation(n=2, m=2, bracket={(0, 1): (1,)}))
         assert not report.ok
         assert any("length 1, expected m = 2" in f for f in report.failures)
+
+    def test_report_is_valid_iff_it_has_no_failures(self):
+        assert ValidationReport(()).ok is True
+        assert ValidationReport(("x",)).ok is False
+        with pytest.raises(AttributeError):
+            ValidationReport(("x",)).ok = True
+
+    @pytest.mark.parametrize("doc, failures", [
+        ({"n": 1, "m": 1}, ("rank(c) = 0 < m = 1",)),
+        ({"n": 2, "m": 1, "brackets": [{"i": 1, "j": 3, "y": [1]},
+                                       {"i": 2, "j": 4, "y": [1]}]},
+         ("bracket pair (1,3) out of range", "bracket pair (2,4) out of range")),
+    ], ids=["rank", "two-pairs"])
+    def test_error_message_is_the_joined_failures(self, doc, failures):
+        report = validate(presentation_from_json(doc))
+        assert report.failures == failures
+        assert str(InvalidPresentationError(report)) == "; ".join(failures)
 
 
 class TestMultiply:

@@ -33,7 +33,7 @@ SAMPLES = {
     "GroupPresentation": lambda: GroupPresentation(
         n=2, m=1, bracket={(0, 1): (2,)}),
     "GroupElement": lambda: GroupElement(a=(1, -2), b=(5,)),
-    "ValidationReport": lambda: ValidationReport(ok=False, failures=("bad",)),
+    "ValidationReport": lambda: ValidationReport(failures=("bad",)),
     "H2Report": lambda: H2Report(
         total=Z2, coker_cstar=Z2, hom_part_rank=0, ker_c_rank=0,
         ext_part=Z2, crosscheck=Z2, agree=True),
@@ -120,13 +120,13 @@ class TestValueContract:
         (lambda: IntMatrix(0, 0), lambda: IntMatrix(0, 0, ())),
         (lambda: AbelianGroupInvariants(3), lambda: AbelianGroupInvariants(3, ())),
         (lambda: GroupPresentation(2, 0), lambda: GroupPresentation(2, 0, {})),
-        (lambda: ValidationReport(ok=True),
-         lambda: ValidationReport(True, ())),
+        (lambda: ValidationReport(),
+         lambda: ValidationReport(())),
         (lambda: CocycleLemmaX(f=(1,)), lambda: CocycleLemmaX((1,), 0)),
         (lambda: VerificationReport(ok=True, trials=1),
          lambda: VerificationReport(True, 1, "", ())),
-        (lambda: ValidationReport(False, ["bad"]),
-         lambda: ValidationReport(False, ("bad",))),
+        (lambda: ValidationReport(["bad"]),
+         lambda: ValidationReport(("bad",))),
         (lambda: ExtensionGroup(HEIS, [E11]),
          lambda: build_extension(HEIS, [E11])),
     ], ids=["IntMatrix", "AbelianGroupInvariants", "GroupPresentation",

@@ -176,11 +176,17 @@ def _check_lemmay(P, w):
 # built here repeats a factor. Structure constants come from ``P.bracket``.
 
 
+def _slots(a, b, choose2):
+    """The slots of a point with coordinates a = (a, a') and b = (b, b'), as
+    numbered above: each coordinate z of a is followed by choose2(z)."""
+    return [s for z in a for s in (z, choose2(z))] + list(b)
+
+
 def _slot_names(P):
     """The name of each slot, as render prints it."""
     a = ["a%d%s" % (i + 1, p) for p in ("", "'") for i in range(P.n)]
     b = ["b%d%s" % (l + 1, p) for p in ("", "'") for l in range(P.m)]
-    return [name for x in a for name in (x, "C(%s,2)" % x)] + b
+    return _slots(a, b, "C(%s,2)".__mod__)
 
 
 def _poly_add(poly, coeff, mono):
@@ -251,30 +257,19 @@ def _family(P, ws):
     """The tables of the cocycles ws as one table, (values, rows, monos).
 
     w_k has the coefficient rows[k][i] at monos[i], the sorted union of the
-    cocycles' monomials, and ``values(g, h)`` lists each w_k(g, h). It fills
-    the coordinate vector of the point once, slot by slot as the table
-    comment numbers them, with C(x,2) only when some monomial reads one and
-    a 1 at slot -1 that pads every monomial, of at most three factors, to
-    three, and sums each cocycle's terms there.
+    cocycles' monomials, and ``values(g, h)`` lists each w_k(g, h). It builds
+    the slots of the point, a fresh list per call, with a 1 at slot -1 that
+    pads every monomial, of at most three factors, to three, and sums each
+    cocycle's terms there.
     """
     polys = _polys(P, ws)
     monos = sorted(set().union(*polys))
-    four_n = 4 * P.n
-    binoms = any(s % 2 for mono in monos for s in mono if s < four_n)
     rows = [[poly.get(mono, 0) for mono in monos] for poly in polys]
     terms = [(k, mono + (-1,) * (3 - len(mono)), c)
              for k, poly in enumerate(polys) for mono, c in poly.items()]
 
-    # one vector, refilled in place at each point (a fresh list per call
-    # costs criterion 6 about 8%), so a table is not for concurrent use
-    x = [1] * (four_n + 2 * P.m + 1)
-
     def values(g, h):
-        a = g.a + h.a
-        x[:four_n:2] = a
-        if binoms:
-            x[1:four_n:2] = [v * (v - 1) // 2 for v in a]
-        x[four_n:-1] = g.b + h.b
+        x = _slots(g.a + h.a, g.b + h.b, lambda z: z * (z - 1) // 2) + [1]
         w = [0] * len(polys)
         for k, (i, j, l), c in terms:
             w[k] += c * x[i] * x[j] * x[l]
@@ -354,9 +349,9 @@ def verify_cocycles(P, ws, trials=1000, bound=10, seed=0):
         raise ValueError("need trials >= 1 and bound >= 1")
     values, rows, monos = _family(P, ws)
     reports = [None] * len(rows)
-    n2, names = 2 * P.n, _slot_names(P)
+    names = _slot_names(P)
     for k, mono in enumerate(monos):
-        primed = {n2 <= s < 2 * n2 or s >= 2 * n2 + P.m for s in mono}
+        primed = {"'" in names[s] for s in mono}
         if primed != {False, True}:
             msg = "normalization fails at monomial %s" % _mono_str(names, mono)
             for i, row in enumerate(rows):
@@ -397,14 +392,13 @@ def _prove_family(P, rows, monos):
     in g, h, k, expanded once per table monomial, times 8 to stay integral.
     A row passes when it combines all three to zero.
     """
-    n, N = P.n, P.n + P.m
+    n, N, slot_names = P.n, P.n + P.m, _slot_names(P)
 
     def mul(p, q):   # a polynomial is a list of (monomial, coefficient)
         return [(tuple(sorted(m1 + m2)), c1 * c2) for m1, c1 in p for m2, c2 in q]
 
-    def slots(x, y):   # at the point (x, y), as the table comment orders them
-        return [s for z in x[:n] + y[:n]
-                for s in (z, mul(z, z + [((), -1)]))] + x[n:] + y[n:]
+    def slots(x, y):   # at the point (x, y), with 2 C(z,2) = z (z - 1)
+        return _slots(x[:n] + y[:n], x[n:] + y[n:], lambda z: mul(z, z + [((), -1)]))
 
     # variable p*N + t is coordinate t (a_t, then b_{t-n}) of g, h, k, gh, hk
     g, h, k = pts = [[[((p * N + t,), 1)] for t in range(N)] for p in range(3)]
@@ -418,7 +412,7 @@ def _prove_family(P, rows, monos):
         ((-2,), 1, g, [[]] * N), ((-1,), 1, [[]] * N, h))]
     cols = {}   # each monomial of the three -> (table position, coefficient)
     for i, mono in enumerate(monos):
-        total, scale = {}, 8 >> sum(s < 4 * n and s % 2 for s in mono)
+        total, scale = {}, 8 >> sum(slot_names[s].startswith("C(") for s in mono)
         for m, sign, vals in sides:
             for key, c in reduce(mul, (vals[s] for s in mono), [(m, sign * scale)]):
                 total[key] = total.get(key, 0) + c
@@ -434,7 +428,7 @@ def _prove_family(P, rows, monos):
             msg = "delta w = 0 proved exactly"
         elif bad[0] < 0:   # named by its table monomial, as the oracle names it
             msg = "normalization fails at monomial " + _mono_str(
-                _slot_names(P), monos[next(i for i, _ in cols[bad] if row[i])])
+                slot_names, monos[next(i for i, _ in cols[bad] if row[i])])
         else:
             msg = "cocycle identity fails: delta w has the monomial " + \
                 "*".join(names[v] for v in bad)

@@ -4,7 +4,7 @@ import random
 from math import comb
 from operator import index
 
-from .grouplaw import GroupPresentation, validate
+from .grouplaw import GroupPresentation, InvalidPresentationError, require_valid
 
 
 def abelian(n):
@@ -57,7 +57,10 @@ def random_presentation(n, m, bound, seed):
                 bracket[(i, j)] = tuple(rng.randint(-bound, bound)
                                         for _ in range(m))
         P = GroupPresentation(n=n, m=m, bracket=bracket)
-        if validate(P).ok:
-            return P
+        try:
+            require_valid(P)   # fills the report the caller's first check reads
+        except InvalidPresentationError:
+            continue
+        return P
     raise ValueError("no valid presentation with n=%d, m=%d found in 100 attempts"
                      % (n, m))

@@ -236,12 +236,22 @@ def presentation_from_json(data):
     return GroupPresentation(data["n"], m, bracket)
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice would be ambiguous."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise PresentationFormatError("repeated key %r" % key)
+        data[key] = value
+    return data
+
+
 def load_presentation(text):
     """Parse a presentation from JSON text."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
-        # ValueError: bad syntax, or an integer past the digit limit of int();
-        # RecursionError: nesting deeper than the decoder's stack
+        # ValueError: bad syntax, a repeated key, or an integer past the digit
+        # limit of int(); RecursionError: nesting deeper than the decoder's stack
         raise PresentationFormatError("malformed JSON: %s" % exc) from exc
     return presentation_from_json(data)

@@ -148,6 +148,24 @@ class TestReports:
         assert res.returncode == 0
         assert "order-2 class: 2 * cocycle = coboundary of u =" in res.stdout
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_witness_that_finds_no_primitive_is_exit_1(self, monkeypatch,
+                                                       fmt):
+        # chain(2,4)'s order-2 class reported as order 1: w itself is no
+        # coboundary, so the search comes back empty
+        real = cocycles.lemmax_generators
+        monkeypatch.setattr(cocycles, "lemmax_generators", lambda P: [
+            cocycles.CocycleLemmaX(w.f, 1 if w.order == 2 else w.order)
+            for w in real(P)])
+        P = families.divisor_chain_group((2, 4))
+        doc = json.dumps(presentation_to_json(P)).encode()
+        code, out, err = run_in_process(["witness", "--format", fmt], doc)
+        assert (code, err) == (1, "")
+        if fmt == "text":
+            assert out == "order-1 class: 1 * cocycle is not a coboundary\n"
+        else:
+            assert json.loads(out)["witness"] == [{"order": 1, "found": False}]
+
     def test_witness_on_near_free_n6(self, tmp_path):
         # the closed form needs one lattice solve per class; a search over
         # polynomial ansatzes ran past 120 s on this group
@@ -564,6 +582,9 @@ class TestOneEliminationOfCT:
     @pytest.mark.parametrize("command", ["cocycles", "verify", "extend",
                                          "witness", "h2"])
     def test_validates_once(self, monkeypatch, command):
+        # drawn before the count starts: the draw validates its own object
+        doc = json.dumps(presentation_to_json(
+            families.random_presentation(5, 10, 5, 1))).encode()
         calls = []
         real = grouplaw.validate
 
@@ -572,8 +593,6 @@ class TestOneEliminationOfCT:
             return real(P)
 
         monkeypatch.setattr(grouplaw, "validate", counted)
-        doc = json.dumps(presentation_to_json(
-            families.random_presentation(5, 10, 5, 1))).encode()
         trials = ["--trials", "5"] if command in ("verify", "extend") else []
         code, _, _ = run_in_process([command] + trials, doc)
         assert code == 0
@@ -625,6 +644,20 @@ class TestExitCodes:
         res = run_cli(["validate"], stdin_text=json.dumps(doc))
         assert res.returncode == 2
         assert "duplicate bracket pair (1,2)" in res.stderr
+
+    @pytest.mark.parametrize("command", PRESENTATION_COMMANDS)
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("doc, key", [
+        ('{"n": 2, "m": 1, "brackets": [{"i": 1, "j": 2, "y": [1], "y": [2]}]}',
+         "y"),
+        ('{"n": 2, "m": 1, "m": 0, "brackets": []}', "m"),
+    ], ids=["bracket-y", "top-level-m"])
+    def test_repeated_key_is_exit_2(self, doc, key, fmt, command):
+        # json.loads alone keeps the last value: y = [2], or m = 0
+        code, out, err = run_in_process([command, "--format", fmt],
+                                        doc.encode())
+        assert (code, out) == (2, "")
+        assert err == "error: malformed JSON: repeated key '%s'\n" % key
 
     def test_unreadable_file_is_exit_2(self):
         res = run_cli(["h2", "--input", "/nonexistent/path.json"])

@@ -3,6 +3,8 @@
 import hashlib
 import random
 import re
+import sys
+import threading
 from itertools import combinations, product
 from math import comb
 
@@ -37,6 +39,25 @@ from nilcoh.cocycles import (
     verify_cocycles,
     _family,
 )
+
+
+def in_threads(count, work):
+    """[work(0), ..., work(count - 1)], each run in a thread of its own while
+    the interpreter switches threads as often as it can."""
+    results = [None] * count
+    threads = [threading.Thread(target=lambda i=i: results.__setitem__(i, work(i)))
+               for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    return results
+
 
 HEIS = families.heisenberg()
 CHAIN = families.divisor_chain_group((2, 4))
@@ -222,6 +243,18 @@ class TestEvaluate:
         for _ in range(50):
             g = random_element(P, 10, rng)
             assert values(g, e) == values(e, g) == [0] * len(rows)
+
+    def test_interleaved_evaluations_of_one_table_give_serial_values(self):
+        # values keeps nothing between points, so two threads evaluating one
+        # table, switched mid-evaluation, each read their own points
+        P = families.random_presentation(5, 6, 3, 7)
+        values = _family(P, all_cocycles(P))[0]
+        rng = random.Random(1)
+        points = [[(random_element(P, 10, rng), random_element(P, 10, rng))
+                   for _ in range(100)] for _ in range(2)]
+        serial = [[values(g, h) for g, h in pts] * 5 for pts in points]
+        assert in_threads(2, lambda i: [values(g, h)
+                                        for g, h in points[i] * 5]) == serial
 
     def test_lemmay_central_term(self):
         g = GroupElement((0, 0), (1,))
@@ -559,6 +592,17 @@ class TestExtensions:
             one = single1.multiply(ExtElement(g, (0,)), ExtElement(h, (0,)))
             two = single2.multiply(ExtElement(g, (0,)), ExtElement(h, (0,)))
             assert both.t == (one.t[0], two.t[0])
+
+    def test_threads_sharing_an_extension_get_the_serial_products(self):
+        P = families.random_presentation(5, 6, 3, 7)
+        E = build_extension(P, all_cocycles(P))
+        rng = random.Random(0)
+        pairs = [(E.random_element(10, rng), E.random_element(10, rng))
+                 for _ in range(100)]
+        serial = [E.multiply(x, y) for x, y in pairs] * 5
+        runs = in_threads(4, lambda _: [E.multiply(x, y) for x, y in pairs * 5])
+        wrong = sum(p != q for run in runs for p, q in zip(run, serial))
+        assert wrong == 0, "%d of 2000 products differ from the serial ones" % wrong
 
     def test_rejects_non_cocycle_fiber(self):
         bad = CocycleLemmaY(phi=((1,), (0,), (0,), (0,)))

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nilcoh import families
+from nilcoh import families, grouplaw
+from nilcoh.cohomology import h2
 from nilcoh.grouplaw import (
     GroupElement,
     GroupPresentation,
@@ -248,6 +249,16 @@ class TestPresentationJson:
         with pytest.raises(PresentationFormatError, match="malformed JSON"):
             load_presentation("{not json")
 
+    def test_repeated_key_is_refused(self):
+        # a key given twice is refused at any depth, not read as its last value
+        text = '{"n": 2, "m": 1, "brackets": [{"i": 1, "j": 2, "y": [0]}]}'
+        assert load_presentation(text) == GroupPresentation(2, 1, {(0, 1): (0,)})
+        for doc, key in (('{"n": 2, "n": 2, "m": 0}', "n"),
+                         (text.replace('"y": [0]', '"y": [1], "y": [2]'), "y")):
+            with pytest.raises(PresentationFormatError,
+                               match="malformed JSON: repeated key '%s'" % key):
+                load_presentation(doc)
+
     def test_missing_pairs_are_zero(self):
         P = presentation_from_json({"n": 3, "m": 1, "brackets": [{"i": 1, "j": 2, "y": [1]}]})
         assert dict(P.bracket) == {(0, 1): (1,)}
@@ -275,12 +286,26 @@ class TestFamilies:
         assert a == b
         assert validate(a).ok
 
+    def test_random_presentation_is_validated_once(self, monkeypatch):
+        # the draw that passes keeps its report, which h2's check then reads
+        calls = []
+        real = grouplaw.validate
+
+        def counted(P):
+            calls.append(P)
+            return real(P)
+
+        monkeypatch.setattr(grouplaw, "validate", counted)
+        P = families.random_presentation(11, 4, 5, 2026)
+        h2(P)
+        assert len(calls) == 1 and calls[0] is P
+
     def test_random_presentation_unsatisfiable(self, monkeypatch):
         # m > C(n,2) can never reach rank m, so it is refused before any draw
         def no_draw(P):
             raise AssertionError("a presentation was drawn and validated")
 
-        monkeypatch.setattr(families, "validate", no_draw)
+        monkeypatch.setattr(grouplaw, "validate", no_draw)
         with pytest.raises(ValueError, match=r"n=2, m=2: .* C\(n,2\) = 1 < m"):
             families.random_presentation(2, 2, 5, seed=0)
         with pytest.raises(ValueError, match=r"n=19, m=172: .* C\(n,2\) = 171 < m"):

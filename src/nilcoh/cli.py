@@ -99,27 +99,24 @@ def _cmd_homology_rank(P, args):
 
 def _cmd_cocycles(P, args):
     _refuse_large_lifts(P)
-    from .cocycles import CocycleLemmaX, all_cocycles, cocycle_to_json, render
+    from .cocycles import all_cocycles, render
     ws = all_cocycles(P)
 
     def describe(idx, w):
-        if not isinstance(w, CocycleLemmaX):
-            kind = "lemmay"
-        elif w.order:
-            kind = "lemmax, order %d" % w.order
-        else:
-            kind = "lemmax, infinite order"
+        kind = w.kind
+        if kind == "lemmax":
+            kind += (", order %d" % w.order) if w.order else ", infinite order"
         return "cocycle %d [%s]: %s" % (idx, kind, render(P, w))
 
     # rendered only when the text is written
     lines = ((describe(i, w) for i, w in enumerate(ws, 1)) if ws
              else ["no cocycle generators (trivial H^2)"])
-    return 0, {"cocycles": [cocycle_to_json(w) for w in ws]}, lines
+    return 0, {"cocycles": [w.to_json() for w in ws]}, lines
 
 
 def _cmd_verify(P, args):
     _refuse_large_lifts(P)
-    from .cocycles import all_cocycles, cocycle_to_json, prove_cocycles
+    from .cocycles import all_cocycles, prove_cocycles
     ws = all_cocycles(P)
     results = prove_cocycles(P, ws)
     ok = all(r.ok for r in results)
@@ -128,7 +125,7 @@ def _cmd_verify(P, args):
              for i, r in enumerate(results, 1)]
     lines.append("all passed" if ok else "verification failed")
     return (0 if ok else 1), {"verify": [
-        {"cocycle": cocycle_to_json(w), "ok": r.ok, "message": r.message}
+        {"cocycle": w.to_json(), "ok": r.ok, "message": r.message}
         for w, r in zip(ws, results)]}, lines
 
 
@@ -161,9 +158,10 @@ def _cmd_witness(P, args):
             lines.append("order-%d class: %d * cocycle is not a coboundary"
                          % (d, d))
         else:
-            records.append({"order": d, "found": True, "witness": u.render()})
+            witness = u.render()
+            records.append({"order": d, "found": True, "witness": witness})
             lines.append("order-%d class: %d * cocycle = coboundary of u = %s"
-                         % (d, d, u.render()))
+                         % (d, d, witness))
     return ((0 if all(r["found"] for r in records) else 1), {"witness": records},
             lines or ["no torsion classes; nothing to search"])
 
@@ -225,9 +223,12 @@ _COMMANDS = dict(_REPORTS, gen=_cmd_gen, selftest=_cmd_selftest)
 
 def run(args):
     """Execute one parsed command line; returns the process exit code."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     try:
         if args.command in _REPORTS:
             P = _read_presentation(args)
+            if limit:   # integers were read under it; an answer prints in full
+                sys.set_int_max_str_digits(0)
             code, record, lines = _REPORTS[args.command](P, args)
             if args.format == "json":
                 text = dump_json({"group": presentation_to_json(P), **record})
@@ -251,6 +252,9 @@ def run(args):
     except MemoryError:
         print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _chain(text):

@@ -21,14 +21,14 @@ the two summands of H^2:
 
   These realize a basis of Hom((L_1 (x) L_2)/S, Z).
 
-Integer linear combinations (``CocycleSum``) are cocycles again. Each of
-the three shapes is expanded into one polynomial table, monomials in
-(a, b, a', b') with integer coefficients, and no other copy of the
-formulas above exists. ``render`` prints that table. Everything else
-evaluates a family table, the union of the monomials of a list of
-cocycles with one coefficient row per cocycle, so an extension adds all
-its fibers at once. ``prove_cocycles`` proves the cocycle identity on a
-table, and its sampled oracles multiply in the extension group.
+Integer linear combinations (``CocycleSum``) are cocycles again. Each class
+checks its shape and expands itself into one polynomial table, monomials in
+(a, b, a', b') with integer coefficients, in ``_table``; no other copy of
+the formulas above exists. ``render`` prints that table. Everything else
+evaluates a family table, the union of the monomials of a list of cocycles
+with one coefficient row per cocycle, so an extension adds all its fibers
+at once. ``prove_cocycles`` proves the cocycle identity on a table, and its
+sampled oracles multiply in the extension group.
 
 A LemmaX class has a closed-form primitive: when C^T lambda = f, the
 coboundary of u(g) = -lambda . b is w_f, because the group law subtracts
@@ -51,8 +51,46 @@ from .grouplaw import (_check_element, bracket_matrix, identity, inverse,
 from .cohomology import _jacobi_transpose
 
 
+# --- the polynomial table ---------------------------------------------
+#
+# A factor is a slot in the coordinate vector of a point (g, h), numbered
+# in render order: a_i at 2i and C(a_i,2) at 2i+1, a'_i at 2(n+i) and
+# C(a'_i,2) at 2(n+i)+1, b_l at 4n+l and b'_l at 4n+m+l. A monomial is the
+# sorted tuple of its factors' slots, and a polynomial maps monomials to
+# coefficients, so sorted monomials come in render order. No monomial
+# built here repeats a factor. Structure constants come from ``P.bracket``.
+
+
+def _slots(a, b, choose2):
+    """The slots of a point with coordinates a = (a, a') and b = (b, b'), as
+    numbered above: each coordinate z of a is followed by choose2(z)."""
+    return [s for z in a for s in (z, choose2(z))] + list(b)
+
+
+def _slot_names(P):
+    """The name of each slot, as render prints it."""
+    a = ["a%d%s" % (i + 1, p) for p in ("", "'") for i in range(P.n)]
+    b = ["b%d%s" % (l + 1, p) for p in ("", "'") for l in range(P.m)]
+    return _slots(a, b, "C(%s,2)".__mod__)
+
+
+def _poly_add(poly, coeff, mono):
+    if not coeff:
+        return
+    new = poly.get(mono, 0) + coeff
+    if new:
+        poly[mono] = new
+    else:
+        poly.pop(mono, None)
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
 class Cocycle:
-    """Base class providing Z-linear combinations of cocycle values."""
+    """Z-linear combinations of cocycles. Each kind states its ``kind``, its
+    document ``to_json()`` and ``_table(P, poly, scale)``: poly += scale w."""
 
     __slots__ = ()
 
@@ -86,19 +124,59 @@ class CocycleLemmaX(Cocycle, _Value):
     """
 
     __slots__ = ("f", "order")
+    kind = "lemmax"
 
     def __init__(self, f, order=0):
         _set(self, "f", tuple(map(index, f)))
         _set(self, "order", index(order))
+
+    def _table(self, P, poly, scale):
+        if len(self.f) != comb(P.n, 2):
+            raise ValueError("dimension mismatch: f has %d coordinates, expected %d"
+                             % (len(self.f), comb(P.n, 2)))
+        for (i, j), f in compress(zip(combinations(range(P.n), 2), self.f), self.f):
+            _poly_add(poly, -scale * f, (2 * j, 2 * (P.n + i)))
+
+    def to_json(self):
+        return {"kind": self.kind, "data": list(self.f), "order": self.order}
 
 
 class CocycleLemmaY(Cocycle, _Value):
     """Coordinates phi of a homomorphism on L_1 (x) L_2, as an n x m table."""
 
     __slots__ = ("phi",)
+    kind = "lemmay"
 
     def __init__(self, phi):
         _set(self, "phi", tuple(tuple(map(index, row)) for row in phi))
+
+    def _table(self, P, poly, scale):
+        n, phi, c = P.n, self.phi, P.bracket.get
+        if len(phi) != n or any(len(row) != P.m for row in phi):
+            raise ValueError("dimension mismatch: phi must be an %d x %d table"
+                             % (n, P.m))
+        # c(x_i ^ x_j) = -P.bracket[(j, i)] for i > j: its sign cancels the formula's
+        for j in range(n):
+            for i in range(j + 1, n):
+                vec = c((j, i), ())
+                _poly_add(poly, scale * _dot(vec, phi[i]), (2 * i + 1, 2 * (n + j)))
+                _poly_add(poly, scale * _dot(vec, phi[j]), (2 * i, 2 * (n + j) + 1))
+        for k in range(n):
+            for i in range(k + 1, n):
+                for j in range(i + 1, n):
+                    _poly_add(poly, scale * _dot(c((k, i), ()), phi[j]),
+                              (2 * i, 2 * j, 2 * (n + k)))
+        for j in range(n):
+            for k in range(j + 1, n):
+                for i in range(j + 1, n):
+                    _poly_add(poly, scale * _dot(c((j, i), ()), phi[k]),
+                              (2 * i, 2 * (n + j), 2 * (n + k)))
+        for i in range(n):
+            for l in range(P.m):
+                _poly_add(poly, -scale * phi[i][l], (2 * (n + i), 4 * n + l))
+
+    def to_json(self):
+        return {"kind": self.kind, "data": [list(row) for row in self.phi]}
 
 
 class CocycleSum(Cocycle, _Value):
@@ -106,6 +184,7 @@ class CocycleSum(Cocycle, _Value):
     flattened: a nested sum expands into its terms, zero coefficients drop."""
 
     __slots__ = ("terms",)
+    kind = "sum"
 
     def __init__(self, terms):
         flat = []
@@ -118,6 +197,14 @@ class CocycleSum(Cocycle, _Value):
             else:
                 flat.append((c, p))
         _set(self, "terms", tuple(flat))
+
+    def _table(self, P, poly, scale):
+        for c, p in self.terms:
+            p._table(P, poly, scale * c)
+
+    def to_json(self):
+        return {"kind": self.kind, "data": [{"coeff": c, "cocycle": p.to_json()}
+                                            for c, p in self.terms]}
 
 
 def lemmax_generators(P):
@@ -154,103 +241,14 @@ def all_cocycles(P):
     return lemmax_generators(P) + lemmay_basis(P)
 
 
-def _check_lemmax(P, w):
-    if len(w.f) != comb(P.n, 2):
-        raise ValueError("dimension mismatch: f has %d coordinates, expected %d"
-                         % (len(w.f), comb(P.n, 2)))
-
-
-def _check_lemmay(P, w):
-    if len(w.phi) != P.n or any(len(row) != P.m for row in w.phi):
-        raise ValueError("dimension mismatch: phi must be an %d x %d table"
-                         % (P.n, P.m))
-
-
-# --- the polynomial table ---------------------------------------------
-#
-# A factor is a slot in the coordinate vector of a point (g, h), numbered
-# in render order: a_i at 2i and C(a_i,2) at 2i+1, a'_i at 2(n+i) and
-# C(a'_i,2) at 2(n+i)+1, b_l at 4n+l and b'_l at 4n+m+l. A monomial is the
-# sorted tuple of its factors' slots, and a polynomial maps monomials to
-# coefficients, so sorted monomials come in render order. No monomial
-# built here repeats a factor. Structure constants come from ``P.bracket``.
-
-
-def _slots(a, b, choose2):
-    """The slots of a point with coordinates a = (a, a') and b = (b, b'), as
-    numbered above: each coordinate z of a is followed by choose2(z)."""
-    return [s for z in a for s in (z, choose2(z))] + list(b)
-
-
-def _slot_names(P):
-    """The name of each slot, as render prints it."""
-    a = ["a%d%s" % (i + 1, p) for p in ("", "'") for i in range(P.n)]
-    b = ["b%d%s" % (l + 1, p) for p in ("", "'") for l in range(P.m)]
-    return _slots(a, b, "C(%s,2)".__mod__)
-
-
-def _poly_add(poly, coeff, mono):
-    if not coeff:
-        return
-    new = poly.get(mono, 0) + coeff
-    if new:
-        poly[mono] = new
-    else:
-        poly.pop(mono, None)
-
-
-def _lemmax_poly(P, w, poly, scale):
-    _check_lemmax(P, w)
-    for (i, j), f in compress(zip(combinations(range(P.n), 2), w.f), w.f):
-        _poly_add(poly, -scale * f, (2 * j, 2 * (P.n + i)))
-
-
-def _lemmay_poly(P, w, poly, scale):
-    _check_lemmay(P, w)
-    n, phi, c = P.n, w.phi, P.bracket.get
-    # c(x_i ^ x_j) = -P.bracket[(j, i)] for i > j: its sign cancels the formula's
-    for j in range(n):
-        for i in range(j + 1, n):
-            vec = c((j, i), ())
-            _poly_add(poly, scale * _dot(vec, phi[i]), (2 * i + 1, 2 * (n + j)))
-            _poly_add(poly, scale * _dot(vec, phi[j]), (2 * i, 2 * (n + j) + 1))
-    for k in range(n):
-        for i in range(k + 1, n):
-            for j in range(i + 1, n):
-                _poly_add(poly, scale * _dot(c((k, i), ()), phi[j]),
-                          (2 * i, 2 * j, 2 * (n + k)))
-    for j in range(n):
-        for k in range(j + 1, n):
-            for i in range(j + 1, n):
-                _poly_add(poly, scale * _dot(c((j, i), ()), phi[k]),
-                          (2 * i, 2 * (n + j), 2 * (n + k)))
-    for i in range(n):
-        for l in range(P.m):
-            _poly_add(poly, -scale * phi[i][l], (2 * (n + i), 4 * n + l))
-
-
-def _cocycle_poly(P, w, poly, scale):
-    if isinstance(w, CocycleLemmaX):
-        _lemmax_poly(P, w, poly, scale)
-    elif isinstance(w, CocycleLemmaY):
-        _lemmay_poly(P, w, poly, scale)
-    elif isinstance(w, CocycleSum):
-        for c, p in w.terms:
-            _cocycle_poly(P, p, poly, scale * c)
-    else:
-        raise TypeError("not a cocycle: %r" % (w,))
-
-
 def _polys(P, ws):
     """The polynomial table of each cocycle in ws."""
     polys = [{} for _ in ws]
     for w, poly in zip(ws, polys):
-        _cocycle_poly(P, w, poly, 1)
+        if not isinstance(w, Cocycle):
+            raise TypeError("not a cocycle: %r" % (w,))
+        w._table(P, poly, 1)
     return polys
-
-
-def _dot(u, v):
-    return sum(map(mul, u, v))
 
 
 def _family(P, ws):
@@ -548,13 +546,13 @@ def coboundary_witness(P, w):
     monomial with F read from ``P.bracket``, or raises ArithmeticError.
     """
     require_valid(P)
-    f = [0] * comb(P.n, 2)
-    for c, term in CocycleSum(((1, w),)).terms:
+    terms = CocycleSum(((1, w),)).terms
+    for _, term in terms:
         if not isinstance(term, CocycleLemmaX):
             raise TypeError("a coboundary witness needs LemmaX terms, got %r"
                             % (term,))
-        _check_lemmax(P, term)
-        f = [x + c * y for x, y in zip(f, term.f)]
+    (poly,) = _polys(P, [w])   # checks the length of each f
+    f = [sum(c * term.f[k] for c, term in terms) for k in range(comb(P.n, 2))]
     invariants, ops, _, v = _cokernel(P)
     lam = _lattice_solution(invariants, ops, v, f)
     if lam is None:
@@ -564,7 +562,6 @@ def coboundary_witness(P, w):
     delta = {}
     for (i, j), vec in P.bracket.items():
         _poly_add(delta, _dot(u.coeffs, vec), (2 * j, 2 * (P.n + i)))
-    (poly,) = _polys(P, [w])
     for mono in sorted(set(delta) | set(poly)):
         x, y = delta.get(mono, 0), poly.get(mono, 0)
         if x != y:
@@ -573,14 +570,3 @@ def coboundary_witness(P, w):
                 % (_mono_str(_slot_names(P), mono), x, y))
     return u
 
-
-def cocycle_to_json(w):
-    if isinstance(w, CocycleLemmaX):
-        return {"kind": "lemmax", "data": list(w.f), "order": w.order}
-    if isinstance(w, CocycleLemmaY):
-        return {"kind": "lemmay", "data": [list(row) for row in w.phi]}
-    if isinstance(w, CocycleSum):
-        return {"kind": "sum",
-                "data": [{"coeff": c, "cocycle": cocycle_to_json(p)}
-                         for c, p in w.terms]}
-    raise TypeError("not a cocycle: %r" % (w,))

@@ -45,6 +45,13 @@ def set_table_entry(monkeypatch, fiber, mono, coeff):
     monkeypatch.setattr(cocycles, "_polys", mutant)
 
 
+def spy_method(cls, name):
+    """Patch the method cls.name with a mock that counts its calls and runs
+    the method, self included."""
+    return mock.patch.object(cls, name, autospec=True,
+                             side_effect=getattr(cls, name))
+
+
 @pytest.fixture
 def heisenberg_file(tmp_path):
     path = tmp_path / "heisenberg.json"
@@ -454,18 +461,19 @@ class TestPinnedReports:
         P = PINNED_GROUPS["near-free-n4"]
         doc = json.dumps(presentation_to_json(P)).encode()
         tables = mock.patch.object(cocycles, "_polys", wraps=cocycles._polys)
-        poly = mock.patch.object(cocycles, "_cocycle_poly",
-                                 wraps=cocycles._cocycle_poly)
-        with tables as table_calls, poly as poly_calls:
+        x, y, sums = (spy_method(cls, "_table") for cls in (
+            cocycles.CocycleLemmaX, cocycles.CocycleLemmaY, cocycles.CocycleSum))
+        with tables as table_calls, x as x_calls, y as y_calls, sums as sum_calls:
             code, _, _ = run_in_process(["extend", "--trials", "5"], doc)
         assert code == 0
         assert table_calls.call_count == 1
-        assert poly_calls.call_count == 21   # one per fiber, none of them a sum
+        # one per fiber, none of them a sum
+        assert x_calls.call_count + y_calls.call_count == 21
+        assert sum_calls.call_count == 0
 
     def test_lemmax_tables_read_no_bracket(self):
         doc = json.dumps(presentation_to_json(families.abelian(6))).encode()
-        with mock.patch.object(cocycles, "_lemmay_poly",
-                               wraps=cocycles._lemmay_poly) as lemmay_calls:
+        with spy_method(cocycles.CocycleLemmaY, "_table") as lemmay_calls:
             code, out, _ = run_in_process(["cocycles"], doc)
         assert code == 0 and out.count("[lemmax, infinite order]") == 15
         assert lemmay_calls.call_count == 0
@@ -764,6 +772,30 @@ class TestExitCodes:
         assert res.stdout == b""
         assert "Traceback" not in err
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    # brackets 10^2500 x_5 and (2500 threes) x_6: the torsion order, their
+    # product, has 5000 digits, past the interpreter's default limit (4300)
+    # on int -> str, while no input integer is
+    BIG_ORDER = "3" * 2500 + "0" * 2500
+    BIG_ORDER_DOC = json.dumps({"n": 4, "m": 2, "brackets": [
+        {"i": 1, "j": 2, "y": [10 ** 2500, 0]},
+        {"i": 3, "j": 4, "y": [0, int("3" * 2500)]}]})
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", LEMMAX_COMMANDS + ["h2"])
+    def test_answer_past_the_digit_limit_prints_in_full(self, command, fmt):
+        res = run_cli([command, "--format", fmt], stdin_text=self.BIG_ORDER_DOC)
+        assert (res.returncode, res.stderr) == (0, "")
+        if command in ("h2", "cocycles", "witness"):   # these print the order
+            assert self.BIG_ORDER in res.stdout
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="Python before 3.10.7 has no digit limit")
+    def test_in_process_run_restores_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_in_process(["h2"], self.BIG_ORDER_DOC.encode())
+        assert (code, err) == (0, "") and self.BIG_ORDER in out
+        assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize("command, n", [("h2", 3000000),
                                             ("cocycles", 3000)])

@@ -29,7 +29,6 @@ from nilcoh.cocycles import (
     all_cocycles,
     build_extension,
     coboundary_witness,
-    cocycle_to_json,
     evaluate,
     lemmax_generators,
     lemmay_basis,
@@ -1026,16 +1025,45 @@ class TestCocycleJson:
 
     def test_lemmax_document(self):
         w = CocycleLemmaX(f=(1, -2, 0), order=4)
-        assert cocycle_to_json(w) == {"kind": "lemmax", "data": [1, -2, 0], "order": 4}
+        assert w.to_json() == {"kind": "lemmax", "data": [1, -2, 0], "order": 4}
 
     def test_lemmay_document(self):
-        assert cocycle_to_json(E11) == {"kind": "lemmay", "data": [[1], [0]]}
+        assert E11.to_json() == {"kind": "lemmay", "data": [[1], [0]]}
 
     def test_sum_document(self):
         w = 3 * E11 - 2 * CocycleLemmaX(f=(5,))
-        assert cocycle_to_json(w) == {"kind": "sum", "data": [
+        assert w.to_json() == {"kind": "sum", "data": [
             {"coeff": 3, "cocycle": {"kind": "lemmay", "data": [[1], [0]]}},
             {"coeff": -2, "cocycle": {"kind": "lemmax", "data": [5], "order": 0}}]}
+
+
+# every reader of a cocycle's table, on HEIS
+TABLE_READERS = {
+    "render": lambda w: render(HEIS, w),
+    "prove_cocycles": lambda w: prove_cocycles(HEIS, [w]),
+    "build_extension": lambda w: build_extension(HEIS, [w]),
+    "evaluate": lambda w: evaluate(HEIS, w, identity(HEIS), identity(HEIS)),
+}
+
+
+class TestTableShape:
+    """Each reader of a table refuses what is not a cocycle, and a cocycle
+    whose shape does not fit the presentation, where zip would truncate."""
+
+    @pytest.mark.parametrize("read", TABLE_READERS.values(),
+                             ids=list(TABLE_READERS))
+    def test_non_cocycle_is_rejected(self, read):
+        with pytest.raises(TypeError, match="not a cocycle"):
+            read("not a cocycle")
+
+    @pytest.mark.parametrize("w", [CocycleLemmaX(f=(1, 0)),
+                                   CocycleLemmaY(phi=((1,),))],
+                             ids=["lemmax-2-coordinates", "lemmay-1x1"])
+    @pytest.mark.parametrize("read", TABLE_READERS.values(),
+                             ids=list(TABLE_READERS))
+    def test_wrong_shape_is_rejected(self, read, w):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            read(w)
 
 
 # Each builder puts x into one integer slot of a value type. A torsion
